@@ -60,9 +60,15 @@ class VerificationFailure(Exception):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_cone_file(path: str) -> tuple[Cone, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("cone file must hold a JSON object at the top level")
     keys = [k for k in ("rays", "dual_rays", "polytope_vertices") if k in data]
     if len(keys) != 1:
         raise ValueError(
@@ -71,7 +77,12 @@ def load_cone_file(path: str) -> tuple[Cone, dict]:
     rank = data.get("lattice_rank")
     if rank is None:
         raise ValueError('cone file is missing "lattice_rank"')
-    vectors = [tuple(int(x) for x in v) for v in data[keys[0]]]
+    if not _is_int(rank) or rank < 0:
+        raise ValueError('"lattice_rank" must be a non-negative integer')
+    raw = data[keys[0]]
+    if not isinstance(raw, list) or not all(isinstance(v, list) and all(map(_is_int, v)) for v in raw):
+        raise ValueError(f'"{keys[0]}" must be a list of integer coordinate lists')
+    vectors = [tuple(v) for v in raw]
     if any(len(v) != rank for v in vectors):
         raise ValueError("vector length does not match lattice_rank")
     if keys[0] == "rays":

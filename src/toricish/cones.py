@@ -20,10 +20,10 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     RatMatrix,
-    coords_in_lattice_basis,
     dot,
     ext_gcd_list,
     integer_kernel_basis,
+    lattice_coordinates,
     primitive_vector,
 )
 
@@ -214,9 +214,10 @@ class Face:
 
 
 class FaceLattice:
-    """Graded poset of the faces of a cone, with cover relations."""
+    """Graded poset of the faces of a cone, with cover relations.  `memo` holds
+    the contraction blocks' integer data (linalg.WedgeBasis), freed with it."""
 
-    __slots__ = ("cone", "faces", "by_dim", "covers", "children", "parents", "_by_rayset")
+    __slots__ = ("cone", "faces", "by_dim", "covers", "children", "parents", "_by_rayset", "memo")
 
     def __init__(self, cone, faces, by_dim, covers, children, parents, by_rayset):
         self.cone = cone
@@ -226,6 +227,7 @@ class FaceLattice:
         self.children = children
         self.parents = parents
         self._by_rayset = by_rayset
+        self.memo = {}
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -312,7 +314,7 @@ def _face_cone_cached(cone: Cone, face: Face) -> Cone:
         return cone
     if face.dim == 0:
         return Cone(0, (), ())
-    coords = [coords_in_lattice_basis(face.span_lattice, cone.rays[i]) for i in face.rays]
+    coords = lattice_coordinates(face.span_lattice, [cone.rays[i] for i in face.rays], cone.rank)
     return Cone.from_rays(coords, rank=face.dim)
 
 

@@ -63,7 +63,7 @@ def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
         ids = fl.by_dim[i]
         for fid in ids:
             face = fl.faces[fid]
-            row.append(WedgeBasis(face.perp_lattice, degree - i, n))
+            row.append(WedgeBasis(face.perp_lattice, degree - i, n, fl.memo))
         bases.append(row)
         term_faces.append(tuple(ids))
         term_dims.append(sum(b.dim for b in row))
@@ -306,7 +306,7 @@ def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...
         ids = [fid for fid in fl.by_dim[d] if mu.ray_set <= fl.faces[fid].ray_set]
         levels.append(ids)
     bases = [
-        [WedgeBasis(fl.faces[fid].perp_lattice, degree - (m + s), n) for fid in ids]
+        [WedgeBasis(fl.faces[fid].perp_lattice, degree - (m + s), n, fl.memo) for fid in ids]
         for s, ids in enumerate(levels)
     ]
     dims = [sum(b.dim for b in row) for row in bases]

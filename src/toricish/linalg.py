@@ -2,16 +2,20 @@
 
 Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout: entries are Python
-ints or fractions.Fraction, never floats.  All functions are pure and all
-returned objects immutable, which makes the module safe to use from several
-threads at once.
+ints or fractions.Fraction, never floats.  Lattice work (kernels, lattice
+coordinates, right inverses) and the contraction blocks are integer only,
+read off one column-Hermite reduction.  Fraction appears only where rational
+input is accepted: primitive_vector, and RatMatrix, whose rank() clears
+denominators row by row.  All functions are pure and all returned objects
+immutable, apart from the per-face-lattice memo dict that callers may hand to
+WedgeBasis.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -203,115 +207,90 @@ def ext_gcd_list(values: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
-def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Z-basis of {x in Z^ncols : r . x == 0 for every row r}.
+def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """Column-style Hermite reduction with a unimodular transform.
 
-    Column-style Hermite reduction with a unimodular transform; the result is
-    a basis of the full integer kernel, i.e. the returned lattice is
-    saturated.
+    Returns (cols, r): column j of rows . u stacked on column j of u, for a
+    unimodular u.  The first r columns of rows . u are in column echelon form
+    and the others are zero; for independent rows (r == len(rows)), entry i
+    of column i is the pivot of row i, and entry i of column j > i is zero.
     """
     m = len(rows)
-    a = [list(map(int, r)) for r in rows]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_op(j2: int, j1: int, q: int) -> None:
-        for i in range(m):
-            a[i][j2] -= q * a[i][j1]
-        for i in range(ncols):
-            u[i][j2] -= q * u[i][j1]
-
-    def col_swap(j1: int, j2: int) -> None:
-        for i in range(m):
-            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
-        for i in range(ncols):
-            u[i][j1], u[i][j2] = u[i][j2], u[i][j1]
-
+    cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
     col = 0
     for row in range(m):
         while True:
-            nz = [j for j in range(col, ncols) if a[row][j]]
+            nz = [j for j in range(col, ncols) if cols[j][row]]
             if len(nz) <= 1:
                 break
-            j1 = min(nz, key=lambda j: abs(a[row][j]))
+            j1 = min(nz, key=lambda j: abs(cols[j][row]))
             for j2 in nz:
                 if j2 != j1:
-                    col_op(j2, j1, a[row][j2] // a[row][j1])
-        nz = [j for j in range(col, ncols) if a[row][j]]
+                    q = cols[j2][row] // cols[j1][row]
+                    cols[j2] = [x - q * y for x, y in zip(cols[j2], cols[j1])]
+        nz = [j for j in range(col, ncols) if cols[j][row]]
         if nz:
-            if nz[0] != col:
-                col_swap(nz[0], col)
+            cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
             col += 1
-    return tuple(tuple(u[i][j] for i in range(ncols)) for j in range(col, ncols))
+    return cols, col
 
 
-class ColumnSolver:
-    """Expresses vectors exactly in the span of a fixed list of columns.
+def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Z-basis of {x in Z^ncols : r . x == 0 for every row r}.
 
-    The elimination is done once at construction; solve() is then a couple of
-    dot products per call.  Returns None when the target is outside the span.
+    The trailing columns of the column-Hermite transform; the result is a
+    basis of the full integer kernel, i.e. the returned lattice is saturated.
     """
-
-    def __init__(self, columns: Sequence[Sequence], height: int):
-        self.ncols = len(columns)
-        self.height = height
-        # Augment with the identity so solve() can replay row operations.
-        a = []
-        for i in range(height):
-            row = [Fraction(col[i]) for col in columns]
-            row.extend(Fraction(1) if k == i else Fraction(0) for k in range(height))
-            a.append(row)
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, height) if a[i][c]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(height):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append((r, c))
-            r += 1
-        self._reduced = a
-        self._pivots = pivots
-        self._rank = r
-
-    def solve(self, target: Sequence):
-        vals = []
-        for i in range(self.height):
-            row = self._reduced[i]
-            vals.append(dot(row[self.ncols:], target))
-        for i in range(self._rank, self.height):
-            if vals[i]:
-                return None
-        # Free columns (if any) take coordinate zero; pivot rows then read off
-        # directly because the pivot columns are reduced.
-        x = [Fraction(0)] * self.ncols
-        for prow, pcol in self._pivots:
-            x[pcol] = vals[prow]
-        return tuple(x)
+    cols, r = _column_echelon(rows, ncols)
+    return tuple(tuple(c[len(rows):]) for c in cols[r:])
 
 
-def coords_in_lattice_basis(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
-    """Integer coordinates of vec in a lattice basis given as rows."""
-    if not basis_rows:
-        raise ValueError("empty basis")
-    height = len(vec)
-    columns = [tuple(b) for b in basis_rows]
-    solver = ColumnSolver(columns, height)
-    x = solver.solve(tuple(vec))
-    if x is None:
-        raise ValueError("vector outside the span of the basis")
+def lattice_coordinates(
+    basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], ambient: int
+) -> tuple[tuple[int, ...], ...]:
+    """Integer coordinates of each vector in a lattice basis given as rows.
+
+    One column-Hermite reduction of the basis, then a triangular solve per
+    vector.  Raises ValueError when the basis rows are dependent or a vector
+    lies outside their span or outside the lattice they generate.
+    """
+    cols, p = _column_echelon(basis, ambient)
+    if p != len(basis):
+        raise ValueError("basis rows are linearly dependent")
     out = []
-    for f in x:
-        f = Fraction(f)
-        if f.denominator != 1:
-            raise ValueError("vector not in the lattice generated by the basis")
-        out.append(int(f))
+    for v in vectors:
+        y = [dot(v, c[p:]) for c in cols]
+        if any(y[p:]):
+            raise ValueError("vector outside the span of the basis")
+        x = [0] * p
+        for j in reversed(range(p)):
+            x[j], rem = divmod(y[j] - sum(x[i] * cols[j][i] for i in range(j + 1, p)), cols[j][j])
+            if rem:
+                raise ValueError("vector not in the lattice generated by the basis")
+        out.append(tuple(x))
     return tuple(out)
+
+
+def _integer_right_inverse(a: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
+    """Integer B (ncols x t, flat in row-major order) with a . B == I for the
+    t x ncols integer a.
+
+    With a . u == [h | 0] from the column-Hermite reduction, B is the first t
+    columns of u times h^-1.  That inverse is integral exactly when every
+    pivot is a unit, i.e. when the rows of a span a saturated sublattice;
+    otherwise ValueError.
+    """
+    t = len(a)
+    cols, r = _column_echelon(a, ncols)
+    if r != t or any(cols[i][i] not in (1, -1) for i in range(t)):
+        raise ValueError("target lattice is not saturated in the source lattice")
+    # h, the top t x t block of the reduced columns, is lower triangular:
+    # forward substitution, where dividing by a unit pivot is multiplying.
+    c = [[0] * t for _ in range(t)]
+    for j in range(t):
+        for i in range(j, t):
+            c[i][j] = ((i == j) - sum(cols[m][i] * c[m][j] for m in range(j, i))) * cols[i][i]
+    return tuple(sum(cols[m][t + i] * c[m][j] for m in range(t)) for i in range(ncols) for j in range(t))
 
 
 @lru_cache(maxsize=None)
@@ -321,37 +300,25 @@ def _ksubsets(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(m), k))
 
 
-def _det(rows: list[list]) -> Fraction:
-    """Determinant by exact Gaussian elimination (small matrices only)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
-def wedge_coordinates(vectors: Sequence[Sequence], ambient: int):
-    """Coordinates of v_1 ^ ... ^ v_k in the standard wedge basis of Q^ambient,
-    indexed by lexicographically ordered k-subsets of the coordinates."""
-    k = len(vectors)
+def _wedge_power(b: tuple[int, ...], nrows: int, ncols: int, prev: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """j-th exterior power of the nrows x ncols integer matrix b: its j x j
+    minors, rows and columns indexed by lexicographically ordered j-subsets.
+    Matrices are flat in row-major order.  Each minor is a Laplace expansion
+    along its first row over `prev`, the (j-1)-th power."""
+    prev_row = {s: i for i, s in enumerate(_ksubsets(nrows, j - 1))}
+    prev_col = {s: i for i, s in enumerate(_ksubsets(ncols, j - 1))}
+    width = len(prev_col)
     out = []
-    for subset in _ksubsets(ambient, k):
-        out.append(_det([[v[j] for j in subset] for v in vectors]))
-    return out
+    for rows in _ksubsets(nrows, j):
+        first, base = rows[0] * ncols, prev_row[rows[1:]] * width
+        for cols in _ksubsets(ncols, j):
+            val = 0
+            for q, c in enumerate(cols):
+                if b[first + c]:
+                    m = b[first + c] * prev[base + prev_col[cols[:q] + cols[q + 1:]]]
+                    val += -m if q % 2 else m
+            out.append(val)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -361,11 +328,18 @@ class WedgeBasis:
     The subspace is given by a basis (rows); the wedge basis is indexed by
     k-element subsets of the row indices in lexicographic order, with the
     standard sign convention (sorting transpositions contribute -1 each).
+
+    `memo`, when given, is a dict in which interior_product_matrix keeps the
+    integer right inverse of each (source, target) subspace pair and its
+    wedge powers, so that the blocks of every wedge degree share them.  Pass
+    one dict per face lattice (FaceLattice.memo); it is freed with the
+    lattice.
     """
 
     vectors: tuple[tuple[int, ...], ...]
     degree: int
     ambient: int
+    memo: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -385,44 +359,56 @@ class WedgeBasis:
 
 def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step: Sequence[int]) -> RatMatrix:
     """Matrix of contraction in the first slot by the pairing with `step`,
-    from wedge degree k of the source subspace to degree k-1 of the target.
+    from wedge degree k of the source subspace V to degree k-1 of the target
+    W, as an integer matrix.
 
-    Well defined only when the target subspace is contained in the source
-    subspace's annihilated part: every target basis vector must pair to zero
-    with `step`, and the contracted image must land in the span of the target
-    wedges (otherwise the face pair is wrong and a ValueError is raised).
+    Well defined only when W lies in the part of V that `step` annihilates:
+    every target basis vector must pair to zero with `step`, and the
+    contracted image must land in the span of the target wedges (otherwise
+    the face pair is wrong and a ValueError is raised).  The blocks of the
+    complexes have V = perp(mu) and W = perp(tau) for a cover pair mu < tau.
+
+    The block is computed relative to V, in integers.  With A the
+    coordinates of W's basis in V's basis, a right inverse B (A . B == I)
+    maps V onto W and fixes W, so the wedge powers of B turn the contracted
+    image into target coordinates: column S is
+    sum_pos (-1)^pos <v_S[pos], step> (row S minus S[pos] of wedge^(k-1) B).
+    B is integral because W is saturated in V, as perp(tau) is in perp(mu);
+    an unsaturated W raises ValueError.
     """
     if source.degree != target.degree + 1:
         raise ValueError("target degree must be one below the source degree")
     if source.ambient != target.ambient:
         raise ValueError("mismatched ambient dimensions")
-    for u in target.vectors:
-        if dot(u, step) != 0:
-            raise ValueError("step vector must annihilate the target subspace")
-    amb = source.ambient
-    k = source.degree
-    height = len(_ksubsets(amb, k - 1))
-    target_cols = [
-        wedge_coordinates([target.vectors[i] for i in sub], amb)
-        for sub in target.subsets
-    ]
-    solver = ColumnSolver(target_cols, height)
+    if any(dot(u, step) for u in target.vectors):
+        raise ValueError("step vector must annihilate the target subspace")
+    k, p, t = source.degree, len(source.vectors), len(target.vectors)
     pairings = [dot(v, step) for v in source.vectors]
+    memo = {} if source.memo is None else source.memo
+    key = (source.vectors, target.vectors)
+    powers = memo.get(key)  # (wedge^1 B, wedge^2 B, ...), extended on demand
+    if powers is None:
+        a = lattice_coordinates(source.vectors, target.vectors, source.ambient)
+        powers = (_integer_right_inverse(a, p),)
+    # If step is nonzero on V, the image is wedge^(k-1) of the part of V that
+    # step annihilates, which lies in wedge^(k-1) W only when W is all of it.
+    if 2 <= k <= p and t != p - 1 and any(pairings):
+        raise ValueError("target subspace does not contain image")
+    while len(powers) < k - 1:
+        powers += (_wedge_power(powers[0], p, t, powers[-1], len(powers) + 1),)
+    memo[key] = powers
+    wedge = powers[k - 2] if k > 1 else (1,)
+    width = target.dim
+    row_of = {s: i * width for i, s in enumerate(_ksubsets(p, k - 1))}
     columns = []
     for sub in source.subsets:
-        image = [Fraction(0)] * height
+        col = [0] * width
         for pos, i in enumerate(sub):
-            c = pairings[i]
-            if not c:
-                continue
-            sign = -1 if pos % 2 else 1
-            rest = [source.vectors[j] for j in sub if j != i]
-            for slot, val in enumerate(wedge_coordinates(rest, amb)):
-                if val:
-                    image[slot] += sign * c * val
-        coeffs = solver.solve(image)
-        if coeffs is None:
-            raise ValueError("target subspace does not contain image")
-        columns.append(coeffs)
-    rows = [tuple(col[i] for col in columns) for i in range(target.dim)]
+            c = -pairings[i] if pos % 2 else pairings[i]
+            if c:
+                base = row_of[sub[:pos] + sub[pos + 1:]]
+                for slot in range(width):
+                    col[slot] += c * wedge[base + slot]
+        columns.append(col)
+    rows = [tuple(col[i] for col in columns) for i in range(width)]
     return RatMatrix(rows, ncols=source.dim)

@@ -1,0 +1,126 @@
+"""Reference construction of contraction blocks in ambient coordinates.
+
+This is the original, slow route: every wedge is expanded into the standard
+wedge basis of Q^ambient with Fraction determinants, and each contracted
+image is solved against the target wedges by exact Gaussian elimination.  It
+makes no use of lattices or right inverses, which makes it an independent
+oracle for toricish.linalg.interior_product_matrix.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Sequence
+
+from toricish.linalg import RatMatrix, WedgeBasis, dot
+
+
+class ColumnSolver:
+    """Expresses vectors exactly in the span of a fixed list of columns.
+
+    The elimination is done once at construction; solve() is then a couple of
+    dot products per call.  Returns None when the target is outside the span.
+    """
+
+    def __init__(self, columns: Sequence[Sequence], height: int):
+        self.ncols = len(columns)
+        self.height = height
+        # Augment with the identity so solve() can replay row operations.
+        a = []
+        for i in range(height):
+            row = [Fraction(col[i]) for col in columns]
+            row.extend(Fraction(1) if k == i else Fraction(0) for k in range(height))
+            a.append(row)
+        pivots: list[tuple[int, int]] = []
+        r = 0
+        for c in range(self.ncols):
+            piv = next((i for i in range(r, height) if a[i][c]), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            inv = 1 / a[r][c]
+            a[r] = [x * inv for x in a[r]]
+            for i in range(height):
+                if i != r and a[i][c]:
+                    f = a[i][c]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            pivots.append((r, c))
+            r += 1
+        self._reduced = a
+        self._pivots = pivots
+        self._rank = r
+
+    def solve(self, target: Sequence):
+        vals = [dot(self._reduced[i][self.ncols:], target) for i in range(self.height)]
+        if any(vals[i] for i in range(self._rank, self.height)):
+            return None
+        # Free columns (if any) take coordinate zero; pivot rows then read off
+        # directly because the pivot columns are reduced.
+        x = [Fraction(0)] * self.ncols
+        for prow, pcol in self._pivots:
+            x[pcol] = vals[prow]
+        return tuple(x)
+
+
+def _det(rows: list[list]) -> Fraction:
+    """Determinant by exact Gaussian elimination (small matrices only)."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def wedge_coordinates(vectors: Sequence[Sequence], ambient: int) -> list[Fraction]:
+    """Coordinates of v_1 ^ ... ^ v_k in the standard wedge basis of Q^ambient,
+    indexed by lexicographically ordered k-subsets of the coordinates."""
+    return [
+        _det([[v[j] for j in subset] for v in vectors])
+        for subset in itertools.combinations(range(ambient), len(vectors))
+    ]
+
+
+def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step) -> RatMatrix:
+    """The contraction block of interior_product_matrix, computed in ambient
+    wedge coordinates.  Entries are Fractions."""
+    if source.degree != target.degree + 1:
+        raise ValueError("target degree must be one below the source degree")
+    for u in target.vectors:
+        if dot(u, step) != 0:
+            raise ValueError("step vector must annihilate the target subspace")
+    amb = source.ambient
+    height = len(list(itertools.combinations(range(amb), source.degree - 1)))
+    target_cols = [
+        wedge_coordinates([target.vectors[i] for i in sub], amb) for sub in target.subsets
+    ]
+    solver = ColumnSolver(target_cols, height)
+    pairings = [dot(v, step) for v in source.vectors]
+    columns = []
+    for sub in source.subsets:
+        image = [Fraction(0)] * height
+        for pos, i in enumerate(sub):
+            if not pairings[i]:
+                continue
+            sign = -1 if pos % 2 else 1
+            rest = [source.vectors[j] for j in sub if j != i]
+            for slot, val in enumerate(wedge_coordinates(rest, amb)):
+                image[slot] += sign * pairings[i] * val
+        coeffs = solver.solve(image)
+        if coeffs is None:
+            raise ValueError("target subspace does not contain image")
+        columns.append(coeffs)
+    rows = [tuple(col[i] for col in columns) for i in range(target.dim)]
+    return RatMatrix(rows, ncols=source.dim)

@@ -211,3 +211,41 @@ class TestIO:
             res = invoke(runner, "faces", path)
             f_vectors.append(json.loads(res.output)["f_vector"])
         assert f_vectors[0] == f_vectors[1] == f_vectors[2] == [1, 4, 4, 1]
+
+
+class TestInputValidation:
+    """Bad cone files exit with code 3 and say what is wrong; nothing is
+    coerced."""
+
+    def _run(self, runner, tmp_path, text):
+        path = tmp_path / "cone.json"
+        path.write_text(text)
+        return runner.invoke(cli, ["faces", str(path)])
+
+    @pytest.mark.parametrize("top", ["42", "[]", '"x"'])
+    def test_top_level_not_an_object(self, runner, tmp_path, top):
+        res = self._run(runner, tmp_path, top)
+        assert res.exit_code == 3
+        assert "JSON object" in res.output
+
+    @pytest.mark.parametrize(
+        "ray", [[1.7, 0, 1], ["3", 0, 1], [True, 0, 1]], ids=["float", "string", "bool"]
+    )
+    def test_non_integer_coordinate(self, runner, tmp_path, ray):
+        payload = {"lattice_rank": 3, "rays": [ray, [0, 1, 1], [0, 0, 1]]}
+        res = self._run(runner, tmp_path, json.dumps(payload))
+        assert res.exit_code == 3
+        assert "integer coordinate" in res.output
+
+    @pytest.mark.parametrize("rank", [-1, 2.0], ids=["negative", "float"])
+    def test_bad_lattice_rank(self, runner, tmp_path, rank):
+        payload = {"lattice_rank": rank, "rays": [[1, 0], [0, 1]]}
+        res = self._run(runner, tmp_path, json.dumps(payload))
+        assert res.exit_code == 3
+        assert "lattice_rank" in res.output
+
+    def test_integral_float_coordinate_is_rejected(self, runner, tmp_path):
+        # 1.0 names the same integer, but the file format asks for integers
+        payload = {"lattice_rank": 2, "rays": [[1.0, 0], [0, 1]]}
+        res = self._run(runner, tmp_path, json.dumps(payload))
+        assert res.exit_code == 3

@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambient_reference import ColumnSolver, ambient_interior_product_matrix, wedge_coordinates
+from toricish.cones import normal_step_vector
 from toricish.linalg import (
-    ColumnSolver,
     RatMatrix,
     WedgeBasis,
     ext_gcd_list,
     integer_kernel_basis,
     interior_product_matrix,
+    lattice_coordinates,
     primitive_vector,
-    wedge_coordinates,
 )
 
 
@@ -210,3 +211,103 @@ def test_column_solver_outside_span():
     solver = ColumnSolver([(1, 0, 0), (0, 1, 0)], 3)
     assert solver.solve((2, 3, 0)) == (2, 3)
     assert solver.solve((0, 0, 1)) is None
+
+
+class TestLatticeCoordinates:
+    def test_coordinates(self):
+        basis = ((1, 1, 0), (0, 1, 1))
+        assert lattice_coordinates(basis, [(2, 5, 3), (0, 0, 0)], 3) == ((2, 3), (0, 0))
+
+    def test_outside_span(self):
+        with pytest.raises(ValueError, match="outside the span"):
+            lattice_coordinates(((1, 0, 0),), [(0, 1, 0)], 3)
+
+    def test_outside_lattice(self):
+        with pytest.raises(ValueError, match="not in the lattice"):
+            lattice_coordinates(((2, 0),), [(1, 0)], 2)
+
+
+def test_unsaturated_target_raises():
+    # <2 e2> has index 2 in <e1, e2>: the right inverse is not integral
+    src = WedgeBasis(((1, 0), (0, 1)), 2, 2)
+    tgt = WedgeBasis(((0, 2),), 1, 2)
+    with pytest.raises(ValueError, match="saturated"):
+        interior_product_matrix(src, tgt, (1, 0))
+
+
+def _assert_same_block(src, tgt, step):
+    """The integer kernel and the ambient reference agree entry for entry,
+    or raise the same ValueError."""
+    try:
+        expected = ambient_interior_product_matrix(src, tgt, step)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            interior_product_matrix(src, tgt, step)
+        return
+    got = interior_product_matrix(src, tgt, step)
+    assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
+    assert got.rows == expected.rows
+    assert all(type(x) is int for row in got.rows for x in row)
+
+
+def test_blocks_match_ambient_reference(named_corpus, random_corpus):
+    """Every cover pair and every wedge degree of both corpora, built through
+    the face lattice's memo the way the complexes build them."""
+    for cone in named_corpus + random_corpus:
+        fl = cone.face_lattice()
+        n = cone.rank
+        for lo, hi in fl.covers:
+            mu, tau = fl.faces[lo], fl.faces[hi]
+            step = normal_step_vector(fl, mu, tau)
+            for k in range(1, n - mu.dim + 1):
+                _assert_same_block(
+                    WedgeBasis(mu.perp_lattice, k, n, fl.memo),
+                    WedgeBasis(tau.perp_lattice, k - 1, n, fl.memo),
+                    step,
+                )
+
+
+def _unimodular(n, ops):
+    """A product of elementary integer row operations, with its inverse."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    ginv = [row[:] for row in g]
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in ginv:
+            row[j] -= c * row[i]
+    return g, ginv
+
+
+def _mix(rows, ops):
+    """Another basis of the lattice spanned by the rows."""
+    rows = [list(r) for r in rows]
+    for i, j, c in ops:
+        if len(rows) > 1 and i % len(rows) != j % len(rows):
+            rows[i % len(rows)] = [a + c * b for a, b in zip(rows[i % len(rows)], rows[j % len(rows)])]
+    return tuple(tuple(r) for r in rows)
+
+
+st_ops = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2)), max_size=8)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_random_saturated_chains_match_ambient_reference(data):
+    # g_0..g_{n-1} is a random basis of Z^n.  The source is <g_0..g_{p-1}>,
+    # the target <g_1..g_q> with q <= p - 1, each in a random basis of its
+    # own; both are saturated.  The step pairs to zero with g_1..g_q and
+    # arbitrarily with the rest, so q < p - 1 exercises the error path.
+    n = data.draw(st.sampled_from((4, 5)))
+    p = data.draw(st.integers(1, n))
+    q = data.draw(st.integers(0, p - 1))
+    g, ginv = _unimodular(n, data.draw(st_ops))
+    source = _mix(g[:p], data.draw(st_ops))
+    target = _mix(g[1:q + 1], data.draw(st_ops))
+    coeffs = [0 if 1 <= j <= q else data.draw(st.integers(-3, 3)) for j in range(n)]
+    step = tuple(sum(c * row[j] for j, c in enumerate(coeffs)) for row in ginv)
+    memo = {}
+    for k in range(1, p + 1):
+        _assert_same_block(WedgeBasis(source, k, n, memo), WedgeBasis(target, k - 1, n, memo), step)
