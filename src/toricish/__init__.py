@@ -4,7 +4,6 @@ affine/projective toric varieties they define."""
 __version__ = "0.1.0"
 
 from .combinatorics import (
-    FVector,
     ICStalkPoly,
     betti_numbers,
     g_polynomial,

@@ -18,7 +18,6 @@ import click
 
 from . import __version__
 from .combinatorics import (
-    FVector,
     betti_numbers,
     g_polynomial,
     hodge_deligne_coefficients,
@@ -31,7 +30,6 @@ from .cones import (
     is_cone_over_simplicial,
     is_simple_in_dim,
     is_simplicial,
-    quotient_cone,
 )
 from .decomposition import decomposition_report, ic_multiplicities
 from .ishida import (
@@ -321,9 +319,8 @@ def hodge(file, fmt, output):
     cone, meta = load_cone_file(file)
     if not is_cone_over_simple(cone):
         raise ValueError("the polytope is not simple; the Hodge table formulas do not apply")
-    fv = FVector.from_cone(cone)
     n = cone.rank - 1
-    f_poly = fv.polytope_counts
+    f_poly = cone.f_vector[1:-1]
     table = hodge_du_bois_table(f_poly, n)
     body = {
         "polytope_dim": n,
@@ -376,7 +373,7 @@ def _run_suite(cone: Cone, suite: str) -> list[dict]:
         fl = cone.face_lattice()
         failures = []
         for face in fl.faces:
-            if face.dim == 0 or not is_simplicial(quotient_cone(cone, face)):
+            if face.dim == 0 or not fl.quotient_is_simplicial(face):
                 continue
             rep = verify_link_exactness(cone, face)
             if not rep.ok:
@@ -447,7 +444,10 @@ def verify(file, suite, random_request, seed, fmt, output):
         raise click.UsageError("provide a cone file and/or --random DIM COUNT")
     results = []
     all_ok = True
-    for name, cone in cones:
+    while cones:
+        # Popped, so that each cone's family memo is freed once its reports
+        # are built, not held until every cone is done.
+        name, cone = cones.pop(0)
         reports = _run_suite(cone, suite)
         ok = all(r["ok"] for r in reports)
         all_ok = all_ok and ok

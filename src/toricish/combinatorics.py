@@ -16,34 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import Cone, FaceLattice
+from .cones import FaceLattice
 
 
 def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts of a cone; cone_counts[i] = number of i-dimensional faces."""
-
-    cone_counts: tuple[int, ...]
-
-    @classmethod
-    def from_cone(cls, cone: Cone) -> "FVector":
-        return cls(cone.face_lattice().f_vector)
-
-    @property
-    def rank(self) -> int:
-        return len(self.cone_counts) - 1
-
-    @property
-    def polytope_counts(self) -> tuple[int, ...]:
-        """f-vector of the cross-section polytope (one dimension down);
-        the conventional f_{-1} = 1 is not stored."""
-        return self.cone_counts[1:-1]
 
 
 def h_vector(f: Sequence[int], n: int | None = None) -> tuple[int, ...]:

@@ -6,16 +6,18 @@ carries, for every face, a saturated lattice basis of its span and of its
 annihilator; those two bases drive everything else: quotient cones,
 face-intrinsic cones, and the lattice step vectors between covering faces.
 
-Cones and face lattices are immutable after construction and safe to share
-across threads; construction itself is deterministic (faces are ordered by
-dimension, then by their sorted ray index sets).
+Cones and face lattices are immutable after construction, apart from the
+memo dict each cone carries; construction itself is deterministic (faces
+are ordered by dimension, then by their sorted ray index sets).  A cone and
+every face cone built below it share one memo dict, so equal face cones
+share their results, and the dict is freed with the cone family.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -125,15 +127,17 @@ class Cone:
     Use Cone.from_rays / Cone.from_dual_rays; the constructor itself trusts
     its arguments.  `rays` are the primitive extreme generators, sorted, and
     `facet_normals` the primitive inequality normals of the minimal
-    description, also sorted.
+    description, also sorted.  `memo` is the dict of the cone's family
+    (see `memoized`); face_cone hands it on to every face cone it builds.
     """
 
-    __slots__ = ("rank", "rays", "facet_normals", "_lattice", "_hash")
+    __slots__ = ("rank", "rays", "facet_normals", "memo", "_lattice", "_hash")
 
     def __init__(self, rank: int, rays: tuple, facet_normals: tuple):
         self.rank = rank
         self.rays = rays
         self.facet_normals = facet_normals
+        self.memo = {}
         self._lattice = None
         self._hash = hash((rank, rays))
 
@@ -214,10 +218,9 @@ class Face:
 
 
 class FaceLattice:
-    """Graded poset of the faces of a cone, with cover relations.  `memo` holds
-    the contraction blocks' integer data (linalg.WedgeBasis), freed with it."""
+    """Graded poset of the faces of a cone, with cover relations."""
 
-    __slots__ = ("cone", "faces", "by_dim", "covers", "children", "parents", "_by_rayset", "memo")
+    __slots__ = ("cone", "faces", "by_dim", "covers", "children", "parents", "_by_rayset")
 
     def __init__(self, cone, faces, by_dim, covers, children, parents, by_rayset):
         self.cone = cone
@@ -227,7 +230,6 @@ class FaceLattice:
         self.children = children
         self.parents = parents
         self._by_rayset = by_rayset
-        self.memo = {}
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -253,6 +255,11 @@ class FaceLattice:
 
     def facets_of(self, face: Face) -> list[Face]:
         return [self.faces[i] for i in self.children[face.index]]
+
+    def quotient_is_simplicial(self, face: Face) -> bool:
+        """Whether quotient_cone(self.cone, face) is simplicial: its rays are
+        the images of the faces covering `face`, its rank is rank - dim(face)."""
+        return len(self.parents[face.index]) == self.cone.rank - face.dim
 
 
 def _build_face_lattice(cone: Cone) -> FaceLattice:
@@ -308,19 +315,38 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
     return FaceLattice(cone, faces, by_dim, tuple(covers), children, parents, by_rayset)
 
 
-@lru_cache(maxsize=None)
-def _face_cone_cached(cone: Cone, face: Face) -> Cone:
+def memoized(fn):
+    """Memoise fn(cone, *args) in cone.memo, the dict of the cone's family.
+
+    The key holds the cone by value, so an equal but distinct face cone of
+    the same family is served the stored result; args must be hashable.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(cone: Cone, *args):
+        key = (fn.__name__, cone, *args)
+        try:
+            return cone.memo[key]
+        except KeyError:
+            value = cone.memo[key] = fn(cone, *args)
+            return value
+
+    return wrapper
+
+
+@memoized
+def face_cone(cone: Cone, face: Face) -> Cone:
+    """The face viewed as a full-dimensional cone in its own saturated lattice,
+    in the family of `cone`: it shares cone.memo."""
     if face.dim == cone.rank:
         return cone
     if face.dim == 0:
-        return Cone(0, (), ())
-    coords = lattice_coordinates(face.span_lattice, [cone.rays[i] for i in face.rays], cone.rank)
-    return Cone.from_rays(coords, rank=face.dim)
-
-
-def face_cone(cone: Cone, face: Face) -> Cone:
-    """The face viewed as a full-dimensional cone in its own saturated lattice."""
-    return _face_cone_cached(cone, face)
+        inner = Cone(0, (), ())
+    else:
+        coords = lattice_coordinates(face.span_lattice, [cone.rays[i] for i in face.rays], cone.rank)
+        inner = Cone.from_rays(coords, rank=face.dim)
+    inner.memo = cone.memo
+    return inner
 
 
 def quotient_cone(cone: Cone, face: Face) -> Cone:
@@ -350,9 +376,7 @@ def is_simple_in_dim(cone: Cone, c: int) -> bool:
     if not 0 <= c <= cone.rank:
         raise ValueError("face dimension out of range")
     fl = cone.face_lattice()
-    return all(
-        is_simplicial(quotient_cone(cone, fl.faces[i])) for i in fl.by_dim[c]
-    )
+    return all(fl.quotient_is_simplicial(fl.faces[i]) for i in fl.by_dim[c])
 
 
 def is_cone_over_simple(cone: Cone) -> bool:

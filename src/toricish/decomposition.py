@@ -6,7 +6,8 @@ For a face lambda of dimension d, the multiplicity table a[(l, j)] counts
 the summands IC(-j) supported on the subvariety of lambda appearing in
 cohomological degree -l and weight d - 2j; the admissible index range is
 j >= 1 and l + 1 <= d - 2j.  The numbers depend on the cone of the face
-only, so per-face results are memoized on the face-intrinsic cone.
+only, so per-face results are memoized on the face-intrinsic cone, in the
+memo dict of the cone's family (cones.memoized).
 
 Three computation routes exist: the general one, valid up to dimension six,
 reads the numbers off the cohomology of the wedge complexes (with two
@@ -20,7 +21,6 @@ provably equal, so a mismatch means an implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .cones import (
     Cone,
@@ -28,6 +28,7 @@ from .cones import (
     is_cone_over_simple,
     is_cone_over_simplicial,
     is_simplicial,
+    memoized,
 )
 from .combinatorics import h_tilde_vector, h_vector
 from .ishida import degree_zero_cohomology, lcdef
@@ -146,7 +147,7 @@ def multiplicities_from_cohomology(cone: Cone) -> ICMultiplicities:
     return ICMultiplicities(n, entries, undetermined, "cohomology", details)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def ic_multiplicities(cone: Cone) -> ICMultiplicities:
     """Dispatch: closed forms when a class predicate holds (any dimension),
     the cohomology route otherwise (dimension <= 6).  All applicable routes

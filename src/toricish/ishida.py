@@ -11,26 +11,30 @@ lattice point: all points in the relative interior class of a face give the
 same complex, assembled from the face-intrinsic one by tensoring with wedge
 powers of the face's annihilator.
 
-All functions are pure; results are memoized per cone, so repeated queries
-(tables, verification suites, the CLI) share work.
+All functions are pure.  Results are memoized in the memo dict of the
+cone's family (cones.memoized): a cone and all face cones built below it
+share one dict, keyed by cone value, so repeated queries (tables,
+verification suites, the CLI) share work, and the dict is freed with the
+cone family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cones import Cone, Face, face_cone, is_simple_in_dim, is_simplicial, normal_step_vector, quotient_cone
+from .cones import Cone, Face, face_cone, is_simple_in_dim, memoized, normal_step_vector
 from .linalg import RatMatrix, WedgeBasis, interior_product_matrix
 
 
 @dataclass(frozen=True)
 class IshidaComplex:
-    """Degree-zero complex of one cone for one wedge degree l.
+    """The complex of one cone for one wedge degree l over the faces that
+    contain a face mu (the apex for the degree-zero complex).
 
-    terms[i] lists the face ids contributing at cohomological degree i;
-    differentials[i] maps degree i to degree i+1.
+    term_faces[s] lists the face ids of dimension dim(mu) + s, whose blocks
+    are wedge powers of degree l - dim(mu) - s; differentials[s] maps slot s
+    to slot s+1.
     """
 
     cone: Cone
@@ -46,81 +50,67 @@ class IshidaComplex:
         return True
 
 
-@lru_cache(maxsize=None)
-def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
-    n = cone.rank
-    if not 0 <= degree <= n:
-        raise ValueError(f"wedge degree must lie in 0..{n}")
+@memoized
+def _cover_step(cone: Cone, mid: int, tid: int) -> tuple[int, ...]:
     fl = cone.face_lattice()
-    if n == 0:
-        return IshidaComplex(cone, 0, ((fl.apex.index,),), (1,), ())
+    return normal_step_vector(fl, fl.faces[mid], fl.faces[tid])
 
-    bases: list[list[WedgeBasis]] = []
-    term_faces = []
-    term_dims = []
-    for i in range(degree + 1):
-        row = []
-        ids = fl.by_dim[i]
-        for fid in ids:
-            face = fl.faces[fid]
-            row.append(WedgeBasis(face.perp_lattice, degree - i, n, fl.memo))
-        bases.append(row)
-        term_faces.append(tuple(ids))
-        term_dims.append(sum(b.dim for b in row))
 
+def _assemble(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
+    """The complex over the faces containing mu, from the block of mu
+    (slot 0) up to the faces of dimension `degree`."""
+    n = cone.rank
+    fl = cone.face_lattice()
+    term_faces, bases = [], []
+    for d in range(mu.dim, degree + 1):
+        ids = tuple(fid for fid in fl.by_dim[d] if mu.ray_set <= fl.faces[fid].ray_set)
+        term_faces.append(ids)
+        bases.append({fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, cone.memo) for fid in ids})
+    term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
     diffs = []
-    for i in range(degree):
-        src_ids, tgt_ids = term_faces[i], term_faces[i + 1]
-        col_off = {}
-        off = 0
-        for pos, fid in enumerate(src_ids):
+    for s in range(len(term_faces) - 1):
+        col_off, off = {}, 0
+        for fid in term_faces[s]:
             col_off[fid] = off
-            off += bases[i][pos].dim
-        row_off = {}
-        off = 0
-        for pos, fid in enumerate(tgt_ids):
-            row_off[fid] = off
-            off += bases[i + 1][pos].dim
-        rows = [[0] * term_dims[i] for _ in range(term_dims[i + 1])]
-        for tpos, tid in enumerate(tgt_ids):
-            tau = fl.faces[tid]
-            tbasis = bases[i + 1][tpos]
+            off += bases[s][fid].dim
+        rows = [[0] * term_dims[s] for _ in range(term_dims[s + 1])]
+        r0 = 0
+        for tid in term_faces[s + 1]:
+            tbasis = bases[s + 1][tid]
             for mid in fl.children[tid]:
                 if mid not in col_off:
                     continue
-                mu = fl.faces[mid]
-                mbasis = bases[i][src_ids.index(mid)]
-                step = normal_step_vector(fl, mu, tau)
-                block = interior_product_matrix(mbasis, tbasis, step)
-                r0, c0 = row_off[tid], col_off[mid]
-                for a in range(block.nrows):
-                    brow = block.rows[a]
+                block = interior_product_matrix(bases[s][mid], tbasis, _cover_step(cone, mid, tid))
+                c0 = col_off[mid]
+                for a, brow in enumerate(block.rows):
                     target = rows[r0 + a]
-                    for b in range(block.ncols):
-                        if brow[b]:
-                            target[c0 + b] = brow[b]
-        diffs.append(RatMatrix([tuple(r) for r in rows], ncols=term_dims[i]))
-    return IshidaComplex(cone, degree, tuple(term_faces), tuple(term_dims), tuple(diffs))
+                    for b, x in enumerate(brow):
+                        if x:
+                            target[c0 + b] = x
+            r0 += tbasis.dim
+        diffs.append(RatMatrix(rows, ncols=term_dims[s]))
+    return IshidaComplex(cone, degree, tuple(term_faces), term_dims, tuple(diffs))
+
+
+@memoized
+def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
+    if not 0 <= degree <= cone.rank:
+        raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
+    return _assemble(cone, cone.face_lattice().apex, degree)
 
 
 def cohomology_dims(cx: IshidaComplex) -> tuple[int, ...]:
-    """h^i = dim ker d^i - rank d^{i-1} for i = 0..l."""
-    l = cx.degree
-    ranks = [d.rank() for d in cx.differentials]
-    out = []
-    for i in range(l + 1):
-        r_out = ranks[i] if i < l else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        out.append(cx.term_dims[i] - r_out - r_in)
-    return tuple(out)
+    """h^s = dim ker d^s - rank d^{s-1} for every slot s of the complex."""
+    ranks = [0] + [d.rank() for d in cx.differentials] + [0]
+    return tuple(dim - ranks[s] - ranks[s + 1] for s, dim in enumerate(cx.term_dims))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def degree_zero_cohomology(cone: Cone, degree: int) -> tuple[int, ...]:
     return cohomology_dims(ishida_complex(cone, degree))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def core_table(cone: Cone) -> dict:
     """h^i of the face-intrinsic complexes, for every face and every degree.
 
@@ -188,7 +178,7 @@ class ExtTable:
         return self.assembled.get((face_id, i, k), 0)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def ext_table(cone: Cone) -> ExtTable:
     n = cone.rank
     fl = cone.face_lattice()
@@ -296,53 +286,9 @@ def verify_codim_vanishing(cone: Cone) -> CheckReport:
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:
     """Cohomology of the subcomplex over the faces containing mu, running
     from the block of mu (slot 0) up to wedge degree `degree`."""
-    n = cone.rank
-    fl = cone.face_lattice()
-    m = mu.dim
-    if not m <= degree <= n:
+    if not mu.dim <= degree <= cone.rank:
         raise ValueError("degree out of range for the face")
-    levels = []
-    for d in range(m, degree + 1):
-        ids = [fid for fid in fl.by_dim[d] if mu.ray_set <= fl.faces[fid].ray_set]
-        levels.append(ids)
-    bases = [
-        [WedgeBasis(fl.faces[fid].perp_lattice, degree - (m + s), n, fl.memo) for fid in ids]
-        for s, ids in enumerate(levels)
-    ]
-    dims = [sum(b.dim for b in row) for row in bases]
-    diffs = []
-    for s in range(len(levels) - 1):
-        src_ids, tgt_ids = levels[s], levels[s + 1]
-        col_off = {}
-        off = 0
-        for pos, fid in enumerate(src_ids):
-            col_off[fid] = off
-            off += bases[s][pos].dim
-        rows = [[0] * dims[s] for _ in range(dims[s + 1])]
-        row_base = 0
-        for tpos, tid in enumerate(tgt_ids):
-            tau = fl.faces[tid]
-            tbasis = bases[s + 1][tpos]
-            for mid in fl.children[tid]:
-                if mid not in col_off:
-                    continue
-                mu2 = fl.faces[mid]
-                block = interior_product_matrix(
-                    bases[s][src_ids.index(mid)], tbasis, normal_step_vector(fl, mu2, tau)
-                )
-                for a in range(block.nrows):
-                    for b in range(block.ncols):
-                        if block.rows[a][b]:
-                            rows[row_base + a][col_off[mid] + b] = block.rows[a][b]
-            row_base += tbasis.dim
-        diffs.append(RatMatrix([tuple(r) for r in rows], ncols=dims[s]))
-    ranks = [d.rank() for d in diffs]
-    out = []
-    for s in range(len(levels)):
-        r_out = ranks[s] if s < len(ranks) else 0
-        r_in = ranks[s - 1] if s > 0 else 0
-        out.append(dims[s] - r_out - r_in)
-    return tuple(out)
+    return cohomology_dims(_assemble(cone, mu, degree))
 
 
 def verify_link_exactness(cone: Cone, mu: Face, degrees=None) -> CheckReport:
@@ -350,7 +296,7 @@ def verify_link_exactness(cone: Cone, mu: Face, degrees=None) -> CheckReport:
     degree strictly above dim(mu), when the quotient by mu is simplicial."""
     if mu.dim == 0:
         raise ValueError("hypothesis not met: the face must be positive-dimensional")
-    if not is_simplicial(quotient_cone(cone, mu)):
+    if not cone.face_lattice().quotient_is_simplicial(mu):
         raise ValueError("hypothesis not met: quotient by the face is not simplicial")
     n = cone.rank
     if degrees is None:

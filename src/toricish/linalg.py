@@ -7,8 +7,8 @@ coordinates, right inverses) and the contraction blocks are integer only,
 read off one column-Hermite reduction.  Fraction appears only where rational
 input is accepted: primitive_vector, and RatMatrix, whose rank() clears
 denominators row by row.  All functions are pure and all returned objects
-immutable, apart from the per-face-lattice memo dict that callers may hand to
-WedgeBasis.
+immutable, apart from the memo dict that callers may hand to WedgeBasis (the
+complexes hand over the memo dict of the cone's family, cones.Cone.memo).
 """
 
 from __future__ import annotations
@@ -86,13 +86,6 @@ class RatMatrix:
         self.ncols = ncols
         self._rank: int | None = None
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols=ncols)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
 
@@ -167,10 +160,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
-
-
-def matrix_rank(rows: Sequence[Sequence], ncols: int | None = None) -> int:
-    return RatMatrix(rows, ncols=ncols).rank()
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -331,9 +320,10 @@ class WedgeBasis:
 
     `memo`, when given, is a dict in which interior_product_matrix keeps the
     integer right inverse of each (source, target) subspace pair and its
-    wedge powers, so that the blocks of every wedge degree share them.  Pass
-    one dict per face lattice (FaceLattice.memo); it is freed with the
-    lattice.
+    wedge powers, so that the blocks of every wedge degree share them.  The
+    complexes pass the memo dict of the cone's family (Cone.memo), which is
+    freed with the cone and its face cones; its keys are the subspace bases
+    themselves, so the face cones of one family can share it.
     """
 
     vectors: tuple[tuple[int, ...], ...]

@@ -206,6 +206,13 @@ class TestPredicates:
             vals = [is_simple_in_dim(cone, c) for c in range(cone.rank + 1)]
             first = vals.index(True)
             assert all(vals[first:])
+            # the face-lattice count agrees with the quotient cone itself
+            fl = cone.face_lattice()
+            oracle = {f.index: is_simplicial(quotient_cone(cone, f)) for f in fl.faces}
+            for face in fl.faces:
+                assert fl.quotient_is_simplicial(face) == oracle[face.index], (cone, face.rays)
+            for c in range(cone.rank + 1):
+                assert vals[c] == all(oracle[i] for i in fl.by_dim[c])
 
     def test_duality_swaps_classes(self, random_corpus):
         for cone in random_corpus:

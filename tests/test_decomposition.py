@@ -1,6 +1,10 @@
-import pytest
+import gc
 
-from toricish.combinatorics import h_tilde_vector, h_vector
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toricish.combinatorics import g_polynomial, h_tilde_vector, h_vector
+from toricish.cones import Cone
 from toricish.decomposition import (
     admissible_pairs,
     decomposition_report,
@@ -11,7 +15,8 @@ from toricish.decomposition import (
     multiplicities_simple_class,
     multiplicities_simplicial_class,
 )
-from toricish.ishida import ext_table, lcdef
+from toricish.ishida import core_table, ext_table, lcdef
+from toricish.sampling import sample_cones
 
 
 class TestAdmissiblePairs:
@@ -215,3 +220,53 @@ class TestReport:
                         continue
                     assert w == n - s["face_dim"] + 2 * s["twist"]
                     assert 2 <= w <= (n - l - 1 if l > 0 else n)
+
+
+def _invariants(cone):
+    table = ext_table(cone)
+    ic = ic_multiplicities(cone)
+    return {
+        "f_vector": cone.f_vector,
+        "core_rows": sorted(core_table(cone).values()),
+        "depth": table.depth,
+        "lcdef": table.lcdef,
+        "ic": (ic.entries, ic.undetermined, ic.method),
+        "g": g_polynomial(cone.face_lattice()).coefficients,
+    }
+
+
+@given(
+    st.integers(3, 4),
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)), max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_invariants_under_lattice_automorphism(dim, seed, ops):
+    """A unimodular change of coordinates, a product of elementary integer
+    matrices, changes no invariant.  The moved cone is a new family whose
+    faces get other coordinates, so this also checks that the memo keyed by
+    cone value serves no cone's result for another."""
+    (cone,) = sample_cones(seed, dim, 1)
+    moved = [list(r) for r in cone.rays]
+    for i, j, c in ops:
+        i, j = i % dim, j % dim
+        if i != j:
+            for r in moved:
+                r[i] += c * r[j]
+    assert _invariants(Cone.from_rays(moved, dim)) == _invariants(cone)
+
+
+def test_cone_family_is_freed():
+    """Nothing keeps a cone or its memo alive once its caller lets go of it;
+    the cone -> memo -> face cone -> memo cycle is left to the collector."""
+    rays = ((0, 0, 0, 1), (2, 0, 0, 1), (0, 3, 0, 1), (2, 3, 0, 1), (1, 1, 5, 1))
+
+    def compute():
+        cone = Cone.from_rays(rays)
+        ext_table(cone)
+        decomposition_report(cone)
+        return cone.rays
+
+    kept = compute()
+    gc.collect()
+    assert not any(isinstance(o, Cone) and o.rays == kept for o in gc.get_objects())

@@ -21,8 +21,8 @@ class TestRank:
         assert RatMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)]).rank() == 3
 
     def test_zero_matrix(self):
-        assert RatMatrix.zeros(3, 7).rank() == 0
-        assert RatMatrix.zeros(0, 4).rank() == 0
+        assert RatMatrix(((0,) * 7,) * 3, ncols=7).rank() == 0
+        assert RatMatrix((), ncols=4).rank() == 0
 
     def test_proportional_rows(self):
         assert RatMatrix([(1, 2), (2, 4), (3, 6)]).rank() == 1
@@ -185,9 +185,9 @@ class TestInteriorProduct:
         # hand expansion: image of u0 ^ u1 is <u0, step> u1, of u0 ^ u2 is
         # <u0, step> u2, of u1 ^ u2 is zero (step annihilates both factors)
         pairing = sum(x * y for x, y in zip(u[0], step))
-        assert a.entry(0, 0) == pairing and a.entry(1, 0) == 0
-        assert a.entry(0, 1) == 0 and a.entry(1, 1) == pairing
-        assert a.entry(0, 2) == 0 and a.entry(1, 2) == 0
+        assert a.rows[0][0] == pairing and a.rows[1][0] == 0
+        assert a.rows[0][1] == 0 and a.rows[1][1] == pairing
+        assert a.rows[0][2] == 0 and a.rows[1][2] == 0
 
 
 def test_wedge_basis_conventions():
@@ -252,7 +252,7 @@ def _assert_same_block(src, tgt, step):
 
 def test_blocks_match_ambient_reference(named_corpus, random_corpus):
     """Every cover pair and every wedge degree of both corpora, built through
-    the face lattice's memo the way the complexes build them."""
+    the cone family's memo the way the complexes build them."""
     for cone in named_corpus + random_corpus:
         fl = cone.face_lattice()
         n = cone.rank
@@ -261,8 +261,8 @@ def test_blocks_match_ambient_reference(named_corpus, random_corpus):
             step = normal_step_vector(fl, mu, tau)
             for k in range(1, n - mu.dim + 1):
                 _assert_same_block(
-                    WedgeBasis(mu.perp_lattice, k, n, fl.memo),
-                    WedgeBasis(tau.perp_lattice, k - 1, n, fl.memo),
+                    WedgeBasis(mu.perp_lattice, k, n, cone.memo),
+                    WedgeBasis(tau.perp_lattice, k - 1, n, cone.memo),
                     step,
                 )
 
