@@ -42,6 +42,7 @@ from .ishida import (
     core_table,
     degree_zero_cohomology,
     ext_table,
+    facet_inequalities_report,
     graded_class_cohomology,
     ishida_complex,
     lcdef,

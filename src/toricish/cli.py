@@ -35,6 +35,7 @@ from .decomposition import decomposition_report, ic_multiplicities
 from .ishida import (
     cohomology_dims,
     ext_table,
+    facet_inequalities_report,
     graded_class_cohomology,
     ishida_complex,
     lcdef,
@@ -384,31 +385,10 @@ def _run_suite(cone: Cone, suite: str) -> list[dict]:
         ok = is_shelling(cone, result.order)
         reports.append({"name": "shelling", "ok": ok, "failures": [] if ok else [{"order": [list(f) for f in result.order]}]})
     if suite in ("inequalities", "all"):
-        reports.append(_facet_inequalities_report(cone))
+        reports.append(facet_inequalities_report(cone))
     if suite in ("closed_forms", "all"):
         reports.append(_closed_forms_report(cone))
     return reports
-
-
-def _facet_inequalities_report(cone: Cone) -> dict:
-    from .ishida import degree_zero_cohomology
-    from .cones import face_cone
-
-    if cone.rank != 5:
-        return {"name": "facet_inequalities", "ok": True, "failures": [], "skipped": "only meaningful in dimension 5"}
-    fl = cone.face_lattice()
-    h_sigma = degree_zero_cohomology(cone, 3)
-    s1 = s2 = 0
-    for fid in fl.by_dim[4]:
-        h_facet = degree_zero_cohomology(face_cone(cone, fl.faces[fid]), 3)
-        s1 += h_facet[1]
-        s2 += h_facet[2]
-    failures = []
-    if not s1 >= h_sigma[1]:
-        failures.append({"inequality": "sum h1(facets) >= h1", "lhs": s1, "rhs": h_sigma[1]})
-    if not s2 <= h_sigma[2]:
-        failures.append({"inequality": "sum h2(facets) <= h2", "lhs": s2, "rhs": h_sigma[2]})
-    return {"name": "facet_inequalities", "ok": not failures, "failures": failures}
 
 
 def _closed_forms_report(cone: Cone) -> dict:

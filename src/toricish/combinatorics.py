@@ -57,13 +57,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _t_minus_one_power(k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, [-1, 1])
-    return out
-
-
 @dataclass(frozen=True)
 class ICStalkPoly:
     """Stalk dimensions of the intersection complex at the torus fixed
@@ -85,37 +78,44 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     h(F, t) = sum over proper faces G of F (apex included) of
     g(G, t) * (t-1)^(dim F - dim G - 1), with dims taken in the cone;
     g truncates h at half the polytope dimension by first differences.
+
+    The faces are walked upwards in lattice order, so every g below a face
+    is known when the face is reached.  The proper faces below a face, its
+    down-set, are the union of its children and their down-sets; their g
+    are summed per dimension, and each sum is multiplied once by
+    (t-1)^k, read off a table of signed binomials built once per call.
     """
     n = fl.cone.rank
     if n == 0:
         return ICStalkPoly((1,))
-    memo: dict[int, list[int]] = {fl.apex.index: [1]}
-
-    def g_of(face_id: int) -> list[int]:
-        if face_id in memo:
-            return memo[face_id]
-        face = fl.faces[face_id]
-        h = _h_poly(face)
-        half = (face.dim - 1) // 2
-        g = [h[0]] + [h[i] - h[i - 1] for i in range(1, half + 1)]
-        while len(g) > 1 and g[-1] == 0:
-            g.pop()
-        memo[face_id] = g
-        return g
-
-    def _h_poly(face) -> list[int]:
-        h = [0] * max(face.dim, 1)
-        for other in fl.faces:
-            if other.index == face.index or not other.ray_set <= face.ray_set:
-                continue
-            term = _poly_mul(g_of(other.index), _t_minus_one_power(face.dim - other.dim - 1))
-            for i, x in enumerate(term):
-                if i >= len(h):
-                    h.extend([0] * (i - len(h) + 1))
+    t_minus_one = [[(-1) ** (k - j) * binomial(k, j) for j in range(k + 1)] for k in range(n)]
+    below: dict[int, set[int]] = {}
+    g: dict[int, list[int]] = {}
+    for face in fl.faces:
+        down = set(fl.children[face.index])
+        for child in fl.children[face.index]:
+            down |= below[child]
+        below[face.index] = down
+        if face.dim == 0:
+            g[face.index] = [1]
+            continue
+        # a d-face's g has at most d + 1 coefficients, so each product below
+        # has at most face.dim
+        sums = [[0] * (d + 1) for d in range(face.dim)]
+        for other in down:
+            total = sums[fl.faces[other].dim]
+            for i, x in enumerate(g[other]):
+                total[i] += x
+        h = [0] * face.dim
+        for d, total in enumerate(sums):
+            for i, x in enumerate(_poly_mul(total, t_minus_one[face.dim - d - 1])):
                 h[i] += x
-        return h
-
-    return ICStalkPoly(tuple(g_of(fl.top.index)))
+        half = (face.dim - 1) // 2
+        coeffs = [h[0]] + [h[i] - h[i - 1] for i in range(1, half + 1)]
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        g[face.index] = coeffs
+    return ICStalkPoly(tuple(g[fl.top.index]))
 
 
 def hodge_deligne_coefficients(f_polytope: Sequence[int], n: int) -> tuple[int, ...]:

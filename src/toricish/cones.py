@@ -203,7 +203,8 @@ class Face:
     span_lattice is a Z-basis of N intersected with the linear span of the
     face; perp_lattice is a Z-basis of the annihilator M intersect face^perp.
     Both are saturated, so they double as exact coordinate systems for
-    face-intrinsic cones and quotient lattices.
+    face-intrinsic cones and quotient lattices.  ray_set is built on first
+    use and kept; it takes no part in equality.
     """
 
     index: int
@@ -212,7 +213,7 @@ class Face:
     span_lattice: tuple[tuple[int, ...], ...]
     perp_lattice: tuple[tuple[int, ...], ...]
 
-    @property
+    @functools.cached_property
     def ray_set(self) -> frozenset[int]:
         return frozenset(self.rays)
 

@@ -283,6 +283,27 @@ def verify_codim_vanishing(cone: Cone) -> CheckReport:
     return CheckReport("codim_vanishing", not failures, tuple(failures))
 
 
+def facet_inequalities_report(cone: Cone) -> dict:
+    """The dimension-5 inequalities between the degree-3 cohomology of a
+    cone and of its facet cones: sum of h^1 over facets >= h^1, and sum of
+    h^2 over facets <= h^2.  Other dimensions are reported as skipped."""
+    if cone.rank != 5:
+        return {"name": "facet_inequalities", "ok": True, "failures": [], "skipped": "only meaningful in dimension 5"}
+    fl = cone.face_lattice()
+    h_sigma = degree_zero_cohomology(cone, 3)
+    s1 = s2 = 0
+    for fid in fl.by_dim[4]:
+        h_facet = degree_zero_cohomology(face_cone(cone, fl.faces[fid]), 3)
+        s1 += h_facet[1]
+        s2 += h_facet[2]
+    failures = []
+    if not s1 >= h_sigma[1]:
+        failures.append({"inequality": "sum h1(facets) >= h1", "lhs": s1, "rhs": h_sigma[1]})
+    if not s2 <= h_sigma[2]:
+        failures.append({"inequality": "sum h2(facets) <= h2", "lhs": s2, "rhs": h_sigma[2]})
+    return {"name": "facet_inequalities", "ok": not failures, "failures": failures}
+
+
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:
     """Cohomology of the subcomplex over the faces containing mu, running
     from the block of mu (slot 0) up to wedge degree `degree`."""

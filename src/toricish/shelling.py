@@ -11,16 +11,31 @@ point crosses their hyperplanes.
 Nothing here is canonical: only the shelling property itself is contractual,
 and the produced order is certified by the same check exposed as
 is_shelling().
+
+A certification searches, for each facet in the order, a shelling of that
+facet's own facets, depth first and recursively.  Whether a face's facets
+have a shelling starting with a given set is a function of the face and the
+set alone, so each certification keeps one outcome memo, (face index,
+prefix bitmask) -> bool, shared by all its sub-searches and dropped when it
+returns: shelling() and is_shelling() each certify afresh.  One
+certification makes at most MAX_SEARCH_STEPS extensions of a partial order
+and raises RuntimeError beyond that, so a search cannot run without bound.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cones import Cone, Face, FaceLattice
 from .linalg import dot
+
+# Extensions of a partial order allowed in one certification.  The largest
+# count on the test corpora and the benchmark's inputs is 7,648 (the cone
+# over the 6-dim cross-polytope); this leaves more than 100x headroom.
+MAX_SEARCH_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -132,9 +147,16 @@ def is_shelling(cone: Cone, order: Sequence[Sequence[int]]) -> bool:
 
 
 def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | None:
+    """Certificates that the facet order is a shelling, or None.
+
+    The outcome memo of the sub-searches, (face index, prefix bitmask) ->
+    bool, and the count of extension steps against MAX_SEARCH_STEPS both
+    live for this one call.
+    """
     if fl.cone.rank == 1:
         return [StepCertificate(f.rays, (), ()) for f in ordered]
-    memo: dict = {}
+    memo: dict[tuple[int, int], bool] = {}
+    steps = itertools.count(1)
     certs = []
     for j, face in enumerate(ordered):
         earlier = ordered[:j]
@@ -144,13 +166,19 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
                 return None
             if not _intersections_covered(fl, face, earlier, prefix):
                 return None
-        ext = _find_shelling(fl, face, frozenset(f.index for f in prefix), memo)
+        ext = _find_shelling(fl, face, _prefix_mask(fl, face, prefix), memo, steps)
         if ext is None:
             return None
         ext_faces = [fl.faces[i] for i in ext]
         prefix_sorted = tuple(f.rays for f in ext_faces[: len(prefix)])
         certs.append(StepCertificate(face.rays, prefix_sorted, tuple(f.rays for f in ext_faces)))
     return certs
+
+
+def _prefix_mask(fl: FaceLattice, face: Face, facets: list[Face]) -> int:
+    """The given facets of face as a bitmask over face's list of children."""
+    ids = {g.index for g in facets}
+    return sum(1 << pos for pos, i in enumerate(fl.children[face.index]) if i in ids)
 
 
 def _covered_facets(fl: FaceLattice, face: Face, earlier: list[Face]) -> list[Face]:
@@ -173,41 +201,55 @@ def _intersections_covered(fl: FaceLattice, face: Face, earlier: list[Face], cov
     return True
 
 
-def _find_shelling(fl: FaceLattice, face: Face, prefix: frozenset[int], memo: dict):
+def _find_shelling(
+    fl: FaceLattice, face: Face, prefix: int, memo: dict[tuple[int, int], bool], steps: Iterator[int]
+) -> tuple[int, ...] | None:
     """A shelling order of face's facet poset whose initial segment is
-    exactly the given prefix set, or None.  Returns facet indices."""
+    exactly the prefix set, or None.  Returns facet indices.
+
+    prefix is a bitmask over fl.children[face.index].  Depth-first over
+    partial orders; the partial orders (as masks) already found dead are
+    kept for this one search only.  Whether an inner sub-search succeeds is
+    looked up in, or stored to, memo, the outcome memo of the certification.
+    Each extension draws one step from steps and raises RuntimeError once
+    MAX_SEARCH_STEPS is exceeded.
+    """
+    facet_ids = fl.children[face.index]
     if face.dim <= 1:
-        return tuple(fl.children[face.index])
+        return tuple(facet_ids)
+    n_prefix = prefix.bit_count()
+    dead: set[int] = set()
 
-    facet_ids = tuple(fl.children[face.index])
-
-    def extend(used: tuple[int, ...], used_set: frozenset[int]):
+    def extend(used: tuple[int, ...], used_mask: int):
         if len(used) == len(facet_ids):
             return ()
-        key = (face.index, used_set, prefix)
-        if key in memo and memo[key] is False:
+        if used_mask in dead:
             return None
-        if len(used_set) < len(prefix):
-            candidates = [i for i in facet_ids if i in prefix and i not in used_set]
-        else:
-            candidates = [i for i in facet_ids if i not in used_set]
-        for cand in candidates:
-            g = fl.faces[cand]
-            earlier = [fl.faces[i] for i in used]
-            sub_prefix = frozenset(
-                gg.index for gg in _covered_facets(fl, g, earlier)
-            )
-            if used:
-                if not sub_prefix:
-                    continue
-                if not _intersections_covered(fl, g, earlier, [fl.faces[i] for i in sub_prefix]):
-                    continue
-            if _find_shelling(fl, g, sub_prefix, memo) is None:
+        if next(steps) > MAX_SEARCH_STEPS:
+            raise RuntimeError(f"shelling search exceeded {MAX_SEARCH_STEPS} steps")
+        allowed = prefix if len(used) < n_prefix else ~0
+        earlier = [fl.faces[i] for i in used]
+        for pos, cand in enumerate(facet_ids):
+            bit = 1 << pos
+            if used_mask & bit or not allowed & bit:
                 continue
-            rest = extend(used + (cand,), used_set | {cand})
+            g = fl.faces[cand]
+            covered = _covered_facets(fl, g, earlier)
+            if used:
+                if not covered:
+                    continue
+                if not _intersections_covered(fl, g, earlier, covered):
+                    continue
+            if g.dim > 1:  # lower faces always shell
+                key = (cand, _prefix_mask(fl, g, covered))
+                if key not in memo:
+                    memo[key] = _find_shelling(fl, g, key[1], memo, steps) is not None
+                if not memo[key]:
+                    continue
+            rest = extend(used + (cand,), used_mask | bit)
             if rest is not None:
                 return (cand,) + rest
-        memo[key] = False
+        dead.add(used_mask)
         return None
 
-    return extend((), frozenset())
+    return extend((), 0)

@@ -30,6 +30,7 @@ from toricish.decomposition import (
 from toricish.ishida import (
     degree_zero_cohomology,
     ext_table,
+    facet_inequalities_report,
     lcdef,
     verify_codim_vanishing,
     verify_d_squared,
@@ -184,6 +185,7 @@ def test_criterion_9_dim5_inequalities_and_dim6_undetermined(full_corpus, pyrami
         s1 = sum(degree_zero_cohomology(face_cone(cone, fl.faces[i]), 3)[1] for i in fl.by_dim[4])
         s2 = sum(degree_zero_cohomology(face_cone(cone, fl.faces[i]), 3)[2] for i in fl.by_dim[4])
         assert s1 >= h_sigma[1] and s2 <= h_sigma[2], cone
+        assert facet_inequalities_report(cone)["ok"], cone
         count5 += 1
     assert count5 >= 2
     m = multiplicities_from_cohomology(pyramid_tower_cone)

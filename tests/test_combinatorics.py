@@ -1,5 +1,6 @@
 import pytest
 
+from shelling_reference import reference_g_polynomial
 from toricish.combinatorics import (
     ICStalkPoly,
     betti_numbers,
@@ -13,6 +14,7 @@ from toricish.combinatorics import (
     hodge_du_bois_table,
 )
 from toricish.ishida import degree_zero_cohomology
+from toricish.sampling import sample_cones
 
 
 def simplex_polytope_f(n):
@@ -103,6 +105,13 @@ class TestGPolynomial:
             g = g_polynomial(cone.face_lattice()).coefficients
             assert g[0] == 1
             assert 2 * (len(g) - 1) < max(cone.rank, 1)
+
+    def test_matches_reference(self, full_corpus):
+        """The down-set walk agrees with the all-faces reference recursion."""
+        cones = full_corpus + [c for dim in (3, 4, 5) for c in sample_cones(7, dim, 4)]
+        for cone in cones:
+            fl = cone.face_lattice()
+            assert g_polynomial(fl).coefficients == reference_g_polynomial(fl), cone
 
     def test_constant_term_validation(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricish.combinatorics import g_polynomial, h_tilde_vector, h_vector
-from toricish.cones import Cone
+from toricish.combinatorics import g_polynomial, h_tilde_vector, h_vector, hodge_du_bois_table
+from toricish.cones import Cone, is_cone_over_simple
 from toricish.decomposition import (
     admissible_pairs,
     decomposition_report,
@@ -17,6 +17,7 @@ from toricish.decomposition import (
 )
 from toricish.ishida import core_table, ext_table, lcdef
 from toricish.sampling import sample_cones
+from toricish.shelling import is_shelling, shelling
 
 
 class TestAdmissiblePairs:
@@ -232,6 +233,7 @@ def _invariants(cone):
         "lcdef": table.lcdef,
         "ic": (ic.entries, ic.undetermined, ic.method),
         "g": g_polynomial(cone.face_lattice()).coefficients,
+        "hodge": hodge_du_bois_table(cone.f_vector[1:-1], cone.rank - 1) if is_cone_over_simple(cone) else None,
     }
 
 
@@ -245,7 +247,8 @@ def test_invariants_under_lattice_automorphism(dim, seed, ops):
     """A unimodular change of coordinates, a product of elementary integer
     matrices, changes no invariant.  The moved cone is a new family whose
     faces get other coordinates, so this also checks that the memo keyed by
-    cone value serves no cone's result for another."""
+    cone value serves no cone's result for another, and that the moved cone's
+    own shelling, searched under its new face indices, certifies."""
     (cone,) = sample_cones(seed, dim, 1)
     moved = [list(r) for r in cone.rays]
     for i, j, c in ops:
@@ -253,7 +256,9 @@ def test_invariants_under_lattice_automorphism(dim, seed, ops):
         if i != j:
             for r in moved:
                 r[i] += c * r[j]
-    assert _invariants(Cone.from_rays(moved, dim)) == _invariants(cone)
+    moved_cone = Cone.from_rays(moved, dim)
+    assert _invariants(moved_cone) == _invariants(cone)
+    assert is_shelling(moved_cone, shelling(moved_cone).order)
 
 
 def test_cone_family_is_freed():

@@ -1,7 +1,18 @@
+import importlib
 import itertools
+import json
+import random
 
+import pytest
+from click.testing import CliRunner
+
+from shelling_reference import reference_certify, reference_shelling
+from toricish.cli import cli
 from toricish.cones import Cone
+from toricish.sampling import sample_cones
 from toricish.shelling import is_shelling, shelling
+
+ORACLE_SEED = 7
 
 
 def facet_ray_tuples(cone):
@@ -68,3 +79,53 @@ def test_deterministic(binomial_cone):
     a = shelling(binomial_cone)
     b = shelling(binomial_cone)
     assert a.order == b.order and a.direction_index == b.direction_index
+
+
+def shelling_module():
+    # the package re-exports the function shelling under the module's name
+    return importlib.import_module("toricish.shelling")
+
+
+def oracle_corpus(full_corpus):
+    return full_corpus + [c for dim in (3, 4, 5) for c in sample_cones(ORACLE_SEED, dim, 4)]
+
+
+def test_shelling_matches_reference(full_corpus):
+    """The memoised search returns, field for field, what the unmemoised
+    reference search returns."""
+    for cone in oracle_corpus(full_corpus):
+        got, want = shelling(cone), reference_shelling(cone)
+        assert got.order == want.order, cone
+        assert got.direction_index == want.direction_index, cone
+        assert got.certificates == want.certificates, cone
+
+
+def test_is_shelling_matches_reference_on_permuted_orders(named_corpus):
+    """Random facet orders, most of them not shellings: the verdict and the
+    certificates agree with the reference certification.  On the rank-5
+    cones, inner sub-searches of one face are reached with prefixes that
+    differ in outcome, which the shelling search itself never meets here."""
+    rng = random.Random(ORACLE_SEED)
+    cones = named_corpus + [c for dim in (3, 4) for c in sample_cones(ORACLE_SEED, dim, 3)]
+    verdicts = set()
+    for cone in cones:
+        fl = cone.face_lattice()
+        facets = [fl.faces[i] for i in fl.by_dim[cone.rank - 1]]
+        for _ in range(40):
+            rng.shuffle(facets)
+            want = reference_certify(fl, facets)
+            assert is_shelling(cone, [f.rays for f in facets]) == (want is not None), cone
+            assert shelling_module()._certify(fl, facets) == want, cone
+            verdicts.add(want is not None)
+    assert verdicts == {True, False}
+
+
+def test_search_step_budget(octahedron_cone, monkeypatch, tmp_path):
+    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", 1)
+    with pytest.raises(RuntimeError, match="shelling search exceeded 1 steps"):
+        shelling(octahedron_cone)
+    path = tmp_path / "octahedron.json"
+    path.write_text(json.dumps({"lattice_rank": 4, "rays": [list(r) for r in octahedron_cone.rays]}))
+    res = CliRunner().invoke(cli, ["shelling", str(path)], catch_exceptions=False)
+    assert res.exit_code == 3
+    assert "shelling search exceeded" in res.output
