@@ -4,11 +4,13 @@ Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout: entries are Python
 ints or fractions.Fraction, never floats.  Lattice work (kernels, lattice
 coordinates, right inverses) and the contraction blocks are integer only,
-read off one column-Hermite reduction.  Fraction appears only where rational
-input is accepted: primitive_vector, and RatMatrix, whose rank() clears
-denominators row by row.  All functions are pure and all returned objects
-immutable, apart from the memo dict that callers may hand to WedgeBasis (the
-complexes hand over the memo dict of the cone's family, cones.Cone.memo).
+read off one column-Hermite reduction.  Ranks are eliminated modulo a
+Mersenne prime that a Hadamard bound proves large enough to give the rank
+over Q (RatMatrix.rank).  Fraction appears only where rational input is
+accepted: primitive_vector, and RatMatrix.rank, which clears denominators.
+All functions are pure and all returned objects immutable, apart from the
+memo dict that callers may hand to WedgeBasis (the complexes hand over the
+memo dict of the cone's family, cones.Cone.memo).
 """
 
 from __future__ import annotations
@@ -41,31 +43,72 @@ def primitive_vector(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Clear denominators row by row and strip common factors."""
-    out = []
+# Exponents of the Mersenne primes 2^e - 1 that RatMatrix.rank tries in turn.
+MERSENNE_EXPONENTS = (127, 521, 1279, 4423, 9941, 19937, 44497)
+
+
+def _certified_prime(rows: list[dict[int, int]]) -> int:
+    """First Mersenne prime p = 2^e - 1 above a bound H of every minor of
+    the nonzero integer rows, compared as H^2 < p^2.  H^2 is the product of
+    all squared row norms or, if that is too big, the smaller product of the
+    k largest squared row or column norms, k = min(#rows, #nonzero columns).
+    """
+    norms = [sum(x * x for x in r.values()) for r in rows]
+    bound = math.prod(norms)
+    if bound >= ((1 << MERSENNE_EXPONENTS[0]) - 1) ** 2:
+        cols: dict[int, int] = {}
+        for r in rows:
+            for j, x in r.items():
+                cols[j] = cols.get(j, 0) + x * x
+        k = min(len(rows), len(cols))
+        bound = min(math.prod(sorted(norms)[-k:]), math.prod(sorted(cols.values())[-k:]))
+    for e in MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if bound < p * p:
+            return p
+    raise ArithmeticError("Hadamard bound exceeds every Mersenne prime tried")
+
+
+def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """Rank modulo p of sparse rows with entries 0 < |x| < p (consumed).
+
+    Each row is reduced by the pivot rows of its leading columns until it is
+    zero or leads in a new column.  Entries stay signed and are reduced only
+    once |x| >= p.  A pivot a other than +-1 (where 1/a == a) is not
+    inverted: the row is scaled by a instead.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            a, b = prow[c], row[c]
+            if a == 1 or a == -1:
+                b *= a
+            else:
+                row = {j: y % p if (y := a * x) >= p or y <= -p else y for j, x in row.items()}
+            for j, x in prow.items():
+                y = row.get(j, 0) - b * x
+                if y >= p or y <= -p:
+                    y %= p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 class RatMatrix:
     """Immutable exact matrix.
 
-    rank() uses fraction-free (Bareiss) elimination on integer-scaled rows,
-    so the result is deterministic and independent of row or column visit
-    order.  kernel_basis() returns a basis of the right kernel; together they
-    satisfy rank + len(kernel_basis()) == ncols.
+    rank() is the rank over Q: sparse elimination of the integer rows
+    modulo a Mersenne prime p (_rank_mod).  The rank modulo p never exceeds
+    the rank over Q, and equals it when p lies above a Hadamard bound of
+    every minor (_certified_prime), as no nonzero minor then vanishes mod p.
+    Each entry, a 1 x 1 minor, then also lies below p, as _rank_mod needs.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "_rank")
@@ -103,60 +146,13 @@ class RatMatrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            a = [r for r in _integer_rows(self.rows) if any(r)]
-            m, n = len(a), self.ncols
-            r = 0
-            prev = 1
-            for c in range(n):
-                if r == m:
-                    break
-                piv = None
-                for i in range(r, m):
-                    x = a[i][c]
-                    if x and (piv is None or abs(x) < abs(a[piv][c])):
-                        piv = i
-                if piv is None:
-                    continue
-                a[r], a[piv] = a[piv], a[r]
-                pc = a[r][c]
-                for i in range(r + 1, m):
-                    ic = a[i][c]
-                    row_i, row_r = a[i], a[r]
-                    for j in range(c, n):
-                        row_i[j] = (row_i[j] * pc - ic * row_r[j]) // prev
-                prev = pc
-                r += 1
-            self._rank = r
+            rows = [d for d in ({j: x for j, x in enumerate(r) if x} for r in self.rows) if d]
+            if any(type(x) is not int for d in rows for x in d.values()):
+                # Scale each row by the lcm of its denominators.
+                dens = [math.lcm(*(Fraction(x).denominator for x in d.values())) for d in rows]
+                rows = [{j: int(x * den) for j, x in d.items()} for d, den in zip(rows, dens)]
+            self._rank = _rank_mod(rows, _certified_prime(rows)) if rows else 0
         return self._rank
-
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        m, n = self.nrows, self.ncols
-        a = [[Fraction(x) for x in row] for row in self.rows]
-        piv_cols: list[int] = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if a[i][c]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(m):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            piv_cols.append(c)
-            r += 1
-        basis = []
-        for free in range(n):
-            if free in piv_cols:
-                continue
-            v = [Fraction(0)] * n
-            v[free] = Fraction(1)
-            for prow, pcol in enumerate(piv_cols):
-                v[pcol] = -a[prow][free]
-            basis.append(tuple(v))
-        return basis
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"

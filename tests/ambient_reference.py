@@ -1,19 +1,96 @@
-"""Reference construction of contraction blocks in ambient coordinates.
+"""Reference constructions over Q, used as oracles by the tests.
 
-This is the original, slow route: every wedge is expanded into the standard
-wedge basis of Q^ambient with Fraction determinants, and each contracted
-image is solved against the target wedges by exact Gaussian elimination.  It
-makes no use of lattices or right inverses, which makes it an independent
-oracle for toricish.linalg.interior_product_matrix.
+The contraction blocks are built in ambient coordinates, the original, slow
+route: every wedge is expanded into the standard wedge basis of Q^ambient
+with Fraction determinants, and each contracted image is solved against the
+target wedges by exact Gaussian elimination.  It makes no use of lattices or
+right inverses, which makes it an independent oracle for
+toricish.linalg.interior_product_matrix.
+
+bareiss_rank (fraction-free elimination over Z) is the oracle for
+RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
+kernel by Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from toricish.linalg import RatMatrix, WedgeBasis, dot
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // math.gcd(den, f.denominator)
+        out.append([int(f * den) for f in fracs])
+    return out
+
+
+def bareiss_rank(rows: Sequence[Sequence], ncols: int) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination on integer rows."""
+    a = [r for r in _integer_rows(rows) if any(r)]
+    m, n = len(a), ncols
+    r = 0
+    prev = 1
+    for c in range(n):
+        if r == m:
+            break
+        piv = None
+        for i in range(r, m):
+            x = a[i][c]
+            if x and (piv is None or abs(x) < abs(a[piv][c])):
+                piv = i
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pc = a[r][c]
+        for i in range(r + 1, m):
+            ic = a[i][c]
+            row_i, row_r = a[i], a[r]
+            for j in range(c, n):
+                row_i[j] = (row_i[j] * pc - ic * row_r[j]) // prev
+        prev = pc
+        r += 1
+    return r
+
+
+def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel over Q; rank + len(basis) == ncols."""
+    m, n = len(rows), ncols
+    a = [[Fraction(x) for x in row] for row in rows]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    basis = []
+    for free in range(n):
+        if free in piv_cols:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for prow, pcol in enumerate(piv_cols):
+            v[pcol] = -a[prow][free]
+        basis.append(tuple(v))
+    return basis
 
 
 class ColumnSolver:

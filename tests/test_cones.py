@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambient_reference import kernel_basis
 from toricish.cones import (
     Cone,
     cone_over_polytope,
@@ -31,7 +32,7 @@ def brute_force_facet_normals(rays, rank):
         m = RatMatrix(subset, ncols=rank)
         if m.rank() != rank - 1:
             continue
-        (kernel_vec,) = m.kernel_basis()
+        (kernel_vec,) = kernel_basis(m.rows, rank)
         h = primitive_vector(kernel_vec)
         for cand in (h, tuple(-x for x in h)):
             if all(dot(cand, r) >= 0 for r in rays):

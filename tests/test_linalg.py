@@ -3,8 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import ColumnSolver, ambient_interior_product_matrix, wedge_coordinates
+from ambient_reference import (
+    ColumnSolver,
+    ambient_interior_product_matrix,
+    bareiss_rank,
+    kernel_basis,
+    wedge_coordinates,
+)
+from toricish import linalg
 from toricish.cones import normal_step_vector
+from toricish.ishida import _assemble, ishida_complex
 from toricish.linalg import (
     RatMatrix,
     WedgeBasis,
@@ -35,20 +43,22 @@ class TestRank:
 
 
 class TestKernel:
+    """The rational kernel oracle of the tests (ambient_reference)."""
+
     def test_single_row(self):
-        (v,) = RatMatrix([(1, 1)]).kernel_basis()
+        (v,) = kernel_basis([(1, 1)], 2)
         assert v[0] == -v[1] != 0
 
     def test_identity_has_trivial_kernel(self):
-        assert RatMatrix([(1, 0), (0, 1)]).kernel_basis() == []
+        assert kernel_basis([(1, 0), (0, 1)], 2) == []
 
     def test_two_rows(self):
-        (v,) = RatMatrix([(1, 0, 1), (0, 1, 1)]).kernel_basis()
+        (v,) = kernel_basis([(1, 0, 1), (0, 1, 1)], 3)
         assert v[0] == v[1] == -v[2] != 0
 
     def test_annihilation_and_count(self):
         m = RatMatrix([(2, 3, 5, 7), (1, 0, 1, 0)])
-        basis = m.kernel_basis()
+        basis = kernel_basis(m.rows, m.ncols)
         assert len(basis) == 4 - m.rank()
         for v in basis:
             for row in m.rows:
@@ -63,12 +73,82 @@ st_small = st.integers(min_value=-6, max_value=6)
 def test_rank_invariance_and_nullity(rows, rng):
     m = RatMatrix(rows)
     r = m.rank()
-    assert r + len(m.kernel_basis()) == m.ncols
+    assert r + len(kernel_basis(m.rows, m.ncols)) == m.ncols
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert RatMatrix(shuffled).rank() == r
     scaled = [tuple(Fraction(7, 3) * x for x in rows[0])] + [tuple(r_) for r_ in rows[1:]]
     assert RatMatrix(scaled).rank() == r
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse (entries 0, +-1), small dense and wide dense integer matrices,
+    some rows and columns forced to zero."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    entry = draw(st.sampled_from((
+        st.sampled_from((0, 0, 0, 0, 1, -1)),
+        st_small,
+        st.integers(-(2**70), 2**70),
+    )))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)] for i, r in enumerate(rows)], n
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_bareiss(matrix):
+    rows, n = matrix
+    assert RatMatrix(rows, ncols=n).rank() == bareiss_rank(rows, n)
+
+
+# Entries near 2^40: Hadamard bound about 2^164, above 2^127 - 1 (rank 4).
+NEAR_2_40 = [[2**40 + i ** (j + 1) + 3 * j for j in range(4)] for i in range(4)]
+# det == 2^127 - 1: rank 2 over Q, rank 1 modulo the first Mersenne prime.
+DET_IS_M127 = [(2**64, 1), (1, 2**63)]
+
+
+def _sparse(rows):
+    return [d for d in ({j: x for j, x in enumerate(r) if x} for r in rows) if d]
+
+
+class TestModularRank:
+    def test_bound_above_first_prime_takes_next_rung(self):
+        rows = NEAR_2_40
+        assert linalg._certified_prime(_sparse(rows)) == 2**521 - 1
+        assert RatMatrix(rows).rank() == bareiss_rank(rows, 4) == 4
+
+    def test_minor_equal_to_the_prime(self):
+        assert RatMatrix(DET_IS_M127).rank() == 2
+        assert linalg._rank_mod(_sparse(DET_IS_M127), 2**127 - 1) == 1
+
+    def test_zero_columns_do_not_certify(self):
+        # With the zero column counted, the column product would be 0.
+        rows = [(2**64, 1, 0), (1, 2**63, 0), (2**64, 1, 0)]
+        assert linalg._certified_prime(_sparse(rows)) == 2**521 - 1
+        assert RatMatrix(rows).rank() == 2
+
+    def test_past_the_last_rung_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (127,))
+        rows = NEAR_2_40
+        with pytest.raises(ArithmeticError):
+            RatMatrix(rows).rank()
+
+
+def test_complex_ranks_match_bareiss(full_corpus):
+    """Every differential of every Ishida complex, and of the complexes over
+    the faces containing each face (link_complex_cohomology), on the corpus."""
+    for cone in full_corpus:
+        fl = cone.face_lattice()
+        complexes = [ishida_complex(cone, l) for l in range(cone.rank + 1)]
+        complexes += [
+            _assemble(cone, mu, l) for mu in fl.faces if mu.dim for l in range(mu.dim, cone.rank + 1)
+        ]
+        for cx in complexes:
+            for d in cx.differentials:
+                assert RatMatrix(d.rows, ncols=d.ncols).rank() == bareiss_rank(d.rows, d.ncols)
 
 
 class TestPrimitive:
