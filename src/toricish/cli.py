@@ -405,7 +405,7 @@ def _closed_forms_report(cone: Cone) -> dict:
 @cli.command()
 @click.argument("file", type=click.Path(exists=False), required=False)
 @click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True)
-@click.option("--random", "random_request", nargs=2, type=int, default=None, metavar="DIM COUNT", help="Verify seeded random cones of the given dimension.")
+@click.option("--random", "random_request", nargs=2, type=(click.IntRange(min=1), click.IntRange(min=1)), default=None, metavar="DIM COUNT", help="Verify seeded random cones of the given dimension.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @with_common
 @run

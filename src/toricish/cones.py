@@ -5,6 +5,9 @@ rank, presented by its primitive extreme ray generators.  The face lattice
 carries, for every face, a saturated lattice basis of its span and of its
 annihilator; those two bases drive everything else: quotient cones,
 face-intrinsic cones, and the lattice step vectors between covering faces.
+Every vector here is an integer vector and every computation is in
+integers: the double description, the lattice bases, the Bezout
+coefficients of the step vectors.
 
 Cones and face lattices are immutable after construction, apart from the
 memo dict each cone carries; construction itself is deterministic (faces
@@ -17,13 +20,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import (
     RatMatrix,
+    _integer_right_inverse,
     dot,
-    ext_gcd_list,
     integer_kernel_basis,
     lattice_coordinates,
     primitive_vector,
@@ -33,9 +35,12 @@ from .linalg import (
 def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of {h : <h, g> >= 0 for every generator g}.
 
-    Incremental double description: generators are inserted one at a time
-    while the extreme rays of the intersection so far are maintained, with
-    the ambient lineality space tracked separately until it is consumed.
+    Incremental double description in integers: generators are inserted one
+    at a time while the extreme rays of the intersection so far are
+    maintained, with the ambient lineality space tracked separately until it
+    is consumed.  Every new vector is a positive integer combination of two
+    old ones, reduced by its gcd (primitive_vector), so no division is made
+    and the entries stay small.
 
     Raises ValueError("cone not full-dimensional; quotient out lineality/span
     first") when the generators do not span, and ValueError("cone contains a
@@ -47,37 +52,34 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     gens: list[tuple[int, ...]] = []
     seen = set()
     for g in generators:
-        if not any(Fraction(x) for x in g):
+        if not any(g):
             continue
         p = primitive_vector(g)
         if p not in seen:
             seen.add(p)
             gens.append(p)
-    lineality: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(rank)) for i in range(rank)
-    ]
-    rays: list[tuple[tuple[Fraction, ...], frozenset[int]]] = []
+    lineality = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
 
     for idx, g in enumerate(gens):
         lin_vals = [dot(l, g) for l in lineality]
         if any(lin_vals):
+            # v0 > 0, so v0 * l - v * l0 is a positive multiple of
+            # l - (v / v0) * l0: the same ray, with the same zero set.
             j0 = next(j for j, v in enumerate(lin_vals) if v)
             l0, v0 = lineality[j0], lin_vals[j0]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            new_lin = []
-            for j, l in enumerate(lineality):
-                if j == j0:
-                    continue
-                f = lin_vals[j] / v0 if j != j0 else None
-                new_lin.append(tuple(x - f * y for x, y in zip(l, l0)))
-            lineality = new_lin
-            new_rays = []
-            for r, zset in rays:
-                f = dot(r, g) / v0
-                new_rays.append((tuple(x - f * y for x, y in zip(r, l0)), zset | {idx}))
-            new_rays.append((l0, frozenset(range(idx))))
-            rays = new_rays
+            lineality = [
+                primitive_vector([v0 * x - v * y for x, y in zip(l, l0)])
+                for j, (l, v) in enumerate(zip(lineality, lin_vals))
+                if j != j0
+            ]
+            rays = [
+                (primitive_vector([v0 * x - dot(r, g) * y for x, y in zip(r, l0)]), zset | {idx})
+                for r, zset in rays
+            ]
+            rays.append((l0, frozenset(range(idx))))
             continue
         vals = [dot(r, g) for r, _ in rays]
         if all(v >= 0 for v in vals):
@@ -103,19 +105,17 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
                 )
                 if not adjacent:
                     continue
-                combo = tuple(vp * x - vm * y for x, y in zip(rm, rp))
+                combo = primitive_vector([vp * x - vm * y for x, y in zip(rm, rp)])
                 kept.append((combo, common | {idx}))
         rays = kept
 
     if lineality:
         raise ValueError("cone not full-dimensional; quotient out lineality/span first")
 
-    out = set()
-    for r, zset in rays:
-        support = [gens[i] for i in zset]
-        if RatMatrix(support, ncols=rank).rank() == rank - 1:
-            out.add(primitive_vector(r))
-    result = tuple(sorted(out))
+    # Every ray is primitive already; the set drops repeats.
+    result = tuple(sorted({
+        r for r, zset in rays if RatMatrix([gens[i] for i in zset], ncols=rank).rank() == rank - 1
+    }))
     if not result or RatMatrix(result, ncols=rank).rank() < rank:
         raise ValueError("cone contains a line")
     return result
@@ -148,7 +148,7 @@ class Cone:
             if not vectors:
                 raise ValueError("cannot infer the lattice rank from an empty generator list")
             rank = len(vectors[0])
-        prim = sorted({primitive_vector(v) for v in vectors if any(Fraction(x) for x in v)})
+        prim = sorted({primitive_vector(v) for v in vectors if any(v)})
         if rank == 0:
             if prim:
                 raise ValueError("a rank-0 lattice admits no rays")
@@ -410,28 +410,17 @@ def normal_step_vector(fl: FaceLattice, mu: Face, tau: Face) -> tuple[int, ...]:
         return cone.rays[tau.rays[0]]
     proj = mu.perp_lattice
     images = [tuple(dot(u, b) for u in proj) for b in tau.span_lattice]
-    base = next(v for v in images if any(v))
-    g0 = primitive_vector(base)
+    g0 = primitive_vector(next(v for v in images if any(v)))
     j0 = next(j for j, x in enumerate(g0) if x)
-    factors = []
-    for v in images:
-        c = v[j0] // g0[j0]
-        if tuple(c * x for x in g0) != v:
-            raise ValueError("projected span is not one-dimensional")
-        factors.append(c)
-    g, coeffs = ext_gcd_list(factors)
-    if g != 1:
-        raise ValueError("quotient image of the face span is not saturated")
-    n0 = [0] * cone.rank
-    for c, b in zip(coeffs, tau.span_lattice):
-        if c:
-            n0 = [x + c * y for x, y in zip(n0, b)]
-    ray_idx = next(i for i in tau.rays if i not in mu.ray_set)
-    ray_img = tuple(dot(u, cone.rays[ray_idx]) for u in proj)
-    orientation = ray_img[j0] * g0[j0]
-    if orientation < 0:
-        n0 = [-x for x in n0]
-    return tuple(n0)
+    factors = [v[j0] // g0[j0] for v in images]
+    if any(tuple(c * x for x in g0) != v for c, v in zip(factors, images)):
+        raise ValueError("projected span is not one-dimensional")
+    # Bezout coefficients of the factors: the right inverse of the 1 x k
+    # matrix (factors), which exists exactly when their gcd is 1.
+    coeffs = _integer_right_inverse([factors], len(factors))
+    ray = cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
+    sign = -1 if dot(proj[j0], ray) * g0[j0] < 0 else 1
+    return tuple(sign * dot(coeffs, col) for col in zip(*tau.span_lattice))
 
 
 def cone_over_polytope(vertices: Sequence[Sequence[int]]) -> Cone:

@@ -312,18 +312,15 @@ def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...
     return cohomology_dims(_assemble(cone, mu, degree))
 
 
-def verify_link_exactness(cone: Cone, mu: Face, degrees=None) -> CheckReport:
+def verify_link_exactness(cone: Cone, mu: Face) -> CheckReport:
     """Exactness of the subcomplex over faces containing mu, for every wedge
     degree strictly above dim(mu), when the quotient by mu is simplicial."""
     if mu.dim == 0:
         raise ValueError("hypothesis not met: the face must be positive-dimensional")
     if not cone.face_lattice().quotient_is_simplicial(mu):
         raise ValueError("hypothesis not met: quotient by the face is not simplicial")
-    n = cone.rank
-    if degrees is None:
-        degrees = range(mu.dim + 1, n + 1)
     failures = []
-    for l in degrees:
+    for l in range(mu.dim + 1, cone.rank + 1):
         dims = link_complex_cohomology(cone, mu, l)
         if any(dims):
             failures.append({"face": list(mu.rays), "degree": l, "dims": list(dims)})

@@ -1,13 +1,13 @@
-"""Exact linear algebra over Q and Z, plus wedge-power bases.
+"""Exact linear algebra over Q and Z, done in integers, plus wedge-power bases.
 
 Every invariant computed by this package reduces to ranks and kernels of the
-matrices built here, so arithmetic is exact throughout: entries are Python
-ints or fractions.Fraction, never floats.  Lattice work (kernels, lattice
-coordinates, right inverses) and the contraction blocks are integer only,
-read off one column-Hermite reduction.  Ranks are eliminated modulo a
-Mersenne prime that a Hadamard bound proves large enough to give the rank
-over Q (RatMatrix.rank).  Fraction appears only where rational input is
-accepted: primitive_vector, and RatMatrix.rank, which clears denominators.
+matrices built here, so arithmetic is exact throughout and in integers:
+never floats.  Lattice work (kernels, lattice coordinates, right inverses,
+Bezout coefficients) and the contraction blocks are read off one
+column-Hermite reduction.  Ranks are eliminated modulo a Mersenne prime that
+a Hadamard bound proves large enough to give the rank over Q
+(RatMatrix.rank).  Fractions are read only where rational input is
+accepted, and cleared at once: primitive_vector, and RatMatrix.rank.
 All functions are pure and all returned objects immutable, apart from the
 memo dict that callers may hand to WedgeBasis (the complexes hand over the
 memo dict of the cone's family, cones.Cone.memo).
@@ -28,19 +28,19 @@ def dot(u: Sequence, v: Sequence):
 
 
 def primitive_vector(vec) -> tuple[int, ...]:
-    """Scale an exact rational vector to the primitive integer vector on the
-    same ray.  The direction is preserved: (0, -5) maps to (0, -1)."""
-    fracs = [Fraction(x) for x in vec]
-    if not any(fracs):
+    """Scale an exact vector to the primitive integer vector on the same
+    ray.  The direction is preserved: (0, -5) maps to (0, -1).  Integer
+    input is divided by its gcd; any other input is first cleared of the
+    denominators of its Fraction values."""
+    vec = tuple(vec)
+    if any(type(x) is not int for x in vec):
+        fracs = [Fraction(x) for x in vec]
+        den = math.lcm(*(f.denominator for f in fracs))
+        vec = tuple(int(f * den) for f in fracs)
+    g = math.gcd(*vec)
+    if not g:
         raise ValueError("zero vector has no primitive representative")
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 # Exponents of the Mersenne primes 2^e - 1 that RatMatrix.rank tries in turn.
@@ -156,40 +156,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def ext_gcd_list(values: Sequence[int]) -> tuple[int, list[int]]:
-    """gcd of the values together with one set of Bezout coefficients."""
-    g = 0
-    coeffs = [0] * len(values)
-    for i, v in enumerate(values):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            coeffs = [0] * len(values)
-            coeffs[i] = 1 if v > 0 else -1
-        else:
-            d, x, y = _ext_gcd(g, v)
-            coeffs = [c * x for c in coeffs]
-            coeffs[i] += y
-            g = d
-    return g, coeffs
 
 
 def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:

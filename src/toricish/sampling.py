@@ -17,6 +17,9 @@ from .cones import Cone, is_cone_over_simple, is_cone_over_simplicial, is_simpli
 
 COORD_BOUND = 3
 
+# Random draws sample_cones makes before it gives up.
+MAX_SAMPLE_TRIES = 10000
+
 
 def random_cone(rng: random.Random, dim: int, n_rays: int) -> Cone | None:
     vectors = []
@@ -38,16 +41,17 @@ def sample_cones(
     count: int,
     predicate: Callable[[Cone], bool] | None = None,
     max_rays: int | None = None,
-    max_tries: int = 10000,
 ) -> list[Cone]:
     """Deterministic list of `count` distinct cones of the given dimension
-    satisfying the predicate."""
+    satisfying the predicate, from at most MAX_SAMPLE_TRIES draws."""
+    if count < 0:
+        raise ValueError("cone count must be non-negative")
     rng = random.Random(seed * 1_000_003 + dim)
     if max_rays is None:
         max_rays = dim + 4 if dim >= 5 else dim + 5
     out: list[Cone] = []
     seen = set()
-    for _ in range(max_tries):
+    for _ in range(MAX_SAMPLE_TRIES):
         if len(out) == count:
             break
         cone = random_cone(rng, dim, rng.randint(dim, max_rays))

@@ -5,8 +5,11 @@ meets the union of its predecessors in a nonempty initial segment of some
 shelling of its own facet poset (recursively, down to dimension one).  The
 order is produced Bruggesser-Mani style: cut the cone by the hyperplane
 where the sum of facet normals evaluates to one, then order the facets by
-the signed parameter at which a generic rational line through an interior
-point crosses their hyperplanes.
+the signed parameter at which a generic line through an interior point
+crosses their hyperplanes.  The point and the direction are integer vectors,
+positive multiples of the barycentre of the cross-section's vertices and of
+a projected moment vector; the crossing parameters, ratios of two integers,
+are the only Fractions, so that their order and their ties are exact.
 
 Nothing here is canonical: only the shelling property itself is contractual,
 and the produced order is certified by the same check exposed as
@@ -25,6 +28,7 @@ and raises RuntimeError beyond that, so a search cannot run without bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -36,6 +40,9 @@ from .linalg import dot
 # count on the test corpora and the benchmark's inputs is 7,648 (the cone
 # over the 6-dim cross-polytope); this leaves more than 100x headroom.
 MAX_SEARCH_STEPS = 1_000_000
+
+# Candidate line directions tried before shelling() gives up.
+MAX_DIRECTIONS = 500
 
 
 @dataclass(frozen=True)
@@ -55,27 +62,21 @@ class Shelling:
     certificates: tuple[StepCertificate, ...]
 
 
-def _candidate_direction(cone: Cone, t: int) -> tuple[Fraction, ...] | None:
-    """Deterministic rational direction inside the cross-section hyperplane."""
-    n = cone.rank
-    w = [0] * n
-    for h in cone.facet_normals:
-        w = [a + b for a, b in zip(w, h)]
-    raw = tuple(Fraction(t**k) for k in range(n))
-    ww = dot(w, w)
-    wr = dot(w, raw)
-    d = tuple(r - Fraction(wr, ww) * wi for r, wi in zip(raw, w))
-    if not any(d):
-        return None
-    return d
+def _candidate_direction(w: Sequence[int], t: int) -> tuple[int, ...] | None:
+    """Deterministic integer direction inside the cross-section hyperplane
+    <w, x> = 0: (t^0, ..., t^(n-1)) projected along w, scaled by <w, w>."""
+    raw = tuple(t**k for k in range(len(w)))
+    ww, wr = dot(w, w), dot(w, raw)
+    d = tuple(ww * r - wr * wi for r, wi in zip(raw, w))
+    return d if any(d) else None
 
 
-def shelling(cone: Cone, max_tries: int = 500) -> Shelling:
+def shelling(cone: Cone) -> Shelling:
     """A certified shelling order of the cone's facets.
 
     Degenerate directions (ties or parallel facets) are skipped by moving to
-    the next deterministic candidate; the index of the direction that worked
-    is reported in the result.
+    the next deterministic candidate, at most MAX_DIRECTIONS of them; the
+    index of the direction that worked is reported in the result.
     """
     if cone.rank < 1:
         raise ValueError("shelling needs a cone of dimension at least 1")
@@ -86,17 +87,15 @@ def shelling(cone: Cone, max_tries: int = 500) -> Shelling:
         order = tuple(fl.faces[i].rays for i in facet_ids)
         certs = _certify(fl, [fl.faces[i] for i in facet_ids])
         return Shelling(order, 0, tuple(certs))
-    w = [0] * n
-    for h in cone.facet_normals:
-        w = [a + b for a, b in zip(w, h)]
-    vertices = []
-    for r in cone.rays:
-        s = dot(w, r)
-        vertices.append(tuple(Fraction(x, s) for x in r))
-    p = tuple(sum(col, Fraction(0)) / len(vertices) for col in zip(*vertices))
+    w = [sum(col) for col in zip(*cone.facet_normals)]
+    # The barycentre of the cross-section's vertices r / <w, r>, times a
+    # positive integer: every <w, r> > 0, and l is their lcm.
+    heights = [dot(w, r) for r in cone.rays]
+    l = math.lcm(*heights)
+    p = [sum(l // s * r[i] for s, r in zip(heights, cone.rays)) for i in range(n)]
 
-    for t in range(1, max_tries + 1):
-        d = _candidate_direction(cone, t)
+    for t in range(1, MAX_DIRECTIONS + 1):
+        d = _candidate_direction(w, t)
         if d is None:
             continue
         params = []

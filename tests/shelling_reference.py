@@ -1,6 +1,8 @@
 """Reference shelling search and g-polynomial, without memoised outcomes.
 
-These are the original routes.  The shelling search remembers only the
+These are the original routes.  The line shelling runs in Fractions: its
+interior point is the barycentre of the cross-section's vertices and its
+direction the rational projection of a moment vector.  The shelling search remembers only the
 failed partial orders of one sub-search and reruns every inner sub-search
 each time a branch reaches it; the g-polynomial scans all faces of the
 lattice for the faces below each face and expands (t - 1)^k by repeated
@@ -14,7 +16,22 @@ from fractions import Fraction
 
 from toricish.cones import Cone, Face, FaceLattice
 from toricish.linalg import dot
-from toricish.shelling import Shelling, StepCertificate, _candidate_direction, _facet_normal
+from toricish.shelling import Shelling, StepCertificate, _facet_normal
+
+
+def _candidate_direction(cone: Cone, t: int) -> tuple[Fraction, ...] | None:
+    """Deterministic rational direction inside the cross-section hyperplane."""
+    n = cone.rank
+    w = [0] * n
+    for h in cone.facet_normals:
+        w = [a + b for a, b in zip(w, h)]
+    raw = tuple(Fraction(t**k) for k in range(n))
+    ww = dot(w, w)
+    wr = dot(w, raw)
+    d = tuple(r - Fraction(wr, ww) * wi for r, wi in zip(raw, w))
+    if not any(d):
+        return None
+    return d
 
 
 def reference_shelling(cone: Cone, max_tries: int = 500) -> Shelling:

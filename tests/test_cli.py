@@ -150,6 +150,12 @@ class TestVerifyCmd:
         res = runner.invoke(cli, ["verify"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("request_", [("4", "-3"), ("4", "0"), ("-2", "3")])
+    def test_random_needs_positive_dim_and_count(self, runner, request_):
+        res = runner.invoke(cli, ["verify", "--random", *request_, "--suite", "d2"])
+        assert res.exit_code == 1
+        assert "is not in the range x>=1" in res.output
+
     def test_failure_exits_2(self, runner, monkeypatch):
         from toricish import cli as cli_module
         from toricish.ishida import CheckReport

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import kernel_basis
+from ambient_reference import _det, kernel_basis
 from toricish.cones import (
     Cone,
     cone_over_polytope,
@@ -16,7 +16,7 @@ from toricish.cones import (
     normal_step_vector,
     quotient_cone,
 )
-from toricish.linalg import RatMatrix, dot, primitive_vector
+from toricish.linalg import RatMatrix, dot, lattice_coordinates, primitive_vector
 from toricish.sampling import sample_cones
 
 
@@ -90,6 +90,47 @@ class TestDualDescription:
     def test_involution(self, named_corpus):
         for cone in named_corpus:
             assert cone.dual().dual().rays == cone.rays
+
+
+@st.composite
+def generator_lists(draw):
+    """(rank, generators): 3-8 generators in Z^3 or Z^4 with entries in
+    [-4, 4], among them repeated, opposite, non-primitive and redundant ones,
+    shuffled so that the lineality phase of the double description ends at
+    different points."""
+    rank = draw(st.sampled_from((3, 4)))
+    vec = st.tuples(*[st.integers(-4, 4)] * rank)
+    gens = draw(st.lists(vec, min_size=rank, max_size=6))
+    small = lambda v: all(-4 <= x <= 4 for x in v)
+    derived = (
+        gens  # repeats
+        + [tuple(-x for x in v) for v in gens]  # lines
+        + [w for k in (2, 3) for v in gens if small(w := tuple(k * x for x in v))]
+        + [w for u in gens for v in gens if small(w := tuple(a + b for a, b in zip(u, v)))]
+    )
+    extra = draw(st.lists(st.sampled_from(derived), max_size=8 - len(gens)))
+    return rank, draw(st.permutations(gens + extra))
+
+
+@given(generator_lists())
+@settings(max_examples=200, deadline=None)
+def test_dual_description_matches_brute_force(case):
+    rank, gens = case
+    nonzero = [g for g in gens if any(g)]
+    expected = brute_force_facet_normals(nonzero, rank) if nonzero else set()
+    if not nonzero or RatMatrix(nonzero, ncols=rank).rank() < rank:
+        message = "cone not full-dimensional; quotient out lineality/span first"
+    elif not expected or RatMatrix(sorted(expected), ncols=rank).rank() < rank:
+        # A full-dimensional cone is pointed exactly when its facet normals span.
+        message = "cone contains a line"
+    else:
+        assert set(dual_description(gens, rank)) == expected
+        cone = Cone.from_rays(nonzero, rank)
+        assert Cone.from_dual_rays(cone.facet_normals, rank) == cone
+        return
+    with pytest.raises(ValueError) as exc:
+        dual_description(gens, rank)
+    assert str(exc.value) == message
 
 
 class TestFaceLattice:
@@ -242,6 +283,18 @@ class TestNormalStep:
                         u0 = [a + b for a, b in zip(u0, h)]
                 assert dot(u0, n) > 0
 
+    def test_step_generates_the_quotient(self, full_corpus):
+        # The span lattice of mu plus the step is a basis of the span lattice
+        # of tau: its coordinates there have determinant +-1.  Ranks over Q
+        # cannot tell the step from a multiple of it; this can.
+        for cone in full_corpus:
+            fl = cone.face_lattice()
+            for lo, hi in fl.covers:
+                mu, tau = fl.faces[lo], fl.faces[hi]
+                n = normal_step_vector(fl, mu, tau)
+                coords = lattice_coordinates(tau.span_lattice, mu.span_lattice + (n,), cone.rank)
+                assert abs(_det([list(c) for c in coords])) == 1
+
     def test_non_cover_raises(self, quadric_cone):
         fl = quadric_cone.face_lattice()
         with pytest.raises(ValueError, match="cover"):
@@ -289,3 +342,9 @@ def test_random_cones_well_formed(seed):
         assert f[0] == f[-1] == 1
         # Euler relation for the boundary of the cross-section polygon
         assert f[1] == f[2]
+
+
+def test_sample_cones_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_cones(0, 3, -1)
+    assert sample_cones(0, 3, 0) == []

@@ -16,7 +16,6 @@ from toricish.ishida import _assemble, ishida_complex
 from toricish.linalg import (
     RatMatrix,
     WedgeBasis,
-    ext_gcd_list,
     integer_kernel_basis,
     interior_product_matrix,
     lattice_coordinates,
@@ -194,13 +193,6 @@ class TestIntegerKernel:
         for v in basis:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
-
-
-def test_ext_gcd_list():
-    g, cs = ext_gcd_list([6, 10, 15])
-    assert g == 1 and 6 * cs[0] + 10 * cs[1] + 15 * cs[2] == 1
-    g, cs = ext_gcd_list([0, -4, 6])
-    assert g == 2 and -4 * cs[1] + 6 * cs[2] == 2
 
 
 class TestInteriorProduct:
