@@ -318,6 +318,8 @@ def hodge(file, fmt, output):
     "rays"/"dual_rays" the cone is treated as the cone over its
     cross-section polytope."""
     cone, meta = load_cone_file(file)
+    if cone.rank < 1:
+        raise ValueError("hodge needs a cone of dimension at least 1, i.e. a polytope of dimension at least 0")
     if not is_cone_over_simple(cone):
         raise ValueError("the polytope is not simple; the Hodge table formulas do not apply")
     n = cone.rank - 1
@@ -367,7 +369,7 @@ def _run_suite(cone: Cone, suite: str) -> list[dict]:
     if suite in ("ish_n", "all"):
         reports.append(verify_dualizing_exactness(cone).asdict())
     if suite in ("surjectivity", "all"):
-        reports.append(verify_surjectivity(cone).asdict())
+        reports.append(verify_surjectivity(cone).asdict() if cone.rank else _needs_rank_one("surjectivity"))
     if suite in ("codim", "all"):
         reports.append(verify_codim_vanishing(cone).asdict())
     if suite in ("link", "all"):
@@ -380,7 +382,9 @@ def _run_suite(cone: Cone, suite: str) -> list[dict]:
             if not rep.ok:
                 failures.extend(rep.failures)
         reports.append({"name": "link_exactness", "ok": not failures, "failures": failures})
-    if suite in ("shelling", "all"):
+    if suite in ("shelling", "all") and not cone.rank:
+        reports.append(_needs_rank_one("shelling"))
+    elif suite in ("shelling", "all"):
         result = shelling(cone)
         ok = is_shelling(cone, result.order)
         reports.append({"name": "shelling", "ok": ok, "failures": [] if ok else [{"order": [list(f) for f in result.order]}]})
@@ -389,6 +393,12 @@ def _run_suite(cone: Cone, suite: str) -> list[dict]:
     if suite in ("closed_forms", "all"):
         reports.append(_closed_forms_report(cone))
     return reports
+
+
+def _needs_rank_one(name: str) -> dict:
+    """Report of a check that has nothing to state about a rank-0 cone: a
+    rank-0 complex has no differential and no facet to shell."""
+    return {"name": name, "ok": True, "failures": [], "skipped": "needs dimension at least 1"}
 
 
 def _closed_forms_report(cone: Cone) -> dict:

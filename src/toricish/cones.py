@@ -1,25 +1,27 @@
 """Rational polyhedral cones and their face lattices.
 
 A Cone is full-dimensional and strongly convex in a lattice of the stated
-rank, presented by its primitive extreme ray generators.  The face lattice
-carries, for every face, a saturated lattice basis of its span and of its
-annihilator; those two bases drive everything else: quotient cones,
-face-intrinsic cones, and the lattice step vectors between covering faces.
-Every vector here is an integer vector and every computation is in
-integers: the double description, the lattice bases, the Bezout
-coefficients of the step vectors.
+rank, presented by its primitive extreme ray generators.  Its face lattice
+is read off the incidence of rays and facets alone, with no linear algebra.
+Each face computes, on first use, a saturated lattice basis of its span and
+of its annihilator; those two bases drive quotient cones, face-intrinsic
+cones and the lattice step vectors between covering faces, and nothing
+else reads them.  Every vector here is an integer vector and every
+computation is in integers: the double description, the lattice bases, the
+Bezout coefficients of the step vectors.
 
 Cones and face lattices are immutable after construction, apart from the
-memo dict each cone carries; construction itself is deterministic (faces
-are ordered by dimension, then by their sorted ray index sets).  A cone and
-every face cone built below it share one memo dict, so equal face cones
-share their results, and the dict is freed with the cone family.
+memo dict each cone carries and the bases each face computes on first use;
+construction itself is deterministic (faces are ordered by dimension, then
+by their sorted ray index sets).  A cone and every face cone built below it
+share one memo dict, so equal face cones share their results, and the dict
+is freed with the cone family.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -112,10 +114,9 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     if lineality:
         raise ValueError("cone not full-dimensional; quotient out lineality/span first")
 
-    # Every ray is primitive already; the set drops repeats.
-    result = tuple(sorted({
-        r for r, zset in rays if RatMatrix([gens[i] for i in zset], ncols=rank).rank() == rank - 1
-    }))
+    # With the combinatorial adjacency test every ray kept is extreme and no
+    # ray is kept twice.
+    result = tuple(sorted(r for r, _ in rays))
     if not result or RatMatrix(result, ncols=rank).rank() < rank:
         raise ValueError("cone contains a line")
     return result
@@ -156,12 +157,11 @@ class Cone:
         if not prim:
             raise ValueError("cone not full-dimensional; quotient out lineality/span first")
         normals = dual_description(prim, rank)
-        extreme = []
-        for r in prim:
-            support = [h for h in normals if dot(h, r) == 0]
-            if RatMatrix(support, ncols=rank).rank() == rank - 1:
-                extreme.append(r)
-        return cls(rank, tuple(extreme), normals)
+        # A generator is extreme iff no other one vanishes on a strict
+        # superset of its facet normals.
+        zero_sets = [frozenset(j for j, h in enumerate(normals) if dot(h, r) == 0) for r in prim]
+        extreme = tuple(r for r, z in zip(prim, zero_sets) if not any(z < other for other in zero_sets))
+        return cls(rank, extreme, normals)
 
     @classmethod
     def from_dual_rays(cls, generators: Iterable[Sequence[int]], rank: int | None = None) -> "Cone":
@@ -200,34 +200,41 @@ class Cone:
 class Face:
     """A face of a cone, identified by the set of extreme rays lying on it.
 
-    span_lattice is a Z-basis of N intersected with the linear span of the
-    face; perp_lattice is a Z-basis of the annihilator M intersect face^perp.
-    Both are saturated, so they double as exact coordinate systems for
-    face-intrinsic cones and quotient lattices.  ray_set is built on first
-    use and kept; it takes no part in equality.
+    Equality and hashing cover index, dim and rays.  The rest is computed on
+    first use and kept: ray_set; perp_lattice, a Z-basis of the annihilator
+    M intersect face^perp; and span_lattice, a Z-basis of N intersected with
+    the linear span of the face.  Both bases are saturated, so they double as
+    exact coordinate systems for face-intrinsic cones and quotient lattices.
     """
 
     index: int
     dim: int
     rays: tuple[int, ...]
-    span_lattice: tuple[tuple[int, ...], ...]
-    perp_lattice: tuple[tuple[int, ...], ...]
+    cone: Cone = field(compare=False, repr=False)
 
     @functools.cached_property
     def ray_set(self) -> frozenset[int]:
         return frozenset(self.rays)
 
+    @functools.cached_property
+    def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
+        return integer_kernel_basis([self.cone.rays[i] for i in self.rays], self.cone.rank)
+
+    @functools.cached_property
+    def span_lattice(self) -> tuple[tuple[int, ...], ...]:
+        return integer_kernel_basis(self.perp_lattice, self.cone.rank)
+
 
 class FaceLattice:
-    """Graded poset of the faces of a cone, with cover relations."""
+    """Graded poset of the faces of a cone.  children[i] lists the facets of
+    face i and parents[i] the faces it is a facet of, both in index order."""
 
-    __slots__ = ("cone", "faces", "by_dim", "covers", "children", "parents", "_by_rayset")
+    __slots__ = ("cone", "faces", "by_dim", "children", "parents", "_by_rayset")
 
-    def __init__(self, cone, faces, by_dim, covers, children, parents, by_rayset):
+    def __init__(self, cone, faces, by_dim, children, parents, by_rayset):
         self.cone = cone
         self.faces = faces
         self.by_dim = by_dim
-        self.covers = covers
         self.children = children
         self.parents = parents
         self._by_rayset = by_rayset
@@ -251,9 +258,6 @@ class FaceLattice:
         except KeyError:
             raise ValueError(f"no face with ray set {sorted(key)}") from None
 
-    def contains(self, small: Face, big: Face) -> bool:
-        return small.ray_set <= big.ray_set
-
     def facets_of(self, face: Face) -> list[Face]:
         return [self.faces[i] for i in self.children[face.index]]
 
@@ -264,56 +268,43 @@ class FaceLattice:
 
 
 def _build_face_lattice(cone: Cone) -> FaceLattice:
-    n = cone.rank
-    nrays = len(cone.rays)
-    all_rays = frozenset(range(nrays))
+    """The face lattice from the ray-facet incidence alone, top face first.
+
+    The facets of a face F are the maximal sets among F & S other than F,
+    with S running over the facet ray sets.  Candidates are tested largest
+    first, so each is checked only against the maximal sets already kept.
+    One level down from a face is one dimension down, so the level gives
+    the dimension and the facets found are the children.  Faces are then
+    indexed by (dim, sorted rays).
+    """
     facet_sets = [
-        frozenset(i for i in range(nrays) if dot(h, cone.rays[i]) == 0)
+        frozenset(i for i, r in enumerate(cone.rays) if dot(h, r) == 0)
         for h in cone.facet_normals
     ]
-    found = {all_rays}
-    queue = [all_rays]
-    while queue:
-        s = queue.pop()
-        for fs in facet_sets:
-            t = s & fs
-            if t not in found:
-                found.add(t)
-                queue.append(t)
+    found = {}  # ray set -> (dim, ray sets of its facets)
+    level, dim = [frozenset(range(len(cone.rays)))], cone.rank
+    while level:
+        below = set()
+        for face in level:
+            kept = []
+            for cand in sorted({face & s for s in facet_sets} - {face}, key=len, reverse=True):
+                if not any(cand < k for k in kept):
+                    kept.append(cand)
+            found[face] = (dim, kept)
+            below.update(kept)
+        level, dim = below, dim - 1
 
-    def face_data(ray_set):
-        vectors = [cone.rays[i] for i in sorted(ray_set)]
-        perp = integer_kernel_basis(vectors, n)
-        span = integer_kernel_basis(perp, n)
-        return len(span), span, perp
-
-    annotated = []
-    for ray_set in found:
-        dim, span, perp = face_data(ray_set)
-        annotated.append((dim, tuple(sorted(ray_set)), span, perp))
-    annotated.sort(key=lambda t: (t[0], t[1]))
-
-    faces = tuple(
-        Face(index=i, dim=dim, rays=rays, span_lattice=span, perp_lattice=perp)
-        for i, (dim, rays, span, perp) in enumerate(annotated)
-    )
-    by_dim = [[] for _ in range(n + 1)]
-    for f in faces:
-        by_dim[f.dim].append(f.index)
-    by_dim = tuple(tuple(ids) for ids in by_dim)
-
-    covers = []
-    children = {f.index: [] for f in faces}
-    parents = {f.index: [] for f in faces}
-    for lo in faces:
-        for hi_id in by_dim[lo.dim + 1] if lo.dim + 1 <= n else ():
-            hi = faces[hi_id]
-            if lo.ray_set <= hi.ray_set:
-                covers.append((lo.index, hi.index))
-                children[hi.index].append(lo.index)
-                parents[lo.index].append(hi.index)
-    by_rayset = {f.ray_set: f.index for f in faces}
-    return FaceLattice(cone, faces, by_dim, tuple(covers), children, parents, by_rayset)
+    order = sorted((d, tuple(sorted(s)), s) for s, (d, _) in found.items())
+    faces = tuple(Face(i, d, rays, cone) for i, (d, rays, _) in enumerate(order))
+    # Keyed by the faces' own ray sets, so that the lattice holds one per face.
+    index = {f.ray_set: f.index for f in faces}
+    children = [sorted(index[t] for t in found[s][1]) for _, _, s in order]
+    parents = [[] for _ in faces]
+    for hi, ids in enumerate(children):
+        for lo in ids:
+            parents[lo].append(hi)
+    by_dim = tuple(tuple(f.index for f in faces if f.dim == d) for d in range(cone.rank + 1))
+    return FaceLattice(cone, faces, by_dim, children, parents, index)
 
 
 def memoized(fn):

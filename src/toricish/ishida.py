@@ -174,9 +174,6 @@ class ExtTable:
     depth: dict
     lcdef: int
 
-    def class_dim(self, face_id: int, i: int, k: int) -> int:
-        return self.assembled.get((face_id, i, k), 0)
-
 
 @memoized
 def ext_table(cone: Cone) -> ExtTable:

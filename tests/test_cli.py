@@ -121,6 +121,13 @@ class TestHodgeCmd:
         assert res.exit_code == 3
         assert "not simple" in res.output
 
+    def test_rank_zero_exits_3(self, runner, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text('{"lattice_rank": 0, "rays": []}')
+        res = runner.invoke(cli, ["hodge", str(path)])
+        assert res.exit_code == 3
+        assert "dimension at least 1" in res.output
+
 
 class TestShellingCmd:
     def test_quadric(self, runner):
@@ -139,6 +146,19 @@ class TestVerifyCmd:
         names = {c["name"] for c in data["results"][0]["checks"]}
         assert {"d_squared", "dualizing_exactness", "surjectivity", "codim_vanishing",
                 "link_exactness", "shelling", "facet_inequalities", "closed_forms"} <= names
+
+    @pytest.mark.parametrize("suite", ["all", "shelling", "surjectivity"])
+    def test_rank_zero_checks_are_skipped(self, runner, tmp_path, suite):
+        path = tmp_path / "point.json"
+        path.write_text('{"lattice_rank": 0, "rays": []}')
+        res = invoke(runner, "verify", path, "--suite", suite)
+        assert res.exit_code == 0
+        checks = {c["name"]: c for c in json.loads(res.output)["results"][0]["checks"]}
+        for name in {"shelling", "surjectivity"} & set(checks):
+            assert checks[name] == {
+                "name": name, "ok": True, "failures": [], "skipped": "needs dimension at least 1"
+            }
+        assert suite == "all" or set(checks) == {suite}
 
     def test_random_mode_deterministic(self, runner):
         args = ["verify", "--random", "3", "3", "--seed", "7", "--suite", "d2"]

@@ -124,13 +124,64 @@ def test_dual_description_matches_brute_force(case):
         # A full-dimensional cone is pointed exactly when its facet normals span.
         message = "cone contains a line"
     else:
-        assert set(dual_description(gens, rank)) == expected
+        # The exact tuple: a repeated ray would go unseen in a set.
+        assert dual_description(gens, rank) == tuple(sorted(expected))
         cone = Cone.from_rays(nonzero, rank)
         assert Cone.from_dual_rays(cone.facet_normals, rank) == cone
         return
     with pytest.raises(ValueError) as exc:
         dual_description(gens, rank)
     assert str(exc.value) == message
+
+
+@given(st.integers(3, 5), st.integers(0, 10_000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_redundant_generators_are_dropped(dim, seed, data):
+    """Positive integer combinations of 2-3 extreme rays, on faces or inside,
+    shuffled in among the rays, change neither rays nor facet normals."""
+    (cone,) = sample_cones(seed, dim, 1)
+    combo = st.lists(
+        st.tuples(st.integers(0, len(cone.rays) - 1), st.integers(1, 3)),
+        min_size=2, max_size=3, unique_by=lambda t: t[0],
+    )
+    extra = [
+        tuple(sum(c * cone.rays[i][j] for i, c in terms) for j in range(dim))
+        for terms in data.draw(st.lists(combo, min_size=1, max_size=4))
+    ]
+    gens = data.draw(st.permutations(list(cone.rays) + extra))
+    got, expected = Cone.from_rays(gens, dim), Cone.from_rays(cone.rays, dim)
+    assert (got.rays, got.facet_normals) == (expected.rays, expected.facet_normals)
+
+
+def assert_face_lattice_oracle(cone):
+    """Faces, dimensions, order, children and parents against an oracle that
+    knows only that the faces are the intersections of facets and that a
+    face's dimension is the rank of its rays."""
+    fl = cone.face_lattice()
+    closure = {frozenset(range(len(cone.rays)))}
+    for h in cone.facet_normals:
+        facet = frozenset(i for i, r in enumerate(cone.rays) if dot(h, r) == 0)
+        closure |= {facet & t for t in closure}
+    assert {f.ray_set for f in fl.faces} == closure
+    assert [f.index for f in fl.faces] == list(range(len(fl.faces)))
+    assert [(f.dim, f.rays) for f in fl.faces] == sorted((f.dim, f.rays) for f in fl.faces)
+    for f in fl.faces:
+        vecs = [cone.rays[i] for i in f.rays]
+        assert f.dim == (RatMatrix(vecs, ncols=cone.rank).rank() if vecs else 0)
+        assert list(fl.children[f.index]) == [
+            g.index for g in fl.faces if g.dim == f.dim - 1 and g.ray_set < f.ray_set
+        ]
+        assert list(fl.parents[f.index]) == [
+            g.index for g in fl.faces if f.index in fl.children[g.index]
+        ]
+
+
+@given(st.integers(3, 5), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_face_lattice_oracle_on_random_cones(dim, seed):
+    (cone,) = sample_cones(seed, dim, 1)
+    assert_face_lattice_oracle(cone)
+    assert_face_lattice_oracle(cone.dual())
 
 
 class TestFaceLattice:
@@ -143,12 +194,22 @@ class TestFaceLattice:
     def test_binomial_f_vector(self, binomial_cone):
         assert binomial_cone.f_vector == (1, 9, 18, 15, 6, 1)
 
-    def test_against_brute_force(self, quadric_cone, octahedron_cone):
-        for cone in (quadric_cone, octahedron_cone):
+    def test_against_brute_force(self, full_corpus):
+        for cone in full_corpus:
             expected = brute_force_faces(cone)
             fl = cone.face_lattice()
             got = {f.ray_set: f.dim for f in fl.faces}
             assert got == expected
+            assert_face_lattice_oracle(cone)
+            assert_face_lattice_oracle(cone.dual())
+
+    def test_bases_computed_on_first_use(self, cube_cone):
+        # Fresh cones: the session fixture's faces may have built theirs.
+        fl = Cone.from_rays(cube_cone.rays).face_lattice()
+        twin = Cone.from_rays(cube_cone.rays).face_lattice()
+        # equal and hashed alike from index, dim and rays alone
+        assert set(fl.faces) == set(twin.faces) and len(set(fl.faces)) == len(fl.faces)
+        assert not any({"perp_lattice", "span_lattice"} & vars(f).keys() for f in fl.faces)
 
     def test_dual_reverses_f_vector(self, named_corpus):
         for cone in named_corpus:
@@ -271,17 +332,18 @@ class TestNormalStep:
     def test_annihilates_perp_and_sign(self, full_corpus):
         for cone in full_corpus:
             fl = cone.face_lattice()
-            for lo, hi in fl.covers:
-                mu, tau = fl.faces[lo], fl.faces[hi]
-                n = normal_step_vector(fl, mu, tau)
-                for u in tau.perp_lattice:
-                    assert dot(u, n) == 0
-                # sample in the relative interior of the dual face of mu
-                u0 = [0] * cone.rank
-                for h in cone.facet_normals:
-                    if all(dot(h, cone.rays[i]) == 0 for i in mu.rays):
-                        u0 = [a + b for a, b in zip(u0, h)]
-                assert dot(u0, n) > 0
+            for hi, ids in enumerate(fl.children):
+                for lo in ids:
+                    mu, tau = fl.faces[lo], fl.faces[hi]
+                    n = normal_step_vector(fl, mu, tau)
+                    for u in tau.perp_lattice:
+                        assert dot(u, n) == 0
+                    # sample in the relative interior of the dual face of mu
+                    u0 = [0] * cone.rank
+                    for h in cone.facet_normals:
+                        if all(dot(h, cone.rays[i]) == 0 for i in mu.rays):
+                            u0 = [a + b for a, b in zip(u0, h)]
+                    assert dot(u0, n) > 0
 
     def test_step_generates_the_quotient(self, full_corpus):
         # The span lattice of mu plus the step is a basis of the span lattice
@@ -289,11 +351,12 @@ class TestNormalStep:
         # cannot tell the step from a multiple of it; this can.
         for cone in full_corpus:
             fl = cone.face_lattice()
-            for lo, hi in fl.covers:
-                mu, tau = fl.faces[lo], fl.faces[hi]
-                n = normal_step_vector(fl, mu, tau)
-                coords = lattice_coordinates(tau.span_lattice, mu.span_lattice + (n,), cone.rank)
-                assert abs(_det([list(c) for c in coords])) == 1
+            for hi, ids in enumerate(fl.children):
+                for lo in ids:
+                    mu, tau = fl.faces[lo], fl.faces[hi]
+                    n = normal_step_vector(fl, mu, tau)
+                    coords = lattice_coordinates(tau.span_lattice, mu.span_lattice + (n,), cone.rank)
+                    assert abs(_det([list(c) for c in coords])) == 1
 
     def test_non_cover_raises(self, quadric_cone):
         fl = quadric_cone.face_lattice()
