@@ -17,13 +17,13 @@ from .cones import (
     Face,
     FaceLattice,
     cone_over_polytope,
+    cover_pairings,
     dual_description,
     face_cone,
     is_cone_over_simple,
     is_cone_over_simplicial,
     is_simple_in_dim,
     is_simplicial,
-    normal_step_vector,
     quotient_cone,
 )
 from .decomposition import (

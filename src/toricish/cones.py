@@ -5,10 +5,10 @@ rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, with no linear algebra.
 Each face computes, on first use, a saturated lattice basis of its span and
 of its annihilator; those two bases drive quotient cones, face-intrinsic
-cones and the lattice step vectors between covering faces, and nothing
-else reads them.  Every vector here is an integer vector and every
-computation is in integers: the double description, the lattice bases, the
-Bezout coefficients of the step vectors.
+cones and the pairings of the annihilator with the lattice step between
+covering faces (cover_pairings, read off a ray), and nothing else reads
+them.  Every vector here is an integer vector and every computation is in
+integers: the double description, the lattice bases, the pairings.
 
 Cones and face lattices are immutable after construction, apart from the
 memo dict each cone carries and the bases each face computes on first use;
@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     RatMatrix,
-    _integer_right_inverse,
     dot,
     integer_kernel_basis,
     lattice_coordinates,
@@ -386,32 +385,21 @@ def is_cone_over_simplicial(cone: Cone) -> bool:
     )
 
 
-def normal_step_vector(fl: FaceLattice, mu: Face, tau: Face) -> tuple[int, ...]:
-    """Integer vector in the span of tau whose class generates the image ray
-    of tau in N / (N intersect <mu>), oriented to pair nonnegatively with the
-    dual face of mu.
+def cover_pairings(mu: Face, tau: Face) -> tuple[int, ...]:
+    """Values <v, step> over the basis v of perp(mu) for the lattice step of
+    the cover pair mu < tau: an integer vector in the span of tau whose class
+    generates the image ray of tau in N / (N intersect <mu>), oriented to
+    pair nonnegatively with the dual face of mu.
 
-    Any two valid outputs differ by an element of <mu> intersect N, and all
-    contraction matrices built from them coincide.
+    They are read off any ray r of tau outside mu.  The pairing with perp(mu)
+    is an exact coordinate system for that quotient, as perp(mu) is
+    saturated, so the values <v, r> are g times those of the generator, with
+    g their gcd and the same sign.
     """
     if tau.dim != mu.dim + 1 or not mu.ray_set <= tau.ray_set:
         raise ValueError("faces do not form a cover pair")
-    cone = fl.cone
-    if mu.dim == 0:
-        return cone.rays[tau.rays[0]]
-    proj = mu.perp_lattice
-    images = [tuple(dot(u, b) for u in proj) for b in tau.span_lattice]
-    g0 = primitive_vector(next(v for v in images if any(v)))
-    j0 = next(j for j, x in enumerate(g0) if x)
-    factors = [v[j0] // g0[j0] for v in images]
-    if any(tuple(c * x for x in g0) != v for c, v in zip(factors, images)):
-        raise ValueError("projected span is not one-dimensional")
-    # Bezout coefficients of the factors: the right inverse of the 1 x k
-    # matrix (factors), which exists exactly when their gcd is 1.
-    coeffs = _integer_right_inverse([factors], len(factors))
-    ray = cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
-    sign = -1 if dot(proj[j0], ray) * g0[j0] < 0 else 1
-    return tuple(sign * dot(coeffs, col) for col in zip(*tau.span_lattice))
+    ray = mu.cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
+    return primitive_vector([dot(v, ray) for v in mu.perp_lattice])
 
 
 def cone_over_polytope(vertices: Sequence[Sequence[int]]) -> Cone:

@@ -5,11 +5,15 @@ differentials, depth, and the local cohomological defect.
 For a full-dimensional cone of rank n and 0 <= l <= n, the degree-zero
 complex has, in cohomological degree i, one block per i-dimensional face mu,
 namely the (l - i)-th wedge power of the annihilator of mu; the differential
-is contraction in the first slot by the lattice step vector of each cover
-pair.  Graded pieces of the sheaf-level complex are never materialized per
-lattice point: all points in the relative interior class of a face give the
-same complex, assembled from the face-intrinsic one by tensoring with wedge
-powers of the face's annihilator.
+is contraction in the first slot by the lattice step of each cover pair,
+given by its pairings with the annihilator's basis (cones.cover_pairings).
+Each block is built once per wedge degree, written as sparse rows straight
+into the differential.  The complex over the faces containing a face mu is
+sliced out of the degree-zero complex: those faces form an up-set, so their
+blocks form a subcomplex.  Graded pieces of the sheaf-level complex are
+never materialized per lattice point: all points in the relative interior
+class of a face give the same complex, assembled from the face-intrinsic one
+by tensoring with wedge powers of the face's annihilator.
 
 All functions are pure.  Results are memoized in the memo dict of the
 cone's family (cones.memoized): a cone and all face cones built below it
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Face, face_cone, is_simple_in_dim, memoized, normal_step_vector
+from .cones import Cone, Face, cover_pairings, face_cone, is_simple_in_dim, memoized
 from .linalg import RatMatrix, WedgeBasis, interior_product_matrix
 
 
@@ -51,52 +55,39 @@ class IshidaComplex:
 
 
 @memoized
-def _cover_step(cone: Cone, mid: int, tid: int) -> tuple[int, ...]:
-    fl = cone.face_lattice()
-    return normal_step_vector(fl, fl.faces[mid], fl.faces[tid])
-
-
-def _assemble(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
-    """The complex over the faces containing mu, from the block of mu
-    (slot 0) up to the faces of dimension `degree`."""
+def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
+    """The degree-zero complex at wedge degree `degree`, over every face of
+    dimension at most `degree`."""
+    if not 0 <= degree <= cone.rank:
+        raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
     n = cone.rank
     fl = cone.face_lattice()
-    term_faces, bases = [], []
-    for d in range(mu.dim, degree + 1):
-        ids = tuple(fid for fid in fl.by_dim[d] if mu.ray_set <= fl.faces[fid].ray_set)
-        term_faces.append(ids)
-        bases.append({fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, cone.memo) for fid in ids})
+    term_faces = fl.by_dim[: degree + 1]
+    bases = [
+        {fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, cone.memo) for fid in ids}
+        for d, ids in enumerate(term_faces)
+    ]
     term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
     diffs = []
-    for s in range(len(term_faces) - 1):
+    for s in range(degree):
         col_off, off = {}, 0
         for fid in term_faces[s]:
             col_off[fid] = off
             off += bases[s][fid].dim
-        rows = [[0] * term_dims[s] for _ in range(term_dims[s + 1])]
-        r0 = 0
+        rows = []
         for tid in term_faces[s + 1]:
             tbasis = bases[s + 1][tid]
+            block_rows = [[] for _ in range(tbasis.dim)]
+            # Children come in index order, so every row stays sorted.
             for mid in fl.children[tid]:
-                if mid not in col_off:
-                    continue
-                block = interior_product_matrix(bases[s][mid], tbasis, _cover_step(cone, mid, tid))
+                pairings = cover_pairings(fl.faces[mid], fl.faces[tid])
+                block = interior_product_matrix(bases[s][mid], tbasis, pairings)
                 c0 = col_off[mid]
-                for a, brow in enumerate(block.rows):
-                    target = rows[r0 + a]
-                    for b, x in enumerate(brow):
-                        if x:
-                            target[c0 + b] = x
-            r0 += tbasis.dim
-        diffs.append(RatMatrix(rows, ncols=term_dims[s]))
-    return IshidaComplex(cone, degree, tuple(term_faces), term_dims, tuple(diffs))
-
-
-@memoized
-def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
-    if not 0 <= degree <= cone.rank:
-        raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
-    return _assemble(cone, cone.face_lattice().apex, degree)
+                for row, brow in zip(block_rows, block.rows):
+                    row.extend((c0 + j, x) for j, x in brow)
+            rows.extend(map(tuple, block_rows))
+        diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
+    return IshidaComplex(cone, degree, term_faces, term_dims, tuple(diffs))
 
 
 def cohomology_dims(cx: IshidaComplex) -> tuple[int, ...]:
@@ -301,12 +292,42 @@ def facet_inequalities_report(cone: Cone) -> dict:
     return {"name": "facet_inequalities", "ok": not failures, "failures": failures}
 
 
+def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
+    """The subcomplex of ishida_complex(cone, degree) over the faces
+    containing mu, from the block of mu (slot 0) up to the faces of
+    dimension `degree`.
+
+    Those faces form an up-set, so the differential maps their blocks into
+    their blocks: slot s keeps the rows and columns of the faces of
+    dimension dim(mu) + s that contain mu, in their order.
+    """
+    if not mu.dim <= degree <= cone.rank:
+        raise ValueError("degree out of range for the face")
+    full = ishida_complex(cone, degree)
+    faces = cone.face_lattice().faces
+    term_faces, kept = [], []
+    for d in range(mu.dim, degree + 1):
+        width = math.comb(cone.rank - d, degree - d)
+        ids, idx = [], []
+        for j, fid in enumerate(full.term_faces[d]):
+            if mu.ray_set <= faces[fid].ray_set:
+                ids.append(fid)
+                idx.extend(range(j * width, (j + 1) * width))
+        term_faces.append(tuple(ids))
+        kept.append(idx)
+    diffs = []
+    for s in range(len(kept) - 1):
+        new_col = {c: i for i, c in enumerate(kept[s])}
+        rows = full.differentials[mu.dim + s].rows
+        sliced = tuple(tuple((new_col[c], x) for c, x in rows[r] if c in new_col) for r in kept[s + 1])
+        diffs.append(RatMatrix.from_sparse(sliced, len(kept[s])))
+    return IshidaComplex(cone, degree, tuple(term_faces), tuple(map(len, kept)), tuple(diffs))
+
+
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:
     """Cohomology of the subcomplex over the faces containing mu, running
     from the block of mu (slot 0) up to wedge degree `degree`."""
-    if not mu.dim <= degree <= cone.rank:
-        raise ValueError("degree out of range for the face")
-    return cohomology_dims(_assemble(cone, mu, degree))
+    return cohomology_dims(link_complex(cone, mu, degree))
 
 
 def verify_link_exactness(cone: Cone, mu: Face) -> CheckReport:

@@ -2,19 +2,24 @@
 
 Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout and in integers:
-never floats.  Lattice work (kernels, lattice coordinates, right inverses,
-Bezout coefficients) and the contraction blocks are read off one
-column-Hermite reduction.  Ranks are eliminated modulo a Mersenne prime that
-a Hadamard bound proves large enough to give the rank over Q
-(RatMatrix.rank).  Fractions are read only where rational input is
-accepted, and cleared at once: primitive_vector, and RatMatrix.rank.
-All functions are pure and all returned objects immutable, apart from the
-memo dict that callers may hand to WedgeBasis (the complexes hand over the
-memo dict of the cone's family, cones.Cone.memo).
+never floats.  Lattice work (kernels, lattice coordinates, right inverses)
+and the contraction blocks are read off one column-Hermite reduction.  A
+contraction block takes the values of its functional on the source basis
+(the pairings of a cover pair, cones.cover_pairings) and is written as
+sparse rows, which the complexes offset straight into their differentials.
+Matrices are stored as sparse rows throughout (RatMatrix); ranks are
+eliminated modulo a Mersenne prime that a Hadamard bound proves large
+enough to give the rank over Q (RatMatrix.rank).  Fractions are read only
+where rational input is accepted, and cleared at once: primitive_vector,
+and RatMatrix.rank.  All functions are pure and all returned objects
+immutable, apart from the memo dict that callers may hand to WedgeBasis
+(the complexes hand over the memo dict of the cone's family,
+cones.Cone.memo).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -102,7 +107,11 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
 
 
 class RatMatrix:
-    """Immutable exact matrix.
+    """Immutable exact matrix, stored as sparse rows.
+
+    `rows` holds, per row, a tuple of (column, value) pairs in increasing
+    column order, with no zero value.  The constructor takes dense rows;
+    from_sparse takes rows already in that form and trusts them.
 
     rank() is the rank over Q: sparse elimination of the integer rows
     modulo a Mersenne prime p (_rank_mod).  The rank modulo p never exceeds
@@ -114,7 +123,7 @@ class RatMatrix:
     __slots__ = ("rows", "nrows", "ncols", "_rank")
 
     def __init__(self, rows, ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -124,29 +133,35 @@ class RatMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        self.rows = rows
+        self.rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
         self.nrows = len(rows)
         self.ncols = ncols
         self._rank: int | None = None
 
+    @classmethod
+    def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int) -> "RatMatrix":
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols, m._rank = rows, len(rows), ncols, None
+        return m
+
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return all(not x for row in self.rows for _, x in row)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
         out = []
         for row in self.rows:
-            if cols:
-                out.append(tuple(dot(row, c) for c in cols))
-            else:
-                out.append((0,) * other.ncols)
-        return RatMatrix(out, ncols=other.ncols)
+            acc: dict[int, int] = {}
+            for j, x in row:
+                for c, y in other.rows[j]:
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append(tuple((c, acc[c]) for c in sorted(acc) if acc[c]))
+        return RatMatrix.from_sparse(tuple(out), other.ncols)
 
     def rank(self) -> int:
         if self._rank is None:
-            rows = [d for d in ({j: x for j, x in enumerate(r) if x} for r in self.rows) if d]
+            rows = [dict(r) for r in self.rows if r]
             if any(type(x) is not int for d in rows for x in d.values()):
                 # Scale each row by the lcm of its denominators.
                 dens = [math.lcm(*(Fraction(x).denominator for x in d.values())) for d in rows]
@@ -201,21 +216,37 @@ def lattice_coordinates(
 ) -> tuple[tuple[int, ...], ...]:
     """Integer coordinates of each vector in a lattice basis given as rows.
 
-    One column-Hermite reduction of the basis, then a triangular solve per
-    vector.  Raises ValueError when the basis rows are dependent or a vector
-    lies outside their span or outside the lattice they generate.
+    One column-Hermite reduction of the basis (_coordinate_solver), then a
+    triangular solve per vector (_solve_coordinates).  Raises ValueError
+    when the basis rows are dependent or a vector lies outside their span or
+    outside the lattice they generate.
     """
+    return _solve_coordinates(_coordinate_solver(basis, ambient), vectors)
+
+
+def _coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple]:
+    """(h, u) from the column-Hermite reduction basis . u == [h | 0] of p
+    independent basis rows: h[j] holds entries j..p-1 of the lower
+    triangular column j of h, pivot first, and u the columns of u."""
     cols, p = _column_echelon(basis, ambient)
     if p != len(basis):
         raise ValueError("basis rows are linearly dependent")
+    return tuple(tuple(c[j:p]) for j, c in enumerate(cols[:p])), tuple(tuple(c[p:]) for c in cols)
+
+
+def _solve_coordinates(solver: tuple[tuple, tuple], vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Coordinates x with x . basis == v for each v: y = v . u, then
+    x . h == y[:p], which needs y[p:] == 0 and an exact division."""
+    h, u = solver
+    p = len(h)
     out = []
     for v in vectors:
-        y = [dot(v, c[p:]) for c in cols]
+        y = [dot(v, c) for c in u]
         if any(y[p:]):
             raise ValueError("vector outside the span of the basis")
         x = [0] * p
         for j in reversed(range(p)):
-            x[j], rem = divmod(y[j] - sum(x[i] * cols[j][i] for i in range(j + 1, p)), cols[j][j])
+            x[j], rem = divmod(y[j] - sum(x[i] * h[j][i - j] for i in range(j + 1, p)), h[j][0])
             if rem:
                 raise ValueError("vector not in the lattice generated by the basis")
         out.append(tuple(x))
@@ -280,9 +311,10 @@ class WedgeBasis:
     k-element subsets of the row indices in lexicographic order, with the
     standard sign convention (sorting transpositions contribute -1 each).
 
-    `memo`, when given, is a dict in which interior_product_matrix keeps the
-    integer right inverse of each (source, target) subspace pair and its
-    wedge powers, so that the blocks of every wedge degree share them.  The
+    `memo`, when given, is a dict in which interior_product_matrix keeps,
+    for each (source, target) subspace pair, the target's coordinates in
+    the source basis, the integer right inverse and its wedge powers, so
+    that the blocks of every wedge degree share them.  The
     complexes pass the memo dict of the cone's family (Cone.memo), which is
     freed with the cone and its face cones; its keys are the subspace bases
     themselves, so the face cones of one family can share it.
@@ -300,6 +332,12 @@ class WedgeBasis:
             if len(v) != self.ambient:
                 raise ValueError("vector length does not match ambient dimension")
 
+    @functools.cached_property
+    def coordinate_solver(self) -> tuple[tuple, tuple]:
+        """_coordinate_solver of the basis vectors, computed on first use, so
+        that the blocks from this basis to each of its targets share it."""
+        return _coordinate_solver(self.vectors, self.ambient)
+
     @property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
         return _ksubsets(len(self.vectors), self.degree)
@@ -309,22 +347,28 @@ class WedgeBasis:
         return len(self.subsets)
 
 
-def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step: Sequence[int]) -> RatMatrix:
-    """Matrix of contraction in the first slot by the pairing with `step`,
-    from wedge degree k of the source subspace V to degree k-1 of the target
-    W, as an integer matrix.
+def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, pairings: Sequence[int]) -> RatMatrix:
+    """Matrix of contraction in the first slot by a functional on the source
+    subspace V, from wedge degree k of V to degree k-1 of the target W, as
+    an integer matrix in sparse rows.
 
-    Well defined only when W lies in the part of V that `step` annihilates:
-    every target basis vector must pair to zero with `step`, and the
+    The functional is given by its values `pairings` on the basis of V.  The
+    blocks of the complexes have V = perp(mu) and W = perp(tau) for a cover
+    pair mu < tau, and pair with the lattice step from mu to tau
+    (cones.cover_pairings).  A caller holding a step vector s passes
+    [dot(v, s) for v in source.vectors].
+
+    Well defined only when W lies in the part of V that the functional
+    annihilates: it must vanish on every target basis vector, which is
+    checked from the target's coordinates in the source basis, and the
     contracted image must land in the span of the target wedges (otherwise
-    the face pair is wrong and a ValueError is raised).  The blocks of the
-    complexes have V = perp(mu) and W = perp(tau) for a cover pair mu < tau.
+    the face pair is wrong and a ValueError is raised).
 
     The block is computed relative to V, in integers.  With A the
     coordinates of W's basis in V's basis, a right inverse B (A . B == I)
     maps V onto W and fixes W, so the wedge powers of B turn the contracted
     image into target coordinates: column S is
-    sum_pos (-1)^pos <v_S[pos], step> (row S minus S[pos] of wedge^(k-1) B).
+    sum_pos (-1)^pos pairings[S[pos]] (row S minus S[pos] of wedge^(k-1) B).
     B is integral because W is saturated in V, as perp(tau) is in perp(mu);
     an unsaturated W raises ValueError.
     """
@@ -332,28 +376,32 @@ def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step: Sequen
         raise ValueError("target degree must be one below the source degree")
     if source.ambient != target.ambient:
         raise ValueError("mismatched ambient dimensions")
-    if any(dot(u, step) for u in target.vectors):
-        raise ValueError("step vector must annihilate the target subspace")
     k, p, t = source.degree, len(source.vectors), len(target.vectors)
-    pairings = [dot(v, step) for v in source.vectors]
+    if len(pairings) != p:
+        raise ValueError("need one pairing per source basis vector")
     memo = {} if source.memo is None else source.memo
     key = (source.vectors, target.vectors)
-    powers = memo.get(key)  # (wedge^1 B, wedge^2 B, ...), extended on demand
-    if powers is None:
-        a = lattice_coordinates(source.vectors, target.vectors, source.ambient)
-        powers = (_integer_right_inverse(a, p),)
-    # If step is nonzero on V, the image is wedge^(k-1) of the part of V that
-    # step annihilates, which lies in wedge^(k-1) W only when W is all of it.
+    entry = memo.get(key)  # (A flat, wedge^1 B, wedge^2 B, ...), extended on demand
+    if entry is None:
+        coords = _solve_coordinates(source.coordinate_solver, target.vectors)
+        entry = (tuple(x for row in coords for x in row),)
+    a = [entry[0][i * p:(i + 1) * p] for i in range(t)]
+    if any(dot(row, pairings) for row in a):
+        raise ValueError("functional must annihilate the target subspace")
+    powers = entry[1:] or (_integer_right_inverse(a, p),)
+    # If the functional is nonzero on V, the image is wedge^(k-1) of the part
+    # of V that it annihilates, which lies in wedge^(k-1) W only when W is
+    # all of it.
     if 2 <= k <= p and t != p - 1 and any(pairings):
         raise ValueError("target subspace does not contain image")
     while len(powers) < k - 1:
         powers += (_wedge_power(powers[0], p, t, powers[-1], len(powers) + 1),)
-    memo[key] = powers
+    memo[key] = entry[:1] + powers
     wedge = powers[k - 2] if k > 1 else (1,)
     width = target.dim
     row_of = {s: i * width for i, s in enumerate(_ksubsets(p, k - 1))}
-    columns = []
-    for sub in source.subsets:
+    rows = [[] for _ in range(width)]
+    for j, sub in enumerate(source.subsets):
         col = [0] * width
         for pos, i in enumerate(sub):
             c = -pairings[i] if pos % 2 else pairings[i]
@@ -361,6 +409,7 @@ def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step: Sequen
                 base = row_of[sub[:pos] + sub[pos + 1:]]
                 for slot in range(width):
                     col[slot] += c * wedge[base + slot]
-        columns.append(col)
-    rows = [tuple(col[i] for col in columns) for i in range(width)]
-    return RatMatrix(rows, ncols=source.dim)
+        for slot, x in enumerate(col):
+            if x:
+                rows[slot].append((j, x))
+    return RatMatrix.from_sparse(tuple(map(tuple, rows)), source.dim)

@@ -10,6 +10,13 @@ toricish.linalg.interior_product_matrix.
 bareiss_rank (fraction-free elimination over Z) is the oracle for
 RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
 kernel by Gauss-Jordan elimination.
+
+normal_step_vector builds the lattice step of a cover pair from the span
+lattice of the larger face and Bezout coefficients: the oracle for
+cones.cover_pairings, which reads the step's pairings off a ray.
+assemble_over_up_set builds the complex over the faces containing a face
+on its own, block by block from those steps: the oracle for
+ishida.link_complex, which slices it out of ishida_complex.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from toricish.linalg import RatMatrix, WedgeBasis, dot
+from toricish.ishida import IshidaComplex
+from toricish.linalg import RatMatrix, WedgeBasis, dot, interior_product_matrix, primitive_vector
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -177,7 +185,7 @@ def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step
         raise ValueError("target degree must be one below the source degree")
     for u in target.vectors:
         if dot(u, step) != 0:
-            raise ValueError("step vector must annihilate the target subspace")
+            raise ValueError("functional must annihilate the target subspace")
     amb = source.ambient
     height = len(list(itertools.combinations(range(amb), source.degree - 1)))
     target_cols = [
@@ -201,3 +209,97 @@ def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step
         columns.append(coeffs)
     rows = [tuple(col[i] for col in columns) for i in range(target.dim)]
     return RatMatrix(rows, ncols=source.dim)
+
+
+def dense(m: RatMatrix) -> tuple[tuple, ...]:
+    """The sparse rows of m written out in full."""
+    out = []
+    for row in m.rows:
+        full = [0] * m.ncols
+        for j, x in row:
+            full[j] = x
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def _bezout(values: Sequence[int]) -> tuple[int, list[int]]:
+    """(g, c) with g = gcd(values) >= 0 and sum c_i values_i == g."""
+    g, coeffs = 0, []
+    for v in values:
+        # extended Euclid on (g, v): x g + y v == d
+        r0, r1, x0, x1, y0, y1 = g, v, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+        if r0 < 0:
+            r0, x0, y0 = -r0, -x0, -y0
+        g, coeffs = r0, [x0 * c for c in coeffs] + [y0]
+    return g, coeffs
+
+
+def normal_step_vector(fl, mu, tau) -> tuple[int, ...]:
+    """Integer vector in the span of tau whose class generates the image ray
+    of tau in N / (N intersect <mu>), oriented to pair nonnegatively with the
+    dual face of mu.
+
+    The span lattice of tau projects (by pairing with perp(mu)) onto
+    multiples c_i g0 of one primitive vector g0; Bezout coefficients of the
+    c_i combine the span basis into a preimage of g0.  Any two valid outputs
+    differ by an element of <mu> intersect N.
+    """
+    if tau.dim != mu.dim + 1 or not mu.ray_set <= tau.ray_set:
+        raise ValueError("faces do not form a cover pair")
+    cone = fl.cone
+    if mu.dim == 0:
+        return cone.rays[tau.rays[0]]
+    proj = mu.perp_lattice
+    images = [tuple(dot(u, b) for u in proj) for b in tau.span_lattice]
+    g0 = primitive_vector(next(v for v in images if any(v)))
+    j0 = next(j for j, x in enumerate(g0) if x)
+    factors = [v[j0] // g0[j0] for v in images]
+    if any(tuple(c * x for x in g0) != v for c, v in zip(factors, images)):
+        raise ValueError("projected span is not one-dimensional")
+    g, coeffs = _bezout(factors)
+    if g != 1:
+        raise ValueError("projected span lattice is not generated by its primitive vector")
+    ray = cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
+    sign = -1 if dot(proj[j0], ray) * g0[j0] < 0 else 1
+    return tuple(sign * dot(coeffs, col) for col in zip(*tau.span_lattice))
+
+
+def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
+    """The complex over the faces containing mu, from the block of mu (slot
+    0) up to the faces of dimension `degree`, assembled on its own: dense
+    rows, one block per cover pair from interior_product_matrix with the
+    pairings of normal_step_vector, and a memo of its own."""
+    n = cone.rank
+    fl = cone.face_lattice()
+    memo: dict = {}
+    term_faces, bases = [], []
+    for d in range(mu.dim, degree + 1):
+        ids = tuple(fid for fid in fl.by_dim[d] if mu.ray_set <= fl.faces[fid].ray_set)
+        term_faces.append(ids)
+        bases.append({fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, memo) for fid in ids})
+    term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
+    diffs = []
+    for s in range(len(term_faces) - 1):
+        col_off, off = {}, 0
+        for fid in term_faces[s]:
+            col_off[fid] = off
+            off += bases[s][fid].dim
+        rows = [[0] * term_dims[s] for _ in range(term_dims[s + 1])]
+        r0 = 0
+        for tid in term_faces[s + 1]:
+            tbasis = bases[s + 1][tid]
+            for mid in fl.children[tid]:
+                if mid not in col_off:
+                    continue
+                src = bases[s][mid]
+                step = normal_step_vector(fl, fl.faces[mid], fl.faces[tid])
+                block = interior_product_matrix(src, tbasis, [dot(v, step) for v in src.vectors])
+                c0 = col_off[mid]
+                for a, brow in enumerate(dense(block)):
+                    rows[r0 + a][c0:c0 + len(brow)] = brow
+            r0 += tbasis.dim
+        diffs.append(RatMatrix(rows, ncols=term_dims[s]))
+    return IshidaComplex(cone, degree, tuple(term_faces), term_dims, tuple(diffs))

@@ -3,17 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import _det, kernel_basis
+from ambient_reference import _det, kernel_basis, normal_step_vector
 from toricish.cones import (
     Cone,
     cone_over_polytope,
+    cover_pairings,
     dual_description,
     face_cone,
     is_cone_over_simple,
     is_cone_over_simplicial,
     is_simple_in_dim,
     is_simplicial,
-    normal_step_vector,
     quotient_cone,
 )
 from toricish.linalg import RatMatrix, dot, lattice_coordinates, primitive_vector
@@ -32,7 +32,7 @@ def brute_force_facet_normals(rays, rank):
         m = RatMatrix(subset, ncols=rank)
         if m.rank() != rank - 1:
             continue
-        (kernel_vec,) = kernel_basis(m.rows, rank)
+        (kernel_vec,) = kernel_basis(subset, rank)
         h = primitive_vector(kernel_vec)
         for cand in (h, tuple(-x for x in h)):
             if all(dot(cand, r) >= 0 for r in rays):
@@ -361,7 +361,20 @@ class TestNormalStep:
     def test_non_cover_raises(self, quadric_cone):
         fl = quadric_cone.face_lattice()
         with pytest.raises(ValueError, match="cover"):
-            normal_step_vector(fl, fl.apex, fl.top)
+            cover_pairings(fl.apex, fl.top)
+
+    def test_cover_pairings_are_the_step_pairings(self, full_corpus):
+        # Read off a ray, they equal the pairings of perp(mu) with the step
+        # built from the span lattice of tau and Bezout coefficients: every
+        # cover pair of every face cone of the corpus cones and their duals.
+        for cone in full_corpus + [c.dual() for c in full_corpus]:
+            for face in cone.face_lattice().faces:
+                fl = face_cone(cone, face).face_lattice()
+                for hi, ids in enumerate(fl.children):
+                    for lo in ids:
+                        mu, tau = fl.faces[lo], fl.faces[hi]
+                        step = normal_step_vector(fl, mu, tau)
+                        assert cover_pairings(mu, tau) == tuple(dot(v, step) for v in mu.perp_lattice)
 
 
 class TestHomogenize:

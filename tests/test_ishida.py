@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toricish.cones import face_cone, is_simplicial, normal_step_vector, quotient_cone
+from ambient_reference import assemble_over_up_set, dense, normal_step_vector
+from toricish.cones import cover_pairings, face_cone, is_simplicial, quotient_cone
 from toricish.ishida import (
     IshidaComplex,
     cohomology_dims,
@@ -11,6 +13,7 @@ from toricish.ishida import (
     graded_class_cohomology,
     ishida_complex,
     lcdef,
+    link_complex,
     link_complex_cohomology,
     verify_codim_vanishing,
     verify_d_squared,
@@ -18,7 +21,8 @@ from toricish.ishida import (
     verify_link_exactness,
     verify_surjectivity,
 )
-from toricish.linalg import RatMatrix, WedgeBasis, interior_product_matrix
+from toricish.linalg import RatMatrix, WedgeBasis, dot, interior_product_matrix
+from toricish.sampling import sample_cones
 
 
 class TestBuild:
@@ -81,31 +85,25 @@ class TestDSquared:
                 first = interior_product_matrix(
                     WedgeBasis(mu.perp_lattice, l - mu.dim, n),
                     WedgeBasis(lam.perp_lattice, l - lam.dim, n),
-                    normal_step_vector(fl, mu, lam),
+                    cover_pairings(mu, lam),
                 )
                 second = interior_product_matrix(
                     WedgeBasis(lam.perp_lattice, l - lam.dim, n),
                     WedgeBasis(nu.perp_lattice, l - nu.dim, n),
-                    normal_step_vector(fl, lam, nu),
+                    cover_pairings(lam, nu),
                 )
-                comp = second.matmul(first)
+                comp = dense(second.matmul(first))
                 if total is None:
                     total = comp
                 else:
-                    total = RatMatrix(
-                        [
-                            tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(total.rows, comp.rows)
-                        ],
-                        ncols=comp.ncols,
-                    )
-            assert total.is_zero()
+                    total = [tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, comp)]
+            assert not any(any(row) for row in total)
 
     def test_corrupted_differential_fails(self, quadric_cone):
         # negative control: flipping one entry of a differential must break
         # the complex property
         cx = ishida_complex(quadric_cone, 3)
-        rows = [list(r) for r in cx.differentials[0].rows]
+        rows = [list(r) for r in dense(cx.differentials[0])]
         rows[0][0] += 1
         bad = IshidaComplex(
             cx.cone,
@@ -115,6 +113,47 @@ class TestDSquared:
             (RatMatrix(rows), *cx.differentials[1:]),
         )
         assert not bad.d_squared_is_zero()
+
+
+def assert_euler_identity(cone):
+    """Every complex of the cone, link complexes included, has consistent
+    shapes, no negative cohomology, and sum (-1)^s term_dims[s] equal to
+    sum (-1)^s h^s."""
+    fl = cone.face_lattice()
+    complexes = [ishida_complex(cone, l) for l in range(cone.rank + 1)]
+    complexes += [link_complex(cone, mu, l) for mu in fl.faces for l in range(mu.dim, cone.rank + 1)]
+    for cx in complexes:
+        assert len(cx.term_dims) == len(cx.term_faces) == len(cx.differentials) + 1
+        for s, d in enumerate(cx.differentials):
+            assert (d.nrows, d.ncols) == (cx.term_dims[s + 1], cx.term_dims[s])
+        h = cohomology_dims(cx)
+        assert min(h) >= 0
+        chi_terms = sum((-1) ** i * d for i, d in enumerate(cx.term_dims))
+        chi_cohom = sum((-1) ** i * d for i, d in enumerate(h))
+        assert chi_terms == chi_cohom
+
+
+@given(st.integers(3, 5), st.integers(0, 10_000))
+@settings(max_examples=15, deadline=None)
+def test_euler_identity_on_random_cones(dim, seed):
+    (cone,) = sample_cones(seed, dim, 1)
+    assert_euler_identity(cone)
+    assert_euler_identity(cone.dual())
+
+
+def test_link_complexes_are_slices(full_corpus):
+    """link_complex, sliced out of ishida_complex, against the complex over
+    the faces containing mu assembled on its own, entry by entry, for every
+    face of the corpus and every degree from dim(mu) up."""
+    for cone in full_corpus:
+        fl = cone.face_lattice()
+        for mu in fl.faces:
+            for l in range(mu.dim, cone.rank + 1):
+                got, want = link_complex(cone, mu, l), assemble_over_up_set(cone, mu, l)
+                assert (got.term_faces, got.term_dims) == (want.term_faces, want.term_dims)
+                assert [(d.nrows, d.ncols, d.rows) for d in got.differentials] == [
+                    (d.nrows, d.ncols, d.rows) for d in want.differentials
+                ]
 
 
 class TestCohomology:
@@ -130,12 +169,7 @@ class TestCohomology:
 
     def test_euler_characteristic(self, full_corpus):
         for cone in full_corpus:
-            for l in range(cone.rank + 1):
-                cx = ishida_complex(cone, l)
-                h = cohomology_dims(cx)
-                chi_terms = sum((-1) ** i * d for i, d in enumerate(cx.term_dims))
-                chi_cohom = sum((-1) ** i * d for i, d in enumerate(h))
-                assert chi_terms == chi_cohom
+            assert_euler_identity(cone)
 
     def test_lift_independence(self, quadric_cone, octahedron_cone):
         # rebuild one differential with shifted step vectors: adding any
@@ -154,8 +188,8 @@ class TestCohomology:
                     shifted = tuple(a + 3 * b for a, b in zip(step, shift))
                     src = WedgeBasis(mu.perp_lattice, l - mu.dim, n)
                     tgt = WedgeBasis(tau.perp_lattice, l - tau.dim, n)
-                    a = interior_product_matrix(src, tgt, step)
-                    b = interior_product_matrix(src, tgt, shifted)
+                    a = interior_product_matrix(src, tgt, [dot(v, step) for v in src.vectors])
+                    b = interior_product_matrix(src, tgt, [dot(v, shifted) for v in src.vectors])
                     assert a.rows == b.rows
 
 

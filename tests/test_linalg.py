@@ -7,15 +7,18 @@ from ambient_reference import (
     ColumnSolver,
     ambient_interior_product_matrix,
     bareiss_rank,
+    dense,
     kernel_basis,
+    normal_step_vector,
     wedge_coordinates,
 )
 from toricish import linalg
-from toricish.cones import normal_step_vector
-from toricish.ishida import _assemble, ishida_complex
+from toricish.cones import cover_pairings
+from toricish.ishida import ishida_complex, link_complex
 from toricish.linalg import (
     RatMatrix,
     WedgeBasis,
+    dot,
     integer_kernel_basis,
     interior_product_matrix,
     lattice_coordinates,
@@ -57,10 +60,10 @@ class TestKernel:
 
     def test_annihilation_and_count(self):
         m = RatMatrix([(2, 3, 5, 7), (1, 0, 1, 0)])
-        basis = kernel_basis(m.rows, m.ncols)
+        basis = kernel_basis(dense(m), m.ncols)
         assert len(basis) == 4 - m.rank()
         for v in basis:
-            for row in m.rows:
+            for row in dense(m):
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
@@ -72,7 +75,7 @@ st_small = st.integers(min_value=-6, max_value=6)
 def test_rank_invariance_and_nullity(rows, rng):
     m = RatMatrix(rows)
     r = m.rank()
-    assert r + len(kernel_basis(m.rows, m.ncols)) == m.ncols
+    assert r + len(kernel_basis(rows, m.ncols)) == m.ncols
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert RatMatrix(shuffled).rank() == r
@@ -101,6 +104,42 @@ def integer_matrices(draw):
 def test_rank_matches_bareiss(matrix):
     rows, n = matrix
     assert RatMatrix(rows, ncols=n).rank() == bareiss_rank(rows, n)
+
+
+@given(integer_matrices())
+@settings(max_examples=100, deadline=None)
+def test_dense_sparse_round_trip(matrix):
+    rows, n = matrix
+    m = RatMatrix(rows, ncols=n)
+    assert dense(m) == tuple(map(tuple, rows))
+    # Sparse rows hold the nonzero entries only, in increasing column order.
+    for row in m.rows:
+        assert all(x for _, x in row)
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+    again = RatMatrix.from_sparse(m.rows, n)
+    assert dense(again) == dense(m)
+    assert again.rank() == bareiss_rank(rows, n)
+    assert m.is_zero() == (not any(any(r) for r in rows))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_matmul_matches_dense_product(data):
+    m, k, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entry = data.draw(st.sampled_from((st.sampled_from((0, 0, 1, -1)), st_small)))
+    a = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    got = RatMatrix(a, ncols=k).matmul(RatMatrix(b, ncols=n))
+    want = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)) for i in range(m))
+    assert (got.nrows, got.ncols) == (m, n)
+    assert dense(got) == want
+    assert all(x for row in got.rows for _, x in row)
+    assert got.is_zero() == (not any(any(r) for r in want))
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ValueError, match="shape"):
+        RatMatrix([(1, 2)]).matmul(RatMatrix([(1, 2)]))
 
 
 # Entries near 2^40: Hadamard bound about 2^164, above 2^127 - 1 (rank 4).
@@ -143,11 +182,11 @@ def test_complex_ranks_match_bareiss(full_corpus):
         fl = cone.face_lattice()
         complexes = [ishida_complex(cone, l) for l in range(cone.rank + 1)]
         complexes += [
-            _assemble(cone, mu, l) for mu in fl.faces if mu.dim for l in range(mu.dim, cone.rank + 1)
+            link_complex(cone, mu, l) for mu in fl.faces if mu.dim for l in range(mu.dim, cone.rank + 1)
         ]
         for cx in complexes:
             for d in cx.differentials:
-                assert RatMatrix(d.rows, ncols=d.ncols).rank() == bareiss_rank(d.rows, d.ncols)
+                assert d.rank() == bareiss_rank(dense(d), d.ncols)
 
 
 class TestPrimitive:
@@ -200,7 +239,8 @@ class TestInteriorProduct:
         src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
         tgt = WedgeBasis(((0, 1),), 0, 2)
         m = interior_product_matrix(src, tgt, (1, 0))
-        assert m.rows == ((1, 0),)
+        assert dense(m) == ((1, 0),)
+        assert m.rows == (((0, 1),),)
 
     def test_zero_step_gives_zero_matrix(self):
         src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
@@ -212,6 +252,18 @@ class TestInteriorProduct:
         tgt = WedgeBasis(((1, 0),), 0, 2)
         with pytest.raises(ValueError, match="annihilate"):
             interior_product_matrix(src, tgt, (1, 0))
+        # Read from the target's coordinates in the source basis: the
+        # functional 2 v1 - v2 vanishes on v1 + 2 v2 only.
+        src = WedgeBasis(((1, 1, 0), (0, 1, 1), (0, 0, 1)), 1, 3)
+        assert dense(interior_product_matrix(src, WedgeBasis(((1, 3, 2),), 0, 3), (2, -1, 5))) == ((2, -1, 5),)
+        with pytest.raises(ValueError, match="annihilate"):
+            interior_product_matrix(src, WedgeBasis(((1, 2, 2),), 0, 3), (2, -1, 5))
+
+    def test_one_pairing_per_source_vector(self):
+        src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
+        tgt = WedgeBasis(((0, 1),), 0, 2)
+        with pytest.raises(ValueError, match="one pairing per"):
+            interior_product_matrix(src, tgt, (1, 0, 0))
 
     def test_image_outside_target_raises(self):
         # source plane spanned by e1, e2; target spanned by e3 only: the
@@ -232,7 +284,7 @@ class TestInteriorProduct:
         w1 = WedgeBasis(((0, 1, 0), (0, 0, 1)), 1, 3)
         w0 = WedgeBasis(((0, 0, 1),), 0, 3)
         a = interior_product_matrix(w2, w1, (1, 0, 0))
-        b = interior_product_matrix(w1, w0, (1, 0, 0))
+        b = interior_product_matrix(w1, w0, (0, 0))
         assert b.matmul(a).is_zero()
 
     @given(st.lists(st.tuples(st_small, st_small, st_small, st_small), min_size=3, max_size=3))
@@ -251,15 +303,16 @@ class TestInteriorProduct:
         w2 = WedgeBasis(tuple(u), 2, 4)
         w1 = WedgeBasis(tuple(u[1:]), 1, 4)
         w0 = WedgeBasis((u[2],), 0, 4)
-        a = interior_product_matrix(w2, w1, step)
-        b = interior_product_matrix(w1, w0, step)
+        a = interior_product_matrix(w2, w1, [dot(v, step) for v in w2.vectors])
+        b = interior_product_matrix(w1, w0, [dot(v, step) for v in w1.vectors])
         assert b.matmul(a).is_zero()
+        a = dense(a)
         # hand expansion: image of u0 ^ u1 is <u0, step> u1, of u0 ^ u2 is
         # <u0, step> u2, of u1 ^ u2 is zero (step annihilates both factors)
         pairing = sum(x * y for x, y in zip(u[0], step))
-        assert a.rows[0][0] == pairing and a.rows[1][0] == 0
-        assert a.rows[0][1] == 0 and a.rows[1][1] == pairing
-        assert a.rows[0][2] == 0 and a.rows[1][2] == 0
+        assert a[0][0] == pairing and a[1][0] == 0
+        assert a[0][1] == 0 and a[1][1] == pairing
+        assert a[0][2] == 0 and a[1][2] == 0
 
 
 def test_wedge_basis_conventions():
@@ -307,19 +360,22 @@ def test_unsaturated_target_raises():
         interior_product_matrix(src, tgt, (1, 0))
 
 
-def _assert_same_block(src, tgt, step):
-    """The integer kernel and the ambient reference agree entry for entry,
+def _assert_same_block(src, tgt, step, pairings=None):
+    """The integer kernel, given the pairings of the step with the source
+    basis, and the ambient reference, given the step, agree entry for entry,
     or raise the same ValueError."""
+    if pairings is None:
+        pairings = [dot(v, step) for v in src.vectors]
     try:
         expected = ambient_interior_product_matrix(src, tgt, step)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            interior_product_matrix(src, tgt, step)
+            interior_product_matrix(src, tgt, pairings)
         return
-    got = interior_product_matrix(src, tgt, step)
+    got = interior_product_matrix(src, tgt, pairings)
     assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
     assert got.rows == expected.rows
-    assert all(type(x) is int for row in got.rows for x in row)
+    assert all(type(x) is int for row in got.rows for _, x in row)
 
 
 def test_blocks_match_ambient_reference(named_corpus, random_corpus):
@@ -337,6 +393,7 @@ def test_blocks_match_ambient_reference(named_corpus, random_corpus):
                         WedgeBasis(mu.perp_lattice, k, n, cone.memo),
                         WedgeBasis(tau.perp_lattice, k - 1, n, cone.memo),
                         step,
+                        cover_pairings(mu, tau),
                     )
 
 
