@@ -24,12 +24,10 @@ from .cones import (
     is_cone_over_simplicial,
     is_simple_in_dim,
     is_simplicial,
-    quotient_cone,
 )
 from .decomposition import (
     ICMultiplicities,
     decomposition_report,
-    ext_dims_simplicial_class,
     ic_multiplicities,
     multiplicities_from_cohomology,
     multiplicities_simple_class,

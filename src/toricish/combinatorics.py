@@ -164,21 +164,3 @@ def betti_numbers(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
         sum(table[p][k - p] for p in range(max(0, k - n), min(k, n) + 1))
         for k in range(2 * n + 1)
     )
-
-
-def hodge_deligne_from_table(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficient of (uv)^p recovered from a Hodge-Du Bois table by the
-    alternating column sums; used to cross-check the direct expansion."""
-    n = len(table) - 1
-    return tuple(
-        sum((-1) ** (p + q) * table[p][q] for q in range(n + 1)) for p in range(n + 1)
-    )
-
-
-def euler_h1_prediction(f_cone: Sequence[int], n: int, j: int) -> int:
-    """Predicted dimension of the first cohomology of the wedge-(n-j)
-    complex of a cone over a simple polytope, 1 <= j < n/2, read off from
-    the Euler characteristic when that is the only nonvanishing degree."""
-    return -binomial(n, j) + sum(
-        (-1) ** (l - 1) * f_cone[l] * binomial(n - l, j) for l in range(1, n - j + 1)
-    )

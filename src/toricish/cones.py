@@ -4,11 +4,11 @@ A Cone is full-dimensional and strongly convex in a lattice of the stated
 rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, with no linear algebra.
 Each face computes, on first use, a saturated lattice basis of its span and
-of its annihilator; those two bases drive quotient cones, face-intrinsic
-cones and the pairings of the annihilator with the lattice step between
-covering faces (cover_pairings, read off a ray), and nothing else reads
-them.  Every vector here is an integer vector and every computation is in
-integers: the double description, the lattice bases, the pairings.
+of its annihilator; those two bases drive face-intrinsic cones and the
+pairings of the annihilator with the lattice step between covering faces
+(cover_pairings, read off a ray), and nothing else reads them.  Every
+vector here is an integer vector and every computation is in integers: the
+double description, the lattice bases, the pairings.
 
 Cones and face lattices are immutable after construction, apart from the
 memo dict each cone carries and the bases each face computes on first use;
@@ -24,13 +24,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .linalg import (
-    RatMatrix,
-    dot,
-    integer_kernel_basis,
-    lattice_coordinates,
-    primitive_vector,
-)
+from .linalg import dot, integer_kernel_basis, lattice_coordinates, primitive_vector
 
 
 def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
@@ -113,12 +107,14 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     if lineality:
         raise ValueError("cone not full-dimensional; quotient out lineality/span first")
 
+    # The generated cone holds a line iff its lineality space is nonzero.
+    # That space is a face, so it is generated by the generators it contains,
+    # and those are the generators on which every ray of the dual vanishes.
+    if not rays or frozenset.intersection(*(z for _, z in rays)):
+        raise ValueError("cone contains a line")
     # With the combinatorial adjacency test every ray kept is extreme and no
     # ray is kept twice.
-    result = tuple(sorted(r for r, _ in rays))
-    if not result or RatMatrix(result, ncols=rank).rank() < rank:
-        raise ValueError("cone contains a line")
-    return result
+    return tuple(sorted(r for r, _ in rays))
 
 
 class Cone:
@@ -172,9 +168,6 @@ class Cone:
             rank = len(generators[0])
         rays = dual_description(generators, rank)
         return cls.from_rays(rays, rank)
-
-    def dual(self) -> "Cone":
-        return Cone.from_rays(self.facet_normals, self.rank)
 
     def face_lattice(self) -> "FaceLattice":
         if self._lattice is None:
@@ -261,8 +254,9 @@ class FaceLattice:
         return [self.faces[i] for i in self.children[face.index]]
 
     def quotient_is_simplicial(self, face: Face) -> bool:
-        """Whether quotient_cone(self.cone, face) is simplicial: its rays are
-        the images of the faces covering `face`, its rank is rank - dim(face)."""
+        """Whether the quotient of the cone by `face` is simplicial: its rays
+        are the images of the faces covering `face`, its rank is
+        rank - dim(face)."""
         return len(self.parents[face.index]) == self.cone.rank - face.dim
 
 
@@ -338,24 +332,6 @@ def face_cone(cone: Cone, face: Face) -> Cone:
         inner = Cone.from_rays(coords, rank=face.dim)
     inner.memo = cone.memo
     return inner
-
-
-def quotient_cone(cone: Cone, face: Face) -> Cone:
-    """Image of the cone in N / (N intersect <face>), rays re-primitivized.
-
-    The projection pairs with the face's perp lattice basis, which is an
-    exact coordinate system for the quotient lattice.
-    """
-    if face.dim == 0:
-        return cone
-    if face.dim == cone.rank:
-        return Cone(0, (), ())
-    images = []
-    for r in cone.rays:
-        w = tuple(dot(u, r) for u in face.perp_lattice)
-        if any(w):
-            images.append(w)
-    return Cone.from_rays(images, rank=cone.rank - face.dim)
 
 
 def is_simplicial(cone: Cone) -> bool:

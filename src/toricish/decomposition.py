@@ -175,27 +175,6 @@ def ic_multiplicities(cone: Cone) -> ICMultiplicities:
     return routes[0]
 
 
-def ext_dims_simplicial_class(cone: Cone) -> dict:
-    """Predicted graded Ext dimensions at the apex degree for a cone over a
-    simplicial polytope: {(i, k): dim} for i > 0, where k indexes the
-    reflexive differential.  Everything else vanishes; in particular for
-    even rank the middle differential has maximal depth."""
-    if not is_cone_over_simplicial(cone):
-        raise ValueError("cone is not a cone over a simplicial polytope")
-    n = cone.rank
-    h = h_vector(cone.f_vector, n)
-    out = {}
-    for l in range(1, n):
-        k = n - l
-        if 2 * l <= n:
-            j, val = l, h[l] - h[l - 1]
-        else:
-            j, val = l - 1, h[l - 1] - h[l]
-        if j > 0 and val:
-            out[(j, k)] = val
-    return out
-
-
 def face_multiplicity_tables(cone: Cone) -> dict:
     """Multiplicity table of every face, computed on the face-intrinsic
     cone; keyed by face id."""

@@ -9,12 +9,11 @@ contraction block takes the values of its functional on the source basis
 sparse rows, which the complexes offset straight into their differentials.
 Matrices are stored as sparse rows throughout (RatMatrix); ranks are
 eliminated modulo a Mersenne prime that a Hadamard bound proves large
-enough to give the rank over Q (RatMatrix.rank).  Fractions are read only
-where rational input is accepted, and cleared at once: primitive_vector,
-and RatMatrix.rank.  All functions are pure and all returned objects
-immutable, apart from the memo dict that callers may hand to WedgeBasis
-(the complexes hand over the memo dict of the cone's family,
-cones.Cone.memo).
+enough to give the rank over Q (RatMatrix.rank).  Input is integer only:
+RatMatrix and primitive_vector reject any other entry, so no rational ever
+enters.  All functions are pure and all returned objects immutable, apart
+from the memo dict that callers may hand to WedgeBasis (the complexes hand
+over the memo dict of the cone's family, cones.Cone.memo).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -33,15 +31,10 @@ def dot(u: Sequence, v: Sequence):
 
 
 def primitive_vector(vec) -> tuple[int, ...]:
-    """Scale an exact vector to the primitive integer vector on the same
-    ray.  The direction is preserved: (0, -5) maps to (0, -1).  Integer
-    input is divided by its gcd; any other input is first cleared of the
-    denominators of its Fraction values."""
+    """Scale an integer vector to the primitive vector on the same ray: divide
+    it by its gcd.  The direction is preserved: (0, -5) maps to (0, -1).  A
+    non-integer entry raises TypeError (from math.gcd)."""
     vec = tuple(vec)
-    if any(type(x) is not int for x in vec):
-        fracs = [Fraction(x) for x in vec]
-        den = math.lcm(*(f.denominator for f in fracs))
-        vec = tuple(int(f * den) for f in fracs)
     g = math.gcd(*vec)
     if not g:
         raise ValueError("zero vector has no primitive representative")
@@ -110,8 +103,9 @@ class RatMatrix:
     """Immutable exact matrix, stored as sparse rows.
 
     `rows` holds, per row, a tuple of (column, value) pairs in increasing
-    column order, with no zero value.  The constructor takes dense rows;
-    from_sparse takes rows already in that form and trusts them.
+    column order, with no zero value.  The constructor takes dense rows of
+    ints and rejects any other entry with ValueError; from_sparse takes rows
+    already in that form and trusts them.
 
     rank() is the rank over Q: sparse elimination of the integer rows
     modulo a Mersenne prime p (_rank_mod).  The rank modulo p never exceeds
@@ -133,6 +127,8 @@ class RatMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        if any(type(x) is not int for r in rows for x in r):
+            raise ValueError("matrix entries must be integers")
         self.rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
         self.nrows = len(rows)
         self.ncols = ncols
@@ -162,10 +158,6 @@ class RatMatrix:
     def rank(self) -> int:
         if self._rank is None:
             rows = [dict(r) for r in self.rows if r]
-            if any(type(x) is not int for d in rows for x in d.values()):
-                # Scale each row by the lcm of its denominators.
-                dens = [math.lcm(*(Fraction(x).denominator for x in d.values())) for d in rows]
-                rows = [{j: int(x * den) for j, x in d.items()} for d, den in zip(rows, dens)]
             self._rank = _rank_mod(rows, _certified_prime(rows)) if rows else 0
         return self._rank
 

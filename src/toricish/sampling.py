@@ -2,9 +2,7 @@
 
 Rays are sampled from a small coordinate box and degenerate samples (not
 pointed, not full-dimensional) are discarded, so every returned cone
-satisfies the Cone invariants.  Cones over simple polytopes are obtained by
-dualizing cones over simplicial polytopes: the order-reversing face
-bijection swaps the two classes.  Everything is deterministic given the
+satisfies the Cone invariants.  Everything is deterministic given the
 seed.
 """
 
@@ -13,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .cones import Cone, is_cone_over_simple, is_cone_over_simplicial, is_simplicial
+from .cones import Cone
 
 COORD_BOUND = 3
 
@@ -65,41 +63,4 @@ def sample_cones(
         raise RuntimeError(
             f"could only sample {len(out)} of {count} cones in dimension {dim}"
         )
-    return out
-
-
-def simplicial_class_samples(seed: int, dim: int, count: int) -> list[Cone]:
-    """Cones over simplicial polytopes, non-simplicial ones preferred."""
-    cones = sample_cones(seed, dim, count, predicate=is_cone_over_simplicial)
-    cones.sort(key=lambda c: (is_simplicial(c), c.rays))
-    return cones
-
-
-def simple_class_samples(seed: int, dim: int, count: int) -> list[Cone]:
-    """Cones over simple polytopes: duals of the simplicial class."""
-    out = []
-    seen = set()
-    for cone in simplicial_class_samples(seed, dim, count + 4):
-        dual = cone.dual()
-        if dual in seen:
-            continue
-        if not is_cone_over_simple(dual):  # paranoid: duality swaps the classes
-            continue
-        seen.add(dual)
-        out.append(dual)
-        if len(out) == count:
-            break
-    if len(out) < count:
-        raise RuntimeError(f"could not sample {count} simple-class cones in dim {dim}")
-    return out
-
-
-def mixed_corpus(seed: int, dims=(3, 4, 5), per_dim: int = 4, include_dim6: int = 2) -> list[Cone]:
-    """General seeded corpus across dimensions, with a couple of small
-    six-dimensional cones (ray count capped to keep complexes desk-scale)."""
-    out: list[Cone] = []
-    for dim in dims:
-        out.extend(sample_cones(seed, dim, per_dim))
-    if include_dim6:
-        out.extend(sample_cones(seed, 6, include_dim6, max_rays=8))
     return out

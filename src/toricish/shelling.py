@@ -8,12 +8,13 @@ where the sum of facet normals evaluates to one, then order the facets by
 the signed parameter at which a generic line through an interior point
 crosses their hyperplanes.  The point and the direction are integer vectors,
 positive multiples of the barycentre of the cross-section's vertices and of
-a projected moment vector; the crossing parameters, ratios of two integers,
-are the only Fractions, so that their order and their ties are exact.
+a projected moment vector.  The crossing parameters are integers too: all
+scaled by one positive common denominator, so that their order, their ties
+and their signs are exact.
 
-Nothing here is canonical: only the shelling property itself is contractual,
-and the produced order is certified by the same check exposed as
-is_shelling().
+Nothing here is canonical: only the shelling property itself is contractual.
+shelling() returns only an order that its one certification accepted;
+is_shelling() runs the same certification on an order given from outside.
 
 A certification searches, for each facet in the order, a shelling of that
 facet's own facets, depth first and recursively.  Whether a face's facets
@@ -30,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cones import Cone, Face, FaceLattice
@@ -93,22 +93,20 @@ def shelling(cone: Cone) -> Shelling:
     heights = [dot(w, r) for r in cone.rays]
     l = math.lcm(*heights)
     p = [sum(l // s * r[i] for s, r in zip(heights, cone.rays)) for i in range(n)]
+    normals = [_facet_normal(cone, fl.faces[fid]) for fid in facet_ids]
+    hp = [dot(h, p) for h in normals]
 
     for t in range(1, MAX_DIRECTIONS + 1):
         d = _candidate_direction(w, t)
         if d is None:
             continue
-        params = []
-        ok = True
-        for fid in facet_ids:
-            h = _facet_normal(cone, fl.faces[fid])
-            hd = dot(h, d)
-            if hd == 0:
-                ok = False
-                break
-            params.append((fid, Fraction(-dot(h, p), hd)))
-        if not ok:
+        hd = [dot(h, d) for h in normals]
+        if 0 in hd:
             continue
+        # The line crosses facet h at -<h, p> / <h, d>; times den > 0, an
+        # integer with the same order, ties and sign.
+        den = math.lcm(*hd)
+        params = [(fid, -a * (den // b)) for fid, a, b in zip(facet_ids, hp, hd)]
         values = [s for _, s in params]
         if len(set(values)) != len(values):
             continue

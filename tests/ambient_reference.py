@@ -5,7 +5,8 @@ route: every wedge is expanded into the standard wedge basis of Q^ambient
 with Fraction determinants, and each contracted image is solved against the
 target wedges by exact Gaussian elimination.  It makes no use of lattices or
 right inverses, which makes it an independent oracle for
-toricish.linalg.interior_product_matrix.
+toricish.linalg.interior_product_matrix.  RatMatrix takes integers only, so
+each block and differential is checked to be integral on the way (integral).
 
 bareiss_rank (fraction-free elimination over Z) is the oracle for
 RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
@@ -40,6 +41,14 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
             den = den * f.denominator // math.gcd(den, f.denominator)
         out.append([int(f * den) for f in fracs])
     return out
+
+
+def integral(rows: Sequence[Sequence]) -> list[list[int]]:
+    """The rows as ints, asserting that every entry has denominator 1: the
+    contraction blocks and differentials are integral, and this checks it."""
+    fracs = [[Fraction(x) for x in row] for row in rows]
+    assert all(f.denominator == 1 for row in fracs for f in row), "non-integral entry"
+    return [[int(f) for f in row] for row in fracs]
 
 
 def bareiss_rank(rows: Sequence[Sequence], ncols: int) -> int:
@@ -180,7 +189,7 @@ def wedge_coordinates(vectors: Sequence[Sequence], ambient: int) -> list[Fractio
 
 def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step) -> RatMatrix:
     """The contraction block of interior_product_matrix, computed in ambient
-    wedge coordinates.  Entries are Fractions."""
+    wedge coordinates, in Fractions; every entry is checked to be an integer."""
     if source.degree != target.degree + 1:
         raise ValueError("target degree must be one below the source degree")
     for u in target.vectors:
@@ -208,7 +217,7 @@ def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step
             raise ValueError("target subspace does not contain image")
         columns.append(coeffs)
     rows = [tuple(col[i] for col in columns) for i in range(target.dim)]
-    return RatMatrix(rows, ncols=source.dim)
+    return RatMatrix(integral(rows), ncols=source.dim)
 
 
 def dense(m: RatMatrix) -> tuple[tuple, ...]:
@@ -301,5 +310,5 @@ def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
                 for a, brow in enumerate(dense(block)):
                     rows[r0 + a][c0:c0 + len(brow)] = brow
             r0 += tbasis.dim
-        diffs.append(RatMatrix(rows, ncols=term_dims[s]))
+        diffs.append(RatMatrix(integral(rows), ncols=term_dims[s]))
     return IshidaComplex(cone, degree, tuple(term_faces), term_dims, tuple(diffs))

@@ -1,7 +1,7 @@
 import pytest
 
+from paper_reference import mixed_corpus, simple_class_samples, simplicial_class_samples
 from toricish.cones import Cone, cone_over_polytope
-from toricish.sampling import mixed_corpus, simple_class_samples, simplicial_class_samples
 
 SEED = 20240811
 

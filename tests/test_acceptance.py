@@ -6,24 +6,22 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from paper_reference import (
+    euler_h1_prediction,
+    ext_dims_simplicial_class,
+    hodge_deligne_from_table,
+    quotient_cone,
+)
 from toricish.cli import cli
 from toricish.combinatorics import (
-    euler_h1_prediction,
     h_tilde_vector,
     h_vector,
     hodge_deligne_coefficients,
-    hodge_deligne_from_table,
     hodge_du_bois_table,
 )
-from toricish.cones import (
-    face_cone,
-    is_simple_in_dim,
-    is_simplicial,
-    quotient_cone,
-)
+from toricish.cones import face_cone, is_simple_in_dim, is_simplicial
 from toricish.decomposition import (
     admissible_pairs,
-    ext_dims_simplicial_class,
     ic_multiplicities,
     multiplicities_from_cohomology,
 )

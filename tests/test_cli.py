@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from toricish.cli import cli
+from toricish.sampling import sample_cones
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,6 +122,22 @@ class TestHodgeCmd:
         assert res.exit_code == 3
         assert "not simple" in res.output
 
+    def test_rank_one_is_a_point(self, runner, tmp_path):
+        # The polytope f-vector leaves out the polytope itself, so a point
+        # gets [] as a polygon gets [f_0, f_1].
+        path = tmp_path / "ray.json"
+        path.write_text('{"lattice_rank": 1, "rays": [[1]]}')
+        data = json.loads(invoke(runner, "hodge", path).output)
+        assert data == {
+            "schema_version": 1,
+            "command": "hodge",
+            "polytope_dim": 0,
+            "polytope_f_vector": [],
+            "hodge_du_bois": [[1]],
+            "hodge_deligne_uv_coefficients": [1],
+            "betti": [1],
+        }
+
     def test_rank_zero_exits_3(self, runner, tmp_path):
         path = tmp_path / "point.json"
         path.write_text('{"lattice_rank": 0, "rays": []}')
@@ -175,6 +192,31 @@ class TestVerifyCmd:
         res = runner.invoke(cli, ["verify", "--random", *request_, "--suite", "d2"])
         assert res.exit_code == 1
         assert "is not in the range x>=1" in res.output
+
+    def test_family_memos_are_cleared(self, runner, monkeypatch):
+        """Each cone's family memo is emptied once its reports are built, so
+        what it holds does not wait for the cyclic garbage collector."""
+        from toricish import cli as cli_module
+
+        kept, filled = [], []
+
+        def keeping(*args, **kwargs):
+            cones = sample_cones(*args, **kwargs)
+            kept.extend(cones)
+            return cones
+
+        def recording(cone, suite):
+            reports = run_suite(cone, suite)
+            filled.append(len(cone.memo))
+            return reports
+
+        run_suite = cli_module._run_suite
+        monkeypatch.setattr(cli_module, "sample_cones", keeping)
+        monkeypatch.setattr(cli_module, "_run_suite", recording)
+        res = invoke(runner, "verify", "--random", "4", "5", "--seed", "7")
+        assert res.exit_code == 0
+        assert len(kept) == 5 and all(filled)
+        assert all(not cone.memo for cone in kept)
 
     def test_failure_exits_2(self, runner, monkeypatch):
         from toricish import cli as cli_module

@@ -1,16 +1,15 @@
 import pytest
 
+from paper_reference import euler_h1_prediction, hodge_deligne_from_table
 from shelling_reference import reference_g_polynomial
 from toricish.combinatorics import (
     ICStalkPoly,
     betti_numbers,
     binomial,
-    euler_h1_prediction,
     g_polynomial,
     h_tilde_vector,
     h_vector,
     hodge_deligne_coefficients,
-    hodge_deligne_from_table,
     hodge_du_bois_table,
 )
 from toricish.ishida import degree_zero_cohomology

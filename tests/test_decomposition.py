@@ -3,12 +3,12 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper_reference import ext_dims_simplicial_class
 from toricish.combinatorics import g_polynomial, h_tilde_vector, h_vector, hodge_du_bois_table
 from toricish.cones import Cone, is_cone_over_simple
 from toricish.decomposition import (
     admissible_pairs,
     decomposition_report,
-    ext_dims_simplicial_class,
     face_multiplicity_tables,
     ic_multiplicities,
     multiplicities_from_cohomology,

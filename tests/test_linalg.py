@@ -37,11 +37,10 @@ class TestRank:
     def test_proportional_rows(self):
         assert RatMatrix([(1, 2), (2, 4), (3, 6)]).rank() == 1
 
-    def test_fractions(self):
-        singular = RatMatrix([(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(1))])
-        assert singular.rank() == 1
-        m = RatMatrix([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(1))])
-        assert m.rank() == 2
+    def test_rejects_non_integer_entries(self):
+        for bad in (Fraction(1, 2), Fraction(2), 1.0, True):
+            with pytest.raises(ValueError, match="integers"):
+                RatMatrix([(1, 0), (0, bad)])
 
 
 class TestKernel:
@@ -79,7 +78,7 @@ def test_rank_invariance_and_nullity(rows, rng):
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert RatMatrix(shuffled).rank() == r
-    scaled = [tuple(Fraction(7, 3) * x for x in rows[0])] + [tuple(r_) for r_ in rows[1:]]
+    scaled = [tuple(7 * x for x in rows[0])] + [tuple(r_) for r_ in rows[1:]]
     assert RatMatrix(scaled).rank() == r
 
 
@@ -195,8 +194,10 @@ class TestPrimitive:
         assert primitive_vector((0, -5)) == (0, -1)
         assert primitive_vector((3, 7)) == (3, 7)
 
-    def test_rational_input(self):
-        assert primitive_vector((Fraction(1, 2), Fraction(3, 2))) == (1, 3)
+    def test_rejects_non_integer_input(self):
+        for bad in ((Fraction(1, 2), Fraction(3, 2)), (Fraction(2), 4), (1.0, 2)):
+            with pytest.raises(TypeError):
+                primitive_vector(bad)
 
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="primitive"):

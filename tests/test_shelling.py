@@ -6,6 +6,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+from paper_reference import dual
 from shelling_reference import reference_certify, reference_shelling
 from toricish.cli import cli
 from toricish.cones import Cone
@@ -64,6 +65,20 @@ def test_shelling_output_verifies(full_corpus):
         assert len(result.order) == len(facet_ray_tuples(cone))
 
 
+def test_printed_order_is_a_shelling(full_corpus, tmp_path):
+    """The command reports "verified" from shelling()'s one certification;
+    is_shelling, run apart on the printed order, accepts it."""
+    runner = CliRunner()
+    for i, cone in enumerate(full_corpus):
+        path = tmp_path / f"cone{i}.json"
+        path.write_text(json.dumps({"lattice_rank": cone.rank, "rays": [list(r) for r in cone.rays]}))
+        res = runner.invoke(cli, ["shelling", str(path)], catch_exceptions=False)
+        assert res.exit_code == 0, cone
+        data = json.loads(res.output)
+        assert data["verified"] is True
+        assert is_shelling(cone, data["order"]), cone
+
+
 def test_certificates_shape(octahedron_cone):
     result = shelling(octahedron_cone)
     assert len(result.certificates) == len(result.order)
@@ -90,10 +105,14 @@ def oracle_corpus(full_corpus):
     return full_corpus + [c for dim in (3, 4, 5) for c in sample_cones(ORACLE_SEED, dim, 4)]
 
 
-def test_shelling_matches_reference(full_corpus):
-    """The memoised search returns, field for field, what the unmemoised
-    reference search returns."""
-    for cone in oracle_corpus(full_corpus):
+def test_shelling_matches_reference(full_corpus, named_corpus):
+    """The memoised search in integers returns, field for field, what the
+    unmemoised reference search in Fractions returns: the same crossing
+    order and direction index, so the common denominator of the integer
+    crossing parameters changes no order, tie or sign.  The duals and the
+    cones of rank 1 and 2 add facet normals of other shapes."""
+    low = [Cone.from_rays([(1,)]), Cone.from_rays([(1, 0), (1, 3)])]
+    for cone in oracle_corpus(full_corpus) + [dual(c) for c in named_corpus] + low:
         got, want = shelling(cone), reference_shelling(cone)
         assert got.order == want.order, cone
         assert got.direction_index == want.direction_index, cone
