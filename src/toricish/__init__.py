@@ -19,7 +19,6 @@ from .cones import (
     cone_over_polytope,
     cover_pairings,
     dual_description,
-    face_cone,
     is_cone_over_simple,
     is_cone_over_simplicial,
     is_simple_in_dim,
@@ -38,7 +37,6 @@ from .ishida import (
     IshidaComplex,
     cohomology_dims,
     core_table,
-    degree_zero_cohomology,
     ext_table,
     facet_inequalities_report,
     graded_class_cohomology,

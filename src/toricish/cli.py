@@ -217,6 +217,8 @@ def ishida(file, degree, face_sel, fmt, output):
     if face_sel is not None:
         fl = cone.face_lattice()
         indices = [int(x) for x in face_sel.split(",")] if face_sel else []
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"repeated ray index in --face {face_sel}")
         face = fl.face_by_rays(indices)
         body["face"] = list(face.rays)
         body["face_class_cohomology"] = list(graded_class_cohomology(cone, degree, face))
@@ -438,8 +440,9 @@ def verify(file, suite, random_request, seed, fmt, output):
     all_ok = True
     for name, cone in cones:
         reports = _run_suite(cone, suite)
-        # The memo's keys refer back to the cone, so without this only the
-        # cyclic garbage collector would free what the family memo holds.
+        # The memoised results refer back to the cone (IshidaComplex.cone,
+        # ExtTable.cone), so without this only the cyclic garbage collector
+        # would free what the cone's memo holds.
         cone.memo.clear()
         ok = all(r["ok"] for r in reports)
         all_ok = all_ok and ok

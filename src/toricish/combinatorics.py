@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import FaceLattice
+from .cones import FaceLattice, down_sets
 
 
 def binomial(n: int, k: int) -> int:
@@ -80,29 +80,25 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     g truncates h at half the polytope dimension by first differences.
 
     The faces are walked upwards in lattice order, so every g below a face
-    is known when the face is reached.  The proper faces below a face, its
-    down-set, are the union of its children and their down-sets; their g
-    are summed per dimension, and each sum is multiplied once by
-    (t-1)^k, read off a table of signed binomials built once per call.
+    is known when the face is reached.  The g of the proper faces below a
+    face, its down-set (cones.down_sets), are summed per dimension, and
+    each sum is multiplied once by (t-1)^k, read off a table of signed
+    binomials built once per call.
     """
     n = fl.cone.rank
     if n == 0:
         return ICStalkPoly((1,))
     t_minus_one = [[(-1) ** (k - j) * binomial(k, j) for j in range(k + 1)] for k in range(n)]
-    below: dict[int, set[int]] = {}
+    below = down_sets(fl.cone)
     g: dict[int, list[int]] = {}
     for face in fl.faces:
-        down = set(fl.children[face.index])
-        for child in fl.children[face.index]:
-            down |= below[child]
-        below[face.index] = down
         if face.dim == 0:
             g[face.index] = [1]
             continue
         # a d-face's g has at most d + 1 coefficients, so each product below
         # has at most face.dim
         sums = [[0] * (d + 1) for d in range(face.dim)]
-        for other in down:
+        for other in below[face.index]:
             total = sums[fl.faces[other].dim]
             for i, x in enumerate(g[other]):
                 total[i] += x

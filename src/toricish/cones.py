@@ -3,19 +3,19 @@
 A Cone is full-dimensional and strongly convex in a lattice of the stated
 rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, with no linear algebra.
-Each face computes, on first use, a saturated lattice basis of its span and
-of its annihilator; those two bases drive face-intrinsic cones and the
-pairings of the annihilator with the lattice step between covering faces
-(cover_pairings, read off a ray), and nothing else reads them.  Every
-vector here is an integer vector and every computation is in integers: the
-double description, the lattice bases, the pairings.
+Each face computes, on first use, a saturated lattice basis of its
+annihilator; the wedge blocks of the complexes and the pairings of that
+basis with the lattice step between covering faces (cover_pairings, read
+off a ray) are built on it, and nothing else reads it.  Every vector here
+is an integer vector and every computation is in integers: the double
+description, the lattice bases, the pairings.
 
 Cones and face lattices are immutable after construction, apart from the
 memo dict each cone carries and the bases each face computes on first use;
 construction itself is deterministic (faces are ordered by dimension, then
-by their sorted ray index sets).  A cone and every face cone built below it
-share one memo dict, so equal face cones share their results, and the dict
-is freed with the cone family.
+by their sorted ray index sets).  A face is never rebuilt as a cone of its
+own: what depends on a face alone is read off the faces below it in the
+cone's lattice, its down-set (down_sets).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .linalg import dot, integer_kernel_basis, lattice_coordinates, primitive_vector
+from .linalg import dot, integer_kernel_basis, primitive_vector
 
 
 def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
@@ -123,8 +123,8 @@ class Cone:
     Use Cone.from_rays / Cone.from_dual_rays; the constructor itself trusts
     its arguments.  `rays` are the primitive extreme generators, sorted, and
     `facet_normals` the primitive inequality normals of the minimal
-    description, also sorted.  `memo` is the dict of the cone's family
-    (see `memoized`); face_cone hands it on to every face cone it builds.
+    description, also sorted.  `memo` is the cone's own dict of memoised
+    results (see `memoized`).
     """
 
     __slots__ = ("rank", "rays", "facet_normals", "memo", "_lattice", "_hash")
@@ -193,10 +193,10 @@ class Face:
     """A face of a cone, identified by the set of extreme rays lying on it.
 
     Equality and hashing cover index, dim and rays.  The rest is computed on
-    first use and kept: ray_set; perp_lattice, a Z-basis of the annihilator
-    M intersect face^perp; and span_lattice, a Z-basis of N intersected with
-    the linear span of the face.  Both bases are saturated, so they double as
-    exact coordinate systems for face-intrinsic cones and quotient lattices.
+    first use and kept: ray_set, and perp_lattice, a Z-basis of the
+    annihilator M intersect face^perp.  The basis is saturated, so pairing
+    with it is an exact coordinate system for the quotient lattice
+    N / (N intersect <face>).
     """
 
     index: int
@@ -211,10 +211,6 @@ class Face:
     @functools.cached_property
     def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
         return integer_kernel_basis([self.cone.rays[i] for i in self.rays], self.cone.rank)
-
-    @functools.cached_property
-    def span_lattice(self) -> tuple[tuple[int, ...], ...]:
-        return integer_kernel_basis(self.perp_lattice, self.cone.rank)
 
 
 class FaceLattice:
@@ -301,15 +297,12 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
 
 
 def memoized(fn):
-    """Memoise fn(cone, *args) in cone.memo, the dict of the cone's family.
-
-    The key holds the cone by value, so an equal but distinct face cone of
-    the same family is served the stored result; args must be hashable.
-    """
+    """Memoise fn(cone, *args) in cone.memo under (fn's name, *args); args
+    must be hashable."""
 
     @functools.wraps(fn)
     def wrapper(cone: Cone, *args):
-        key = (fn.__name__, cone, *args)
+        key = (fn.__name__, *args)
         try:
             return cone.memo[key]
         except KeyError:
@@ -320,18 +313,18 @@ def memoized(fn):
 
 
 @memoized
-def face_cone(cone: Cone, face: Face) -> Cone:
-    """The face viewed as a full-dimensional cone in its own saturated lattice,
-    in the family of `cone`: it shares cone.memo."""
-    if face.dim == cone.rank:
-        return cone
-    if face.dim == 0:
-        inner = Cone(0, (), ())
-    else:
-        coords = lattice_coordinates(face.span_lattice, [cone.rays[i] for i in face.rays], cone.rank)
-        inner = Cone.from_rays(coords, rank=face.dim)
-    inner.memo = cone.memo
-    return inner
+def down_sets(cone: Cone) -> tuple[frozenset[int], ...]:
+    """Per face id, the ids of the faces strictly below it: the union of its
+    children and their down-sets.  Faces are walked in index order, so the
+    children of a face, one dimension lower, come first."""
+    fl = cone.face_lattice()
+    out: list[frozenset[int]] = []
+    for ids in fl.children:
+        below = set(ids)
+        for child in ids:
+            below |= out[child]
+        out.append(frozenset(below))
+    return tuple(out)
 
 
 def is_simplicial(cone: Cone) -> bool:
@@ -355,10 +348,7 @@ def is_cone_over_simple(cone: Cone) -> bool:
 
 def is_cone_over_simplicial(cone: Cone) -> bool:
     """Cross-section is a simplicial polytope: every proper face simplicial."""
-    fl = cone.face_lattice()
-    return all(
-        len(f.rays) == f.dim for f in fl.faces if f.dim < cone.rank
-    )
+    return all(len(f.rays) == f.dim for f in cone.face_lattice().faces if f.dim < cone.rank)
 
 
 def cover_pairings(mu: Face, tau: Face) -> tuple[int, ...]:

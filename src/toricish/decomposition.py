@@ -5,9 +5,11 @@ assembled decomposition report.
 For a face lambda of dimension d, the multiplicity table a[(l, j)] counts
 the summands IC(-j) supported on the subvariety of lambda appearing in
 cohomological degree -l and weight d - 2j; the admissible index range is
-j >= 1 and l + 1 <= d - 2j.  The numbers depend on the cone of the face
-only, so per-face results are memoized on the face-intrinsic cone, in the
-memo dict of the cone's family (cones.memoized).
+j >= 1 and l + 1 <= d - 2j.  The numbers depend on the face alone.  Every
+route takes the cone and one of its faces (the top face by default), reads
+the face's class predicates and f-vector off its down-set (face_class) and
+its cohomology off its row of the core table (ishida.core_table); results
+are memoized per face in the cone's memo dict (cones.memoized).
 
 Three computation routes exist: the general one, valid up to dimension six,
 reads the numbers off the cohomology of the wedge complexes (with two
@@ -22,16 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cones import (
-    Cone,
-    face_cone,
-    is_cone_over_simple,
-    is_cone_over_simplicial,
-    is_simplicial,
-    memoized,
-)
+from .cones import Cone, Face, down_sets, memoized
 from .combinatorics import h_tilde_vector, h_vector
-from .ishida import degree_zero_cohomology, lcdef
+from .ishida import core_table, lcdef
 
 
 def admissible_pairs(dim: int) -> tuple[tuple[int, int], ...]:
@@ -66,106 +61,126 @@ def _zero_table(dim: int, method: str) -> ICMultiplicities:
     return ICMultiplicities(dim, {p: 0 for p in admissible_pairs(dim)}, (), method)
 
 
-def multiplicities_simplicial_class(cone: Cone) -> ICMultiplicities:
+def face_class(cone: Cone, face: Face) -> tuple[tuple[int, ...], bool, bool]:
+    """(f-vector, cone over a simplicial polytope, cone over a simple
+    polytope) of the face, read off its down-set.  It is in the first class
+    when each proper face has as many rays as its dimension, and in the
+    second when each ray lies on dim(face) - 1 of its 2-faces."""
+    fl = cone.face_lattice()
+    members = down_sets(cone)[face.index] | {face.index}
+    inside = [fl.faces[i] for i in members]
+    f = tuple(sum(g.dim == d for g in inside) for d in range(face.dim + 1))
+    over_simplicial = all(len(g.rays) == g.dim for g in inside if g.dim < face.dim)
+    over_simple = all(
+        sum(p in members for p in fl.parents[g.index]) == face.dim - 1 for g in inside if g.dim == 1
+    )
+    return f, over_simplicial, over_simple
+
+
+def multiplicities_simplicial_class(cone: Cone, face: Face | None = None) -> ICMultiplicities:
     """Closed form for cones over simplicial polytopes: the only summands
-    sit at l = n - 2j - 1 with multiplicity h_j - h_{j-1}, the g-numbers of
+    sit at l = d - 2j - 1 with multiplicity h_j - h_{j-1}, the g-numbers of
     the cross-section."""
-    if not is_cone_over_simplicial(cone):
+    face = cone.face_lattice().top if face is None else face
+    f, over_simplicial, _ = face_class(cone, face)
+    if not over_simplicial:
         raise ValueError("cone is not a cone over a simplicial polytope")
-    n = cone.rank
-    h = h_vector(cone.f_vector, n)
-    entries = {p: 0 for p in admissible_pairs(n)}
-    for j in range(1, (n + 1) // 2):
-        l = n - 2 * j - 1
+    d = face.dim
+    h = h_vector(f, d)
+    entries = {p: 0 for p in admissible_pairs(d)}
+    for j in range(1, (d + 1) // 2):
+        l = d - 2 * j - 1
         if (l, j) in entries:
-            entries[(l, j)] = h[j] - (h[j - 1] if j else 0)
-    return ICMultiplicities(n, entries, (), "simplicial_closed_form")
+            entries[(l, j)] = h[j] - h[j - 1]
+    return ICMultiplicities(d, entries, (), "simplicial_closed_form")
 
 
-def multiplicities_simple_class(cone: Cone) -> ICMultiplicities:
+def multiplicities_simple_class(cone: Cone, face: Face | None = None) -> ICMultiplicities:
     """Closed form for cones over simple polytopes: everything lives in
     cohomological degree zero with multiplicities the first differences of
     the reversed-role transform."""
-    if not is_cone_over_simple(cone):
+    face = cone.face_lattice().top if face is None else face
+    f, _, over_simple = face_class(cone, face)
+    if not over_simple:
         raise ValueError("cone is not a cone over a simple polytope")
-    n = cone.rank
-    ht = h_tilde_vector(cone.f_vector, n)
-    entries = {p: 0 for p in admissible_pairs(n)}
-    for j in range(1, (n + 1) // 2):
+    d = face.dim
+    ht = h_tilde_vector(f, d)
+    entries = {p: 0 for p in admissible_pairs(d)}
+    for j in range(1, (d + 1) // 2):
         if (0, j) in entries:
             entries[(0, j)] = ht[j] - ht[j - 1]
-    return ICMultiplicities(n, entries, (), "simple_closed_form")
+    return ICMultiplicities(d, entries, (), "simple_closed_form")
 
 
-def multiplicities_from_cohomology(cone: Cone) -> ICMultiplicities:
+def multiplicities_from_cohomology(cone: Cone, face: Face | None = None) -> ICMultiplicities:
     """General route, valid up to dimension six.
 
     Dimension three is the ray count minus three; dimensions four to six
-    read the (l, 1) entries off the cohomology of the wedge complex one
-    short of the top.  Dimension five additionally solves a small linear
-    system involving the facet tables for the (0, 2) entry; in dimension six
-    the analogous system is underdetermined and (0, 2), (1, 2) are reported
-    as undetermined rather than guessed.
+    read the (l, 1) entries off the face's intrinsic cohomology one short of
+    the top (its core table row).  Dimension five additionally solves a
+    small linear system involving the tables of the face's facets for the
+    (0, 2) entry; in dimension six the analogous system is underdetermined
+    and (0, 2), (1, 2) are reported as undetermined rather than guessed.
     """
-    n = cone.rank
-    if n > 6:
+    fl = cone.face_lattice()
+    face = fl.top if face is None else face
+    d = face.dim
+    if d > 6:
         raise ValueError("direct multiplicity computation is limited to dimension <= 6")
-    if n <= 2 or is_simplicial(cone):
-        return _zero_table(n, "cohomology")
-    entries = {p: 0 for p in admissible_pairs(n)}
+    if d <= 2 or len(face.rays) == d:
+        return _zero_table(d, "cohomology")
+    entries = {p: 0 for p in admissible_pairs(d)}
     details: dict = {}
     undetermined: tuple = ()
-    if n == 3:
-        entries[(0, 1)] = len(cone.rays) - 3
-    elif n == 4:
-        h3 = degree_zero_cohomology(cone, 3)
-        entries[(0, 1)] = h3[1]
-        entries[(1, 1)] = h3[2]
-    elif n == 5:
-        h4 = degree_zero_cohomology(cone, 4)
-        entries[(0, 1)], entries[(1, 1)], entries[(2, 1)] = h4[1], h4[2], h4[3]
-        h3 = degree_zero_cohomology(cone, 3)
-        fl = cone.face_lattice()
+    if d == 3:
+        entries[(0, 1)] = len(face.rays) - 3
+    else:
+        rows = core_table(cone)[face.index]
+        # the (l, 1) entries are h^1 .. h^(d-2) at degree d - 1
+        for l, x in enumerate(rows[d - 1][1:d - 1]):
+            entries[(l, 1)] = x
+    if d == 5:
         facet_a01 = facet_a11 = 0
-        for fid in fl.by_dim[4]:
-            sub = ic_multiplicities(face_cone(cone, fl.faces[fid]))
+        for fid in fl.children[face.index]:
+            sub = ic_multiplicities(cone, fl.faces[fid])
             facet_a01 += sub.get(0, 1)
             facet_a11 += sub.get(1, 1)
+        h3 = rows[3]
         rank_r = facet_a01 - h3[1]
         entries[(0, 2)] = h3[2] + rank_r - facet_a11
         details["facet_system_rank"] = rank_r
-    else:
-        h5 = degree_zero_cohomology(cone, 5)
-        entries[(0, 1)], entries[(1, 1)] = h5[1], h5[2]
-        entries[(2, 1)], entries[(3, 1)] = h5[3], h5[4]
+    elif d == 6:
         undetermined = ((0, 2), (1, 2))
         for p in undetermined:
             entries.pop(p, None)
     for (l, j), v in entries.items():
         if v < 0:
             raise RuntimeError(f"negative multiplicity at {(l, j)}: {v}")
-    return ICMultiplicities(n, entries, undetermined, "cohomology", details)
+    return ICMultiplicities(d, entries, undetermined, "cohomology", details)
 
 
 @memoized
-def ic_multiplicities(cone: Cone) -> ICMultiplicities:
-    """Dispatch: closed forms when a class predicate holds (any dimension),
-    the cohomology route otherwise (dimension <= 6).  All applicable routes
-    are computed and compared; the first closed form wins as the reported
-    method because it never leaves entries undetermined."""
+def ic_multiplicities(cone: Cone, face: Face | None = None) -> ICMultiplicities:
+    """Dispatch for one face (the whole cone by default): closed forms when
+    a class predicate holds (any dimension), the cohomology route otherwise
+    (dimension <= 6).  All applicable routes are computed and compared; the
+    first closed form wins as the reported method because it never leaves
+    entries undetermined."""
+    face = cone.face_lattice().top if face is None else face
+    _, over_simplicial, over_simple = face_class(cone, face)
     routes = []
-    if is_cone_over_simplicial(cone):
-        routes.append(multiplicities_simplicial_class(cone))
-    if is_cone_over_simple(cone):
-        routes.append(multiplicities_simple_class(cone))
-    if cone.rank <= 6:
-        routes.append(multiplicities_from_cohomology(cone))
+    if over_simplicial:
+        routes.append(multiplicities_simplicial_class(cone, face))
+    if over_simple:
+        routes.append(multiplicities_simple_class(cone, face))
+    if face.dim <= 6:
+        routes.append(multiplicities_from_cohomology(cone, face))
     if not routes:
         raise ValueError(
             "multiplicities undetermined: dimension > 6 and no closed-form class applies"
         )
     for other in routes[1:]:
-        for pair in admissible_pairs(cone.rank):
+        for pair in admissible_pairs(face.dim):
             a, b = routes[0].get(*pair), other.get(*pair)
             if a is not None and b is not None and a != b:
                 raise RuntimeError(
@@ -176,10 +191,8 @@ def ic_multiplicities(cone: Cone) -> ICMultiplicities:
 
 
 def face_multiplicity_tables(cone: Cone) -> dict:
-    """Multiplicity table of every face, computed on the face-intrinsic
-    cone; keyed by face id."""
-    fl = cone.face_lattice()
-    return {f.index: ic_multiplicities(face_cone(cone, f)) for f in fl.faces}
+    """Multiplicity table of every face, keyed by face id."""
+    return {f.index: ic_multiplicities(cone, f) for f in cone.face_lattice().faces}
 
 
 def decomposition_report(cone: Cone) -> dict:

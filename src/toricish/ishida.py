@@ -8,18 +8,17 @@ namely the (l - i)-th wedge power of the annihilator of mu; the differential
 is contraction in the first slot by the lattice step of each cover pair,
 given by its pairings with the annihilator's basis (cones.cover_pairings).
 Each block is built once per wedge degree, written as sparse rows straight
-into the differential.  The complex over the faces containing a face mu is
-sliced out of the degree-zero complex: those faces form an up-set, so their
-blocks form a subcomplex.  Graded pieces of the sheaf-level complex are
-never materialized per lattice point: all points in the relative interior
-class of a face give the same complex, assembled from the face-intrinsic one
-by tensoring with wedge powers of the face's annihilator.
+into the differential.
 
-All functions are pure.  Results are memoized in the memo dict of the
-cone's family (cones.memoized): a cone and all face cones built below it
-share one dict, keyed by cone value, so repeated queries (tables,
-verification suites, the CLI) share work, and the dict is freed with the
-cone family.
+Every other complex is a slice of it (_slice).  The faces containing a
+face mu form an up-set, so their blocks form a subcomplex (link_complex);
+the faces of a face F form a down-set, so theirs form a quotient complex
+(class_complex), whose cohomology is that of the graded piece of the sheaf
+complex for the lattice points in the relative interior class of F.  The
+face-intrinsic cohomology of F (core_table) is solved for from those.
+
+All functions are pure.  Results are memoized in the cone's memo dict
+(cones.memoized); slices are built, ranked and dropped, never memoized.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Face, cover_pairings, face_cone, is_simple_in_dim, memoized
+from .cones import Cone, Face, cover_pairings, down_sets, is_simple_in_dim, memoized
 from .linalg import RatMatrix, WedgeBasis, interior_product_matrix
 
 
@@ -97,44 +96,40 @@ def cohomology_dims(cx: IshidaComplex) -> tuple[int, ...]:
 
 
 @memoized
-def degree_zero_cohomology(cone: Cone, degree: int) -> tuple[int, ...]:
-    return cohomology_dims(ishida_complex(cone, degree))
-
-
-@memoized
 def core_table(cone: Cone) -> dict:
     """h^i of the face-intrinsic complexes, for every face and every degree.
 
-    Maps face id -> tuple over m = 0..dim(face) of cohomology tuples.  Each
-    face is re-coordinatized as a full-dimensional cone in the saturated
-    lattice of its span before its complexes are built.
+    Maps face id -> tuple over m = 0..dim(face) of cohomology tuples.  The
+    slice of a face F at degree m (class_complex) has the cohomology
+    sum_j C(n - dim F, j) core[F][m - j], whose term j = 0 is core[F][m]:
+    it is solved for degree by degree.  The top face's slice is the whole
+    complex.
     """
-    fl = cone.face_lattice()
+    n = cone.rank
     table = {}
-    for face in fl.faces:
-        inner = face_cone(cone, face)
-        table[face.index] = tuple(
-            degree_zero_cohomology(inner, m) for m in range(face.dim + 1)
-        )
+    for face in cone.face_lattice().faces:
+        nd, rows = n - face.dim, []
+        for m in range(face.dim + 1):
+            cx = class_complex(cone, face, m) if nd else ishida_complex(cone, m)
+            # rows holds the degrees below m, so this sums the terms j >= 1
+            h = [a - b for a, b in zip(cohomology_dims(cx), _face_class_dims(nd, rows, m))]
+            if min(h) < 0:
+                raise RuntimeError(f"negative intrinsic cohomology {h} at face {list(face.rays)}, degree {m}")
+            rows.append(tuple(h))
+        table[face.index] = tuple(rows)
     return table
 
 
-def _face_class_dims(n: int, face_dim: int, face_rows, degree: int) -> tuple[int, ...]:
-    """Assemble the cohomology of the graded piece attached to one face class
-    from the face's intrinsic table: sum over j of C(n - d, j) times
-    h^i(intrinsic complex at degree l - j)."""
-    nd = n - face_dim
-    out = []
-    for i in range(degree + 1):
-        total = 0
-        for j in range(nd + 1):
-            m = degree - j
-            if not 0 <= m <= face_dim:
-                continue
-            h = face_rows[m]
-            if i < len(h) and h[i]:
-                total += math.comb(nd, j) * h[i]
-        out.append(total)
+def _face_class_dims(nd: int, face_rows, degree: int) -> tuple[int, ...]:
+    """Assemble the cohomology of the graded piece attached to the class of
+    a face of codimension nd from the face's intrinsic rows: the sum over j
+    of C(nd, j) times h^i(intrinsic complex at degree l - j), over the
+    degrees that face_rows holds."""
+    out = [0] * (degree + 1)
+    for j in range(nd + 1):
+        if 0 <= degree - j < len(face_rows):
+            for i, x in enumerate(face_rows[degree - j]):
+                out[i] += math.comb(nd, j) * x
     return tuple(out)
 
 
@@ -144,7 +139,7 @@ def graded_class_cohomology(cone: Cone, degree: int, face: Face) -> tuple[int, .
     if not 0 <= degree <= cone.rank:
         raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
     rows = core_table(cone)[face.index]
-    return _face_class_dims(cone.rank, face.dim, rows, degree)
+    return _face_class_dims(cone.rank - face.dim, rows, degree)
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ def ext_table(cone: Cone) -> ExtTable:
     for face in fl.faces:
         rows = core[face.index]
         for k in range(n + 1):
-            dims = _face_class_dims(n, face.dim, rows, n - k)
+            dims = _face_class_dims(n - face.dim, rows, n - k)
             for i, d in enumerate(dims):
                 if d:
                     assembled[(face.index, i, k)] = d
@@ -185,27 +180,22 @@ def ext_table(cone: Cone) -> ExtTable:
     depth = {
         k: (n - mi if mi > 0 else None) for k, mi in max_positive_i.items()
     }
-    return ExtTable(cone, core, assembled, depth, _lcdef_from_core(cone, core))
-
-
-def _lcdef_from_core(cone: Cone, core: dict) -> int:
-    best = 0
-    fl = cone.face_lattice()
-    for face in fl.faces:
-        rows = core[face.index]
-        for m, h in enumerate(rows):
-            lp = face.dim - m
-            for i, val in enumerate(h):
-                if val and i > lp:
-                    best = max(best, i - lp)
-    return best
+    return ExtTable(cone, core, assembled, depth, lcdef(cone))
 
 
 def lcdef(cone: Cone) -> int:
     """Local cohomological defect: the smallest c such that the sheaf-level
     complex of every wedge degree n - l has no cohomology above degree
-    c + l."""
-    return _lcdef_from_core(cone, core_table(cone))
+    c + l, read off the core table."""
+    best = 0
+    core = core_table(cone)
+    for face in cone.face_lattice().faces:
+        for m, h in enumerate(core[face.index]):
+            lp = face.dim - m
+            for i, val in enumerate(h):
+                if val and i > lp:
+                    best = max(best, i - lp)
+    return best
 
 
 @dataclass(frozen=True)
@@ -273,17 +263,15 @@ def verify_codim_vanishing(cone: Cone) -> CheckReport:
 
 def facet_inequalities_report(cone: Cone) -> dict:
     """The dimension-5 inequalities between the degree-3 cohomology of a
-    cone and of its facet cones: sum of h^1 over facets >= h^1, and sum of
+    cone and of its facets: sum of h^1 over facets >= h^1, and sum of
     h^2 over facets <= h^2.  Other dimensions are reported as skipped."""
     if cone.rank != 5:
         return {"name": "facet_inequalities", "ok": True, "failures": [], "skipped": "only meaningful in dimension 5"}
     fl = cone.face_lattice()
-    h_sigma = degree_zero_cohomology(cone, 3)
-    s1 = s2 = 0
-    for fid in fl.by_dim[4]:
-        h_facet = degree_zero_cohomology(face_cone(cone, fl.faces[fid]), 3)
-        s1 += h_facet[1]
-        s2 += h_facet[2]
+    core = core_table(cone)
+    h_sigma = core[fl.top.index][3]
+    s1 = sum(core[fid][3][1] for fid in fl.by_dim[4])
+    s2 = sum(core[fid][3][2] for fid in fl.by_dim[4])
     failures = []
     if not s1 >= h_sigma[1]:
         failures.append({"inequality": "sum h1(facets) >= h1", "lhs": s1, "rhs": h_sigma[1]})
@@ -292,25 +280,21 @@ def facet_inequalities_report(cone: Cone) -> dict:
     return {"name": "facet_inequalities", "ok": not failures, "failures": failures}
 
 
-def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
-    """The subcomplex of ishida_complex(cone, degree) over the faces
-    containing mu, from the block of mu (slot 0) up to the faces of
-    dimension `degree`.
+def _slice(cone: Cone, degree: int, first: int, keep) -> IshidaComplex:
+    """The rows and columns of ishida_complex(cone, degree) that belong to
+    the faces with ids in `keep`, from slot `first` (the faces of that
+    dimension) up to the faces of dimension `degree`, in their order.
 
-    Those faces form an up-set, so the differential maps their blocks into
-    their blocks: slot s keeps the rows and columns of the faces of
-    dimension dim(mu) + s that contain mu, in their order.
+    This is a complex when `keep` is an up-set (a subcomplex) or a down-set
+    (a quotient complex) of the face lattice.
     """
-    if not mu.dim <= degree <= cone.rank:
-        raise ValueError("degree out of range for the face")
     full = ishida_complex(cone, degree)
-    faces = cone.face_lattice().faces
     term_faces, kept = [], []
-    for d in range(mu.dim, degree + 1):
+    for d in range(first, degree + 1):
         width = math.comb(cone.rank - d, degree - d)
         ids, idx = [], []
         for j, fid in enumerate(full.term_faces[d]):
-            if mu.ray_set <= faces[fid].ray_set:
+            if fid in keep:
                 ids.append(fid)
                 idx.extend(range(j * width, (j + 1) * width))
         term_faces.append(tuple(ids))
@@ -318,10 +302,28 @@ def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
     diffs = []
     for s in range(len(kept) - 1):
         new_col = {c: i for i, c in enumerate(kept[s])}
-        rows = full.differentials[mu.dim + s].rows
+        rows = full.differentials[first + s].rows
         sliced = tuple(tuple((new_col[c], x) for c, x in rows[r] if c in new_col) for r in kept[s + 1])
         diffs.append(RatMatrix.from_sparse(sliced, len(kept[s])))
     return IshidaComplex(cone, degree, tuple(term_faces), tuple(map(len, kept)), tuple(diffs))
+
+
+def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
+    """The subcomplex of ishida_complex(cone, degree) over the faces
+    containing mu, from the block of mu (slot 0) up to the faces of
+    dimension `degree`."""
+    if not mu.dim <= degree <= cone.rank:
+        raise ValueError("degree out of range for the face")
+    up = {f.index for f in cone.face_lattice().faces if mu.ray_set <= f.ray_set}
+    return _slice(cone, degree, mu.dim, up)
+
+
+def class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:
+    """The quotient complex of ishida_complex(cone, degree) over the faces
+    of `face`, `face` included: slot s keeps the blocks of its
+    s-dimensional faces, and is empty above dim(face).  Its cohomology is
+    graded_class_cohomology(cone, degree, face)."""
+    return _slice(cone, degree, 0, down_sets(cone)[face.index] | {face.index})
 
 
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:

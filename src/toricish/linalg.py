@@ -2,18 +2,19 @@
 
 Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout and in integers:
-never floats.  Lattice work (kernels, lattice coordinates, right inverses)
-and the contraction blocks are read off one column-Hermite reduction.  A
-contraction block takes the values of its functional on the source basis
-(the pairings of a cover pair, cones.cover_pairings) and is written as
-sparse rows, which the complexes offset straight into their differentials.
+never floats.  Lattice work (kernels, coordinates of one lattice basis in
+another, right inverses) and the contraction blocks are read off one
+column-Hermite reduction.  A contraction block takes the values of its
+functional on the source basis (the pairings of a cover pair,
+cones.cover_pairings) and is written as sparse rows, which the complexes
+offset straight into their differentials.
 Matrices are stored as sparse rows throughout (RatMatrix); ranks are
 eliminated modulo a Mersenne prime that a Hadamard bound proves large
 enough to give the rank over Q (RatMatrix.rank).  Input is integer only:
 RatMatrix and primitive_vector reject any other entry, so no rational ever
 enters.  All functions are pure and all returned objects immutable, apart
 from the memo dict that callers may hand to WedgeBasis (the complexes hand
-over the memo dict of the cone's family, cones.Cone.memo).
+over the cone's memo dict, cones.Cone.memo).
 """
 
 from __future__ import annotations
@@ -203,19 +204,6 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tup
     return tuple(tuple(c[len(rows):]) for c in cols[r:])
 
 
-def lattice_coordinates(
-    basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], ambient: int
-) -> tuple[tuple[int, ...], ...]:
-    """Integer coordinates of each vector in a lattice basis given as rows.
-
-    One column-Hermite reduction of the basis (_coordinate_solver), then a
-    triangular solve per vector (_solve_coordinates).  Raises ValueError
-    when the basis rows are dependent or a vector lies outside their span or
-    outside the lattice they generate.
-    """
-    return _solve_coordinates(_coordinate_solver(basis, ambient), vectors)
-
-
 def _coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple]:
     """(h, u) from the column-Hermite reduction basis . u == [h | 0] of p
     independent basis rows: h[j] holds entries j..p-1 of the lower
@@ -306,10 +294,9 @@ class WedgeBasis:
     `memo`, when given, is a dict in which interior_product_matrix keeps,
     for each (source, target) subspace pair, the target's coordinates in
     the source basis, the integer right inverse and its wedge powers, so
-    that the blocks of every wedge degree share them.  The
-    complexes pass the memo dict of the cone's family (Cone.memo), which is
-    freed with the cone and its face cones; its keys are the subspace bases
-    themselves, so the face cones of one family can share it.
+    that the blocks of every wedge degree share them.  The complexes pass
+    the cone's memo dict (Cone.memo), which is freed with the cone; its keys
+    are the pairs of subspace bases themselves.
     """
 
     vectors: tuple[tuple[int, ...], ...]

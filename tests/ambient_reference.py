@@ -13,11 +13,11 @@ RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
 kernel by Gauss-Jordan elimination.
 
 normal_step_vector builds the lattice step of a cover pair from the span
-lattice of the larger face and Bezout coefficients: the oracle for
-cones.cover_pairings, which reads the step's pairings off a ray.
-assemble_over_up_set builds the complex over the faces containing a face
-on its own, block by block from those steps: the oracle for
-ishida.link_complex, which slices it out of ishida_complex.
+lattice of the larger face (face_reference.span_lattice) and Bezout
+coefficients: the oracle for cones.cover_pairings, which reads the step's
+pairings off a ray.  assemble_over_up_set builds the complex over the
+faces containing a face on its own, block by block from those steps: the
+oracle for ishida.link_complex, which slices it out of ishida_complex.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from face_reference import span_lattice
 from toricish.ishida import IshidaComplex
 from toricish.linalg import RatMatrix, WedgeBasis, dot, interior_product_matrix, primitive_vector
 
@@ -262,7 +263,7 @@ def normal_step_vector(fl, mu, tau) -> tuple[int, ...]:
     if mu.dim == 0:
         return cone.rays[tau.rays[0]]
     proj = mu.perp_lattice
-    images = [tuple(dot(u, b) for u in proj) for b in tau.span_lattice]
+    images = [tuple(dot(u, b) for u in proj) for b in span_lattice(tau)]
     g0 = primitive_vector(next(v for v in images if any(v)))
     j0 = next(j for j, x in enumerate(g0) if x)
     factors = [v[j0] // g0[j0] for v in images]
@@ -273,7 +274,7 @@ def normal_step_vector(fl, mu, tau) -> tuple[int, ...]:
         raise ValueError("projected span lattice is not generated by its primitive vector")
     ray = cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
     sign = -1 if dot(proj[j0], ray) * g0[j0] < 0 else 1
-    return tuple(sign * dot(coeffs, col) for col in zip(*tau.span_lattice))
+    return tuple(sign * dot(coeffs, col) for col in zip(*span_lattice(tau)))
 
 
 def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from face_reference import degree_zero_cohomology, face_cone
 from paper_reference import (
     euler_h1_prediction,
     ext_dims_simplicial_class,
@@ -19,14 +20,13 @@ from toricish.combinatorics import (
     hodge_deligne_coefficients,
     hodge_du_bois_table,
 )
-from toricish.cones import face_cone, is_simple_in_dim, is_simplicial
+from toricish.cones import is_simple_in_dim, is_simplicial
 from toricish.decomposition import (
     admissible_pairs,
     ic_multiplicities,
     multiplicities_from_cohomology,
 )
 from toricish.ishida import (
-    degree_zero_cohomology,
     ext_table,
     facet_inequalities_report,
     lcdef,

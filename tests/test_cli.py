@@ -66,6 +66,13 @@ class TestIshidaCmd:
         res = invoke(runner, "ishida", DATA / "octahedron.json", "--l", 9)
         assert res.exit_code == 3
 
+    def test_repeated_face_index_exits_3(self, runner):
+        # 0,0,2 is not read as the face [0, 2]
+        res = invoke(runner, "ishida", DATA / "quadric.json", "--l", 2, "--face", "0,0,2")
+        assert res.exit_code == 3
+        assert "repeated ray index" in res.output
+        assert invoke(runner, "ishida", DATA / "quadric.json", "--l", 2, "--face", "0,2").exit_code == 0
+
 
 class TestExtCmd:
     def test_octahedron(self, runner):
@@ -194,8 +201,8 @@ class TestVerifyCmd:
         assert "is not in the range x>=1" in res.output
 
     def test_family_memos_are_cleared(self, runner, monkeypatch):
-        """Each cone's family memo is emptied once its reports are built, so
-        what it holds does not wait for the cyclic garbage collector."""
+        """Each cone's memo is emptied once its reports are built, so what it
+        holds does not wait for the cyclic garbage collector."""
         from toricish import cli as cli_module
 
         kept, filled = [], []

@@ -1,5 +1,6 @@
 import pytest
 
+from face_reference import degree_zero_cohomology
 from paper_reference import euler_h1_prediction, hodge_deligne_from_table
 from shelling_reference import reference_g_polynomial
 from toricish.combinatorics import (
@@ -12,7 +13,6 @@ from toricish.combinatorics import (
     hodge_deligne_coefficients,
     hodge_du_bois_table,
 )
-from toricish.ishida import degree_zero_cohomology
 from toricish.sampling import sample_cones
 
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambient_reference import assemble_over_up_set, dense, normal_step_vector
+from face_reference import degree_zero_cohomology, face_cone, span_lattice
 from paper_reference import dual, quotient_cone
-from toricish.cones import cover_pairings, face_cone, is_simplicial
+from toricish.cones import cover_pairings, is_simplicial
 from toricish.ishida import (
     IshidaComplex,
     cohomology_dims,
-    degree_zero_cohomology,
     ext_table,
     graded_class_cohomology,
     ishida_complex,
@@ -185,7 +185,7 @@ class TestCohomology:
                     if mu.dim == 0 or mu.dim + 1 > l:
                         continue
                     step = normal_step_vector(fl, mu, tau)
-                    shift = mu.span_lattice[0]
+                    shift = span_lattice(mu)[0]
                     shifted = tuple(a + 3 * b for a, b in zip(step, shift))
                     src = WedgeBasis(mu.perp_lattice, l - mu.dim, n)
                     tgt = WedgeBasis(tau.perp_lattice, l - tau.dim, n)

@@ -12,6 +12,7 @@ from ambient_reference import (
     normal_step_vector,
     wedge_coordinates,
 )
+from face_reference import lattice_coordinates
 from toricish import linalg
 from toricish.cones import cover_pairings
 from toricish.ishida import ishida_complex, link_complex
@@ -21,7 +22,6 @@ from toricish.linalg import (
     dot,
     integer_kernel_basis,
     interior_product_matrix,
-    lattice_coordinates,
     primitive_vector,
 )
 
@@ -381,7 +381,7 @@ def _assert_same_block(src, tgt, step, pairings=None):
 
 def test_blocks_match_ambient_reference(named_corpus, random_corpus):
     """Every cover pair and every wedge degree of both corpora, built through
-    the cone family's memo the way the complexes build them."""
+    the cone's memo the way the complexes build them."""
     for cone in named_corpus + random_corpus:
         fl = cone.face_lattice()
         n = cone.rank
