@@ -33,6 +33,7 @@ from .cones import (
 )
 from .decomposition import decomposition_report, ic_multiplicities
 from .ishida import (
+    check_report,
     cohomology_dims,
     ext_table,
     facet_inequalities_report,
@@ -53,10 +54,6 @@ SCHEMA_VERSION = 1
 # Bad invocations exit with code 1 (click defaults to 2, which this tool
 # reserves for verification failures).
 click.exceptions.UsageError.exit_code = 1
-
-
-class VerificationFailure(Exception):
-    pass
 
 
 def _is_int(x) -> bool:
@@ -131,18 +128,6 @@ def _payload(command: str, meta: dict, body: dict) -> dict:
     return head
 
 
-common_options = [
-    click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True),
-    click.option("-o", "output", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to a file."),
-]
-
-
-def with_common(fn):
-    for opt in reversed(common_options):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="toricish")
 def cli():
@@ -152,33 +137,58 @@ def cli():
     Hodge tables."""
 
 
-def run(fn):
-    """Shared error-to-exit-code mapping for command bodies."""
+def cone_command(*params, table=None, file_required=True):
+    """Register body(cone, **options) -> payload body as the command named
+    after the body, less a "_cmd" suffix, taking FILE, `params`, --format
+    and -o in that order.
 
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except VerificationFailure as exc:
-            click.echo(f"verification failed: {exc}", err=True)
-            sys.exit(2)
-        except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+    The command loads FILE, heads the body with the schema version, the
+    command and the file's name, and writes it as JSON or as a table
+    (`table`, or one line per key).  A payload whose "ok" is false exits
+    with code 2 once written; bad input and failed computations exit with
+    code 3.  With file_required=False, FILE may be left out (the cone is
+    then None), the head names no file, and the body gets `label`: the
+    file's name, or else its path.
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+    Module attributes are looked up when the command runs, so rebinding one
+    (a test's monkeypatch, a tracer) reaches it.
+    """
+
+    def register(body):
+        name = body.__name__.removesuffix("_cmd")
+
+        def callback(file, fmt, output, **options):
+            try:
+                cone, meta = load_cone_file(file) if file else (None, {})
+                if not file_required:
+                    options["label"], meta = meta.get("name") or file, {}
+                payload = _payload(name, meta, body(cone, **options))
+                emit(payload, fmt, output, table)
+            except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(3)
+            if payload.get("ok") is False:
+                click.echo(f"verification failed: suite '{payload['suite']}' reported failures", err=True)
+                sys.exit(2)
+
+        callback.__doc__ = body.__doc__
+        for param in reversed((
+            click.argument("file", type=click.Path(exists=False), required=file_required),
+            *params,
+            click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True),
+            click.option("-o", "output", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to a file."),
+        )):
+            callback = param(callback)
+        return cli.command(name)(callback)
+
+    return register
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def faces(file, fmt, output):
+@cone_command()
+def faces(cone):
     """f-vector, face lattice summary, and cone-class predicates."""
-    cone, meta = load_cone_file(file)
     fl = cone.face_lattice()
-    body = {
+    return {
         "lattice_rank": cone.rank,
         "rays": [list(r) for r in cone.rays],
         "facet_normals": [list(h) for h in cone.facet_normals],
@@ -196,18 +206,14 @@ def faces(file, fmt, output):
             },
         },
     }
-    emit(_payload("faces", meta, body), fmt, output)
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False))
-@click.option("--l", "degree", type=int, required=True, help="Wedge degree of the complex.")
-@click.option("--face", "face_sel", default=None, help="Comma-separated ray indices of a face; reports the graded piece of that face class.")
-@with_common
-@run
-def ishida(file, degree, face_sel, fmt, output):
+@cone_command(
+    click.option("--l", "degree", type=int, required=True, help="Wedge degree of the complex."),
+    click.option("--face", "face_sel", default=None, help="Comma-separated ray indices of a face; reports the graded piece of that face class."),
+)
+def ishida(cone, degree, face_sel):
     """Term dimensions and cohomology of the wedge complex at one degree."""
-    cone, meta = load_cone_file(file)
     cx = ishida_complex(cone, degree)
     body = {
         "degree": degree,
@@ -222,16 +228,12 @@ def ishida(file, degree, face_sel, fmt, output):
         face = fl.face_by_rays(indices)
         body["face"] = list(face.rays)
         body["face_class_cohomology"] = list(graded_class_cohomology(cone, degree, face))
-    emit(_payload("ishida", meta, body), fmt, output)
+    return body
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def ext(file, fmt, output):
+@cone_command()
+def ext(cone):
     """Graded Ext table of reflexive differentials, with depth per index."""
-    cone, meta = load_cone_file(file)
     fl = cone.face_lattice()
     table = ext_table(cone)
     core = {}
@@ -249,7 +251,7 @@ def ext(file, fmt, output):
         for (fid, i, k), d in sorted(table.assembled.items())
         if i > 0
     ]
-    body = {
+    return {
         "core": core,
         "assembled_positive_ext": assembled,
         "depth": {
@@ -257,45 +259,30 @@ def ext(file, fmt, output):
         },
         "lcdef": table.lcdef,
     }
-    emit(_payload("ext", meta, body), fmt, output)
 
 
-@cli.command(name="lcdef")
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def lcdef_cmd(file, fmt, output):
+@cone_command()
+def lcdef_cmd(cone):
     """Local cohomological defect of the associated affine toric variety."""
-    cone, meta = load_cone_file(file)
-    emit(_payload("lcdef", meta, {"lcdef": lcdef(cone)}), fmt, output)
+    return {"lcdef": lcdef(cone)}
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def decompose(file, fmt, output):
+@cone_command()
+def decompose(cone):
     """Weight-graded summand report of the constant Hodge module."""
-    cone, meta = load_cone_file(file)
-    report = decomposition_report(cone)
-    emit(_payload("decompose", meta, report), fmt, output)
+    return decomposition_report(cone)
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def gpoly(file, fmt, output):
+@cone_command()
+def gpoly(cone):
     """Intersection-complex stalk polynomial (g-vector of the cross-section)."""
-    cone, meta = load_cone_file(file)
     poly = g_polynomial(cone.face_lattice())
-    body = {
+    return {
         "coefficients": list(poly.coefficients),
         "polynomial": " + ".join(
             (f"{c}" if j == 0 else f"{c}*q^{2*j}") for j, c in enumerate(poly.coefficients)
         ),
     }
-    emit(_payload("gpoly", meta, body), fmt, output)
 
 
 def _hodge_table_renderer(payload: dict) -> str:
@@ -308,11 +295,8 @@ def _hodge_table_renderer(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def hodge(file, fmt, output):
+@cone_command(table=_hodge_table_renderer)
+def hodge(cone):
     """Hodge-Du Bois table, Hodge-Deligne coefficients and Betti numbers of
     the projective toric variety of a simple polytope.
 
@@ -321,7 +305,6 @@ def hodge(file, fmt, output):
     cross-section polytope.  The polytope f-vector of an n-polytope lists
     f_0 ... f_(n-1) and leaves out the polytope itself, so a point (a rank-1
     cone) gets [] as a polygon gets [f_0, f_1]."""
-    cone, meta = load_cone_file(file)
     if cone.rank < 1:
         raise ValueError("hodge needs a cone of dimension at least 1, i.e. a polytope of dimension at least 0")
     if not is_cone_over_simple(cone):
@@ -329,25 +312,20 @@ def hodge(file, fmt, output):
     n = cone.rank - 1
     f_poly = cone.f_vector[1:-1]
     table = hodge_du_bois_table(f_poly, n)
-    body = {
+    return {
         "polytope_dim": n,
         "polytope_f_vector": list(f_poly),
         "hodge_du_bois": [list(row) for row in table],
         "hodge_deligne_uv_coefficients": list(hodge_deligne_coefficients(f_poly, n)),
         "betti": list(betti_numbers(table)),
     }
-    emit(_payload("hodge", meta, body), fmt, output, table_renderer=_hodge_table_renderer)
 
 
-@cli.command(name="shelling")
-@click.argument("file", type=click.Path(exists=False))
-@with_common
-@run
-def shelling_cmd(file, fmt, output):
+@cone_command()
+def shelling_cmd(cone):
     """A certified facet shelling order."""
-    cone, meta = load_cone_file(file)
     result = shelling(cone)
-    body = {
+    return {
         "order": [list(f) for f in result.order],
         "direction_index": result.direction_index,
         # shelling() returns only an order that its certification accepted.
@@ -361,96 +339,91 @@ def shelling_cmd(file, fmt, output):
             for c in result.certificates
         ],
     }
-    emit(_payload("shelling", meta, body), fmt, output)
 
 
-SUITES = ("d2", "ish_n", "surjectivity", "codim", "link", "shelling", "inequalities", "closed_forms", "all")
+def _link_report(cone: Cone) -> dict:
+    """Link exactness at every positive-dimensional face whose quotient is
+    simplicial."""
+    fl = cone.face_lattice()
+    failures = [
+        failure
+        for face in fl.faces
+        if face.dim and fl.quotient_is_simplicial(face)
+        for failure in verify_link_exactness(cone, face)["failures"]
+    ]
+    return check_report("link_exactness", failures)
 
 
-def _run_suite(cone: Cone, suite: str) -> list[dict]:
-    reports = []
-    if suite in ("d2", "all"):
-        reports.append(verify_d_squared(cone).asdict())
-    if suite in ("ish_n", "all"):
-        reports.append(verify_dualizing_exactness(cone).asdict())
-    if suite in ("surjectivity", "all"):
-        reports.append(verify_surjectivity(cone).asdict() if cone.rank else _needs_rank_one("surjectivity"))
-    if suite in ("codim", "all"):
-        reports.append(verify_codim_vanishing(cone).asdict())
-    if suite in ("link", "all"):
-        fl = cone.face_lattice()
-        failures = []
-        for face in fl.faces:
-            if face.dim == 0 or not fl.quotient_is_simplicial(face):
-                continue
-            rep = verify_link_exactness(cone, face)
-            if not rep.ok:
-                failures.extend(rep.failures)
-        reports.append({"name": "link_exactness", "ok": not failures, "failures": failures})
-    if suite in ("shelling", "all") and not cone.rank:
-        reports.append(_needs_rank_one("shelling"))
-    elif suite in ("shelling", "all"):
-        shelling(cone)  # raises unless its certification accepts the order
-        reports.append({"name": "shelling", "ok": True, "failures": []})
-    if suite in ("inequalities", "all"):
-        reports.append(facet_inequalities_report(cone))
-    if suite in ("closed_forms", "all"):
-        reports.append(_closed_forms_report(cone))
-    return reports
-
-
-def _needs_rank_one(name: str) -> dict:
-    """Report of a check that has nothing to state about a rank-0 cone: a
-    rank-0 complex has no differential and no facet to shell."""
-    return {"name": name, "ok": True, "failures": [], "skipped": "needs dimension at least 1"}
+def _shelling_report(cone: Cone) -> dict:
+    shelling(cone)  # raises unless its certification accepts the order
+    return check_report("shelling")
 
 
 def _closed_forms_report(cone: Cone) -> dict:
     applicable = is_cone_over_simplicial(cone) or is_cone_over_simple(cone)
     if not applicable and cone.rank > 6:
-        return {"name": "closed_forms", "ok": True, "failures": [], "skipped": "no closed form applies"}
+        return check_report("closed_forms", skipped="no closed form applies")
     try:
         ic_multiplicities(cone)  # dispatch cross-checks all applicable routes
     except RuntimeError as exc:
-        return {"name": "closed_forms", "ok": False, "failures": [{"error": str(exc)}]}
-    return {"name": "closed_forms", "ok": True, "failures": []}
+        return check_report("closed_forms", [{"error": str(exc)}])
+    return check_report("closed_forms")
 
 
-@cli.command()
-@click.argument("file", type=click.Path(exists=False), required=False)
-@click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True)
-@click.option("--random", "random_request", nargs=2, type=(click.IntRange(min=1), click.IntRange(min=1)), default=None, metavar="DIM COUNT", help="Verify seeded random cones of the given dimension.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@with_common
-@run
-def verify(file, suite, random_request, seed, fmt, output):
+# The verify suites, in the order "--suite all" runs them: the suite key,
+# the name of its check (cone -> report dict), and whether the check needs a
+# cone of dimension at least 1.  A rank-0 complex has no differential and a
+# rank-0 cone no facet to shell, so there such a check reports itself
+# skipped under its suite key.  Checks are looked up by name when they run.
+CHECKS = (
+    ("d2", "verify_d_squared", False),
+    ("ish_n", "verify_dualizing_exactness", False),
+    ("surjectivity", "verify_surjectivity", True),
+    ("codim", "verify_codim_vanishing", False),
+    ("link", "_link_report", False),
+    ("shelling", "_shelling_report", True),
+    ("inequalities", "facet_inequalities_report", False),
+    ("closed_forms", "_closed_forms_report", False),
+)
+SUITES = (*(key for key, _, _ in CHECKS), "all")
+
+
+def _run_suite(cone: Cone, suite: str) -> list[dict]:
+    return [
+        globals()[check](cone) if cone.rank or not needs_rank
+        else check_report(key, skipped="needs dimension at least 1")
+        for key, check, needs_rank in CHECKS
+        if suite in (key, "all")
+    ]
+
+
+@cone_command(
+    click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True),
+    click.option("--random", "random_request", nargs=2, type=(click.IntRange(min=1), click.IntRange(min=1)), default=None, metavar="DIM COUNT", help="Verify seeded random cones of the given dimension."),
+    click.option("--seed", type=int, default=0, show_default=True),
+    file_required=False,
+)
+def verify(cone, suite, random_request, seed, label):
     """Run verification suites on a cone file or on seeded random cones."""
-    cones: list[tuple[str, Cone]] = []
-    if file:
-        cone, meta = load_cone_file(file)
-        cones.append((meta.get("name") or file, cone))
+    cones = [] if cone is None else [(label, cone)]
     if random_request:
         dim, count = random_request
-        cap = 8 if dim >= 6 else None
-        for i, cone in enumerate(sample_cones(seed, dim, count, max_rays=cap)):
-            cones.append((f"random-{dim}d-{i}", cone))
+        cones += ((f"random-{dim}d-{i}", c) for i, c in enumerate(sample_cones(seed, dim, count)))
     if not cones:
         raise click.UsageError("provide a cone file and/or --random DIM COUNT")
     results = []
-    all_ok = True
-    for name, cone in cones:
+    # Each cone is dropped once its reports are built, so that what it holds
+    # does not stay alive until the run ends.
+    while cones:
+        name, cone = cones.pop(0)
         reports = _run_suite(cone, suite)
-        # The memoised results refer back to the cone (IshidaComplex.cone,
-        # ExtTable.cone), so without this only the cyclic garbage collector
-        # would free what the cone's memo holds.
+        # The cone sits in a reference cycle (Cone._lattice holds its faces,
+        # and each Face.cone the cone), which only the cyclic garbage
+        # collector frees; emptying the memo frees what it holds at once.
         cone.memo.clear()
         ok = all(r["ok"] for r in reports)
-        all_ok = all_ok and ok
         results.append({"cone": name, "rays": [list(r) for r in cone.rays], "ok": ok, "checks": reports})
-    payload = _payload("verify", {}, {"suite": suite, "ok": all_ok, "results": results})
-    emit(payload, fmt, output)
-    if not all_ok:
-        raise VerificationFailure(f"suite '{suite}' reported failures")
+    return {"suite": suite, "ok": all(r["ok"] for r in results), "results": results}
 
 
 def main():

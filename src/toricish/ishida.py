@@ -40,7 +40,6 @@ class IshidaComplex:
     to slot s+1.
     """
 
-    cone: Cone
     degree: int
     term_faces: tuple[tuple[int, ...], ...]
     term_dims: tuple[int, ...]
@@ -86,7 +85,7 @@ def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
                     row.extend((c0 + j, x) for j, x in brow)
             rows.extend(map(tuple, block_rows))
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
-    return IshidaComplex(cone, degree, term_faces, term_dims, tuple(diffs))
+    return IshidaComplex(degree, term_faces, term_dims, tuple(diffs))
 
 
 def cohomology_dims(cx: IshidaComplex) -> tuple[int, ...]:
@@ -154,7 +153,6 @@ class ExtTable:
     when the depth is maximal.
     """
 
-    cone: Cone
     core: dict
     assembled: dict
     depth: dict
@@ -180,7 +178,7 @@ def ext_table(cone: Cone) -> ExtTable:
     depth = {
         k: (n - mi if mi > 0 else None) for k, mi in max_positive_i.items()
     }
-    return ExtTable(cone, core, assembled, depth, lcdef(cone))
+    return ExtTable(core, assembled, depth, lcdef(cone))
 
 
 def lcdef(cone: Cone) -> int:
@@ -198,25 +196,20 @@ def lcdef(cone: Cone) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    ok: bool
-    failures: tuple = ()
-
-    def asdict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "failures": list(self.failures)}
+def check_report(name: str, failures: list | tuple = (), **extra) -> dict:
+    """The report of one verification check: it holds when nothing failed."""
+    return {"name": name, "ok": not failures, "failures": list(failures), **extra}
 
 
-def verify_d_squared(cone: Cone) -> CheckReport:
+def verify_d_squared(cone: Cone) -> dict:
     failures = []
     for l in range(cone.rank + 1):
         if not ishida_complex(cone, l).d_squared_is_zero():
             failures.append({"degree": l})
-    return CheckReport("d_squared", not failures, tuple(failures))
+    return check_report("d_squared", failures)
 
 
-def verify_dualizing_exactness(cone: Cone) -> CheckReport:
+def verify_dualizing_exactness(cone: Cone) -> dict:
     """The top-degree sheaf complex resolves the dualizing sheaf: per face
     class, cohomology concentrated in degree 0 with dimension one at the
     apex class and zero elsewhere."""
@@ -228,10 +221,10 @@ def verify_dualizing_exactness(cone: Cone) -> CheckReport:
         expected0 = 1 if face.dim == 0 else 0
         if dims[0] != expected0 or any(dims[1:]):
             failures.append({"face": list(face.rays), "dims": list(dims)})
-    return CheckReport("dualizing_exactness", not failures, tuple(failures))
+    return check_report("dualizing_exactness", failures)
 
 
-def verify_surjectivity(cone: Cone) -> CheckReport:
+def verify_surjectivity(cone: Cone) -> dict:
     """Vanishing of the top cohomology of every graded piece of the complex
     at wedge degree n - k, for all k up to n/2."""
     n = cone.rank
@@ -243,10 +236,10 @@ def verify_surjectivity(cone: Cone) -> CheckReport:
             dims = graded_class_cohomology(cone, l, face)
             if dims[l]:
                 failures.append({"k": k, "face": list(face.rays), "top_dim": dims[l]})
-    return CheckReport("surjectivity", not failures, tuple(failures))
+    return check_report("surjectivity", failures)
 
 
-def verify_codim_vanishing(cone: Cone) -> CheckReport:
+def verify_codim_vanishing(cone: Cone) -> dict:
     """If every quotient by a c-dimensional face is simplicial, all graded
     Ext^i with i > c vanish.  Checked at the smallest such c (the property
     is monotone in c)."""
@@ -258,7 +251,7 @@ def verify_codim_vanishing(cone: Cone) -> CheckReport:
         for key, d in table.assembled.items()
         if key[1] > c
     ]
-    return CheckReport("codim_vanishing", not failures, tuple(failures))
+    return check_report("codim_vanishing", failures)
 
 
 def facet_inequalities_report(cone: Cone) -> dict:
@@ -266,7 +259,7 @@ def facet_inequalities_report(cone: Cone) -> dict:
     cone and of its facets: sum of h^1 over facets >= h^1, and sum of
     h^2 over facets <= h^2.  Other dimensions are reported as skipped."""
     if cone.rank != 5:
-        return {"name": "facet_inequalities", "ok": True, "failures": [], "skipped": "only meaningful in dimension 5"}
+        return check_report("facet_inequalities", skipped="only meaningful in dimension 5")
     fl = cone.face_lattice()
     core = core_table(cone)
     h_sigma = core[fl.top.index][3]
@@ -277,7 +270,7 @@ def facet_inequalities_report(cone: Cone) -> dict:
         failures.append({"inequality": "sum h1(facets) >= h1", "lhs": s1, "rhs": h_sigma[1]})
     if not s2 <= h_sigma[2]:
         failures.append({"inequality": "sum h2(facets) <= h2", "lhs": s2, "rhs": h_sigma[2]})
-    return {"name": "facet_inequalities", "ok": not failures, "failures": failures}
+    return check_report("facet_inequalities", failures)
 
 
 def _slice(cone: Cone, degree: int, first: int, keep) -> IshidaComplex:
@@ -305,7 +298,7 @@ def _slice(cone: Cone, degree: int, first: int, keep) -> IshidaComplex:
         rows = full.differentials[first + s].rows
         sliced = tuple(tuple((new_col[c], x) for c, x in rows[r] if c in new_col) for r in kept[s + 1])
         diffs.append(RatMatrix.from_sparse(sliced, len(kept[s])))
-    return IshidaComplex(cone, degree, tuple(term_faces), tuple(map(len, kept)), tuple(diffs))
+    return IshidaComplex(degree, tuple(term_faces), tuple(map(len, kept)), tuple(diffs))
 
 
 def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
@@ -332,7 +325,7 @@ def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...
     return cohomology_dims(link_complex(cone, mu, degree))
 
 
-def verify_link_exactness(cone: Cone, mu: Face) -> CheckReport:
+def verify_link_exactness(cone: Cone, mu: Face) -> dict:
     """Exactness of the subcomplex over faces containing mu, for every wedge
     degree strictly above dim(mu), when the quotient by mu is simplicial."""
     if mu.dim == 0:
@@ -344,4 +337,4 @@ def verify_link_exactness(cone: Cone, mu: Face) -> CheckReport:
         dims = link_complex_cohomology(cone, mu, l)
         if any(dims):
             failures.append({"face": list(mu.rays), "degree": l, "dims": list(dims)})
-    return CheckReport("link_exactness", not failures, tuple(failures))
+    return check_report("link_exactness", failures)

@@ -115,7 +115,7 @@ class RatMatrix:
     Each entry, a 1 x 1 minor, then also lies below p, as _rank_mod needs.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_rank")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -133,12 +133,11 @@ class RatMatrix:
         self.rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
         self.nrows = len(rows)
         self.ncols = ncols
-        self._rank: int | None = None
 
     @classmethod
     def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int) -> "RatMatrix":
         m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols, m._rank = rows, len(rows), ncols, None
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
         return m
 
     def is_zero(self) -> bool:
@@ -157,10 +156,8 @@ class RatMatrix:
         return RatMatrix.from_sparse(tuple(out), other.ncols)
 
     def rank(self) -> int:
-        if self._rank is None:
-            rows = [dict(r) for r in self.rows if r]
-            self._rank = _rank_mod(rows, _certified_prime(rows)) if rows else 0
-        return self._rank
+        rows = [dict(r) for r in self.rows if r]
+        return _rank_mod(rows, _certified_prime(rows)) if rows else 0
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"

@@ -38,15 +38,15 @@ def sample_cones(
     dim: int,
     count: int,
     predicate: Callable[[Cone], bool] | None = None,
-    max_rays: int | None = None,
 ) -> list[Cone]:
     """Deterministic list of `count` distinct cones of the given dimension
     satisfying the predicate, from at most MAX_SAMPLE_TRIES draws."""
     if count < 0:
         raise ValueError("cone count must be non-negative")
     rng = random.Random(seed * 1_000_003 + dim)
-    if max_rays is None:
-        max_rays = dim + 4 if dim >= 5 else dim + 5
+    # At most dim + 5 rays, dim + 4 in dimension 5 and 8 from dimension 6
+    # on, which keeps the complexes desk-scale.
+    max_rays = 8 if dim >= 6 else dim + 4 if dim == 5 else dim + 5
     out: list[Cone] = []
     seen = set()
     for _ in range(MAX_SAMPLE_TRIES):

@@ -312,4 +312,4 @@ def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
                     rows[r0 + a][c0:c0 + len(brow)] = brow
             r0 += tbasis.dim
         diffs.append(RatMatrix(integral(rows), ncols=term_dims[s]))
-    return IshidaComplex(cone, degree, tuple(term_faces), term_dims, tuple(diffs))
+    return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs))

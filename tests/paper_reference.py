@@ -111,10 +111,11 @@ def simple_class_samples(seed: int, dim: int, count: int) -> list[Cone]:
 
 def mixed_corpus(seed: int, dims=(3, 4, 5), per_dim: int = 4, include_dim6: int = 2) -> list[Cone]:
     """General seeded corpus across dimensions, with a couple of small
-    six-dimensional cones (ray count capped to keep complexes desk-scale)."""
+    six-dimensional cones (sample_cones caps their rays at 8, which keeps
+    the complexes desk-scale)."""
     out: list[Cone] = []
     for dim in dims:
         out.extend(sample_cones(seed, dim, per_dim))
     if include_dim6:
-        out.extend(sample_cones(seed, 6, include_dim6, max_rays=8))
+        out.extend(sample_cones(seed, 6, include_dim6))
     return out

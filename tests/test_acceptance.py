@@ -100,14 +100,14 @@ def test_criterion_3_depth_property_suites(full_corpus):
     for cone in full_corpus:
         for check in (verify_d_squared, verify_dualizing_exactness, verify_surjectivity, verify_codim_vanishing):
             rep = check(cone)
-            if not rep.ok:
+            if not rep["ok"]:
                 failures.append((cone, rep))
         fl = cone.face_lattice()
         for face in fl.faces:
             if face.dim == 0 or not is_simplicial(quotient_cone(cone, face)):
                 continue
             rep = verify_link_exactness(cone, face)
-            if not rep.ok:
+            if not rep["ok"]:
                 failures.append((cone, rep))
     assert not failures, failures
     report(3, f"zero failures across {len(full_corpus)} corpus cones (dims 3-6)")

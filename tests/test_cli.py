@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from toricish.cli import cli
+from toricish.cones import FaceLattice
 from toricish.sampling import sample_cones
 
 DATA = Path(__file__).parent / "data"
@@ -225,15 +227,61 @@ class TestVerifyCmd:
         assert len(kept) == 5 and all(filled)
         assert all(not cone.memo for cone in kept)
 
+    def test_checked_cones_are_dropped(self, runner, monkeypatch):
+        """verify keeps no cone, and so no face lattice, once its reports
+        are built: at each cone's suites only that cone's lattice is alive."""
+        from toricish import cli as cli_module
+
+        def lattices():
+            gc.collect()
+            return {id(o) for o in gc.get_objects() if isinstance(o, FaceLattice)}
+
+        def recording(cone, suite):
+            reports = run_suite(cone, suite)
+            live.append(len(lattices() - before))
+            return reports
+
+        # Lattices that other tests' corpora hold are not counted.
+        before, live = lattices(), []
+        run_suite = cli_module._run_suite
+        monkeypatch.setattr(cli_module, "_run_suite", recording)
+        res = invoke(runner, "verify", "--random", "4", "20", "--suite", "d2")
+        assert res.exit_code == 0
+        assert len(live) == 20 and max(live) <= 1, live
+
     def test_failure_exits_2(self, runner, monkeypatch):
         from toricish import cli as cli_module
-        from toricish.ishida import CheckReport
 
         monkeypatch.setattr(
-            cli_module, "verify_d_squared", lambda cone: CheckReport("d_squared", False, ({"forced": True},))
+            cli_module, "verify_d_squared",
+            lambda cone: {"name": "d_squared", "ok": False, "failures": [{"forced": True}]},
         )
         res = runner.invoke(cli, ["verify", str(DATA / "quadric.json"), "--suite", "d2"])
         assert res.exit_code == 2
+        assert '"forced": true' in res.output
+        assert "verification failed: suite 'd2' reported failures" in res.output
+
+
+class TestParams:
+    """Each command's parameters keep their order: FILE, the command's own,
+    then --format and -o."""
+
+    @pytest.mark.parametrize(
+        "command,names",
+        [
+            ("faces", ["file", "fmt", "output"]),
+            ("ishida", ["file", "degree", "face_sel", "fmt", "output"]),
+            ("ext", ["file", "fmt", "output"]),
+            ("lcdef", ["file", "fmt", "output"]),
+            ("decompose", ["file", "fmt", "output"]),
+            ("gpoly", ["file", "fmt", "output"]),
+            ("hodge", ["file", "fmt", "output"]),
+            ("shelling", ["file", "fmt", "output"]),
+            ("verify", ["file", "suite", "random_request", "seed", "fmt", "output"]),
+        ],
+    )
+    def test_order(self, command, names):
+        assert [p.name for p in cli.commands[command].params] == names
 
 
 class TestIO:

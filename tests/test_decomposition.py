@@ -268,8 +268,8 @@ def test_invariants_under_lattice_automorphism(dim, seed, ops):
 
 def test_cone_family_is_freed():
     """Nothing keeps a cone or its memo alive once its caller lets go of it;
-    the cone -> memo -> result -> cone cycle (IshidaComplex.cone,
-    ExtTable.cone) is left to the collector."""
+    the cone -> face lattice -> face -> cone cycle (Cone._lattice,
+    Face.cone) is left to the collector."""
     rays = ((0, 0, 0, 1), (2, 0, 0, 1), (0, 3, 0, 1), (2, 3, 0, 1), (1, 1, 5, 1))
 
     def compute():

@@ -63,7 +63,7 @@ class TestBuild:
 class TestDSquared:
     def test_full_corpus(self, full_corpus):
         for cone in full_corpus:
-            assert verify_d_squared(cone).ok
+            assert verify_d_squared(cone)["ok"]
 
     def test_diamond_anticommutation(self, octahedron_cone):
         # between a face and a face two dimensions up there are exactly two
@@ -107,7 +107,6 @@ class TestDSquared:
         rows = [list(r) for r in dense(cx.differentials[0])]
         rows[0][0] += 1
         bad = IshidaComplex(
-            cx.cone,
             cx.degree,
             cx.term_faces,
             cx.term_dims,
@@ -284,15 +283,15 @@ class TestLcdef:
 class TestVerifiers:
     def test_surjectivity_corpus(self, full_corpus):
         for cone in full_corpus:
-            assert verify_surjectivity(cone).ok, cone
+            assert verify_surjectivity(cone)["ok"], cone
 
     def test_dualizing_exactness_corpus(self, full_corpus):
         for cone in full_corpus:
-            assert verify_dualizing_exactness(cone).ok, cone
+            assert verify_dualizing_exactness(cone)["ok"], cone
 
     def test_codim_vanishing_corpus(self, full_corpus):
         for cone in full_corpus:
-            assert verify_codim_vanishing(cone).ok, cone
+            assert verify_codim_vanishing(cone)["ok"], cone
 
     def test_link_exactness_corpus(self, full_corpus):
         for cone in full_corpus:
@@ -302,7 +301,7 @@ class TestVerifiers:
                     continue
                 if not is_simplicial(quotient_cone(cone, face)):
                     continue
-                assert verify_link_exactness(cone, face).ok, (cone, face.rays)
+                assert verify_link_exactness(cone, face)["ok"], (cone, face.rays)
 
     def test_link_exactness_facet_two_term(self, quadric_cone):
         fl = quadric_cone.face_lattice()
