@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import FaceLattice, down_sets
+from .cones import FaceLattice, ids_of
 
 
 def binomial(n: int, k: int) -> int:
@@ -81,15 +81,15 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
 
     The faces are walked upwards in lattice order, so every g below a face
     is known when the face is reached.  The g of the proper faces below a
-    face, its down-set (cones.down_sets), are summed per dimension, and
+    face, its down-set (FaceLattice.down_sets), are summed per dimension, and
     each sum is multiplied once by (t-1)^k, read off a table of signed
     binomials built once per call.
     """
-    n = fl.cone.rank
+    n = fl.rank
     if n == 0:
         return ICStalkPoly((1,))
     t_minus_one = [[(-1) ** (k - j) * binomial(k, j) for j in range(k + 1)] for k in range(n)]
-    below = down_sets(fl.cone)
+    below = fl.down_sets()
     g: dict[int, list[int]] = {}
     for face in fl.faces:
         if face.dim == 0:
@@ -98,7 +98,7 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
         # a d-face's g has at most d + 1 coefficients, so each product below
         # has at most face.dim
         sums = [[0] * (d + 1) for d in range(face.dim)]
-        for other in below[face.index]:
+        for other in ids_of(below[face.index]):
             total = sums[fl.faces[other].dim]
             for i, x in enumerate(g[other]):
                 total[i] += x

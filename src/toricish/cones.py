@@ -10,12 +10,16 @@ off a ray) are built on it, and nothing else reads it.  Every vector here
 is an integer vector and every computation is in integers: the double
 description, the lattice bases, the pairings.
 
+A set of rays or of faces is an int bitmask over their indices.  Neither a
+face nor a face lattice refers back to its cone: a face carries its ray
+vectors and the lattice rank, which is all its perp basis needs.
+
 Cones and face lattices are immutable after construction, apart from the
-memo dict each cone carries and the bases each face computes on first use;
-construction itself is deterministic (faces are ordered by dimension, then
-by their sorted ray index sets).  A face is never rebuilt as a cone of its
-own: what depends on a face alone is read off the faces below it in the
-cone's lattice, its down-set (down_sets).
+memo dict each cone carries and what each face or lattice computes on first
+use; construction itself is deterministic (faces are ordered by dimension,
+then by their sorted ray index sets).  A face is never rebuilt as a cone of
+its own: what depends on a face alone is read off the faces below it in the
+cone's lattice, its down-set.
 """
 
 from __future__ import annotations
@@ -25,6 +29,20 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .linalg import dot, integer_kernel_basis, primitive_vector
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """The bitmask with the given distinct nonnegative bit positions."""
+    return sum(1 << i for i in ids)
+
+
+def ids_of(mask: int) -> list[int]:
+    """The positions of the set bits of a bitmask, ascending."""
+    ids = []
+    while mask:
+        ids.append((mask & -mask).bit_length() - 1)  # the lowest set bit
+        mask &= mask - 1
+    return ids
 
 
 def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
@@ -54,7 +72,7 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
             seen.add(p)
             gens.append(p)
     lineality = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, mask of the generators it vanishes on)
 
     for idx, g in enumerate(gens):
         lin_vals = [dot(l, g) for l in lineality]
@@ -71,15 +89,15 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
                 if j != j0
             ]
             rays = [
-                (primitive_vector([v0 * x - dot(r, g) * y for x, y in zip(r, l0)]), zset | {idx})
+                (primitive_vector([v0 * x - dot(r, g) * y for x, y in zip(r, l0)]), zset | 1 << idx)
                 for r, zset in rays
             ]
-            rays.append((l0, frozenset(range(idx))))
+            rays.append((l0, (1 << idx) - 1))
             continue
         vals = [dot(r, g) for r, _ in rays]
         if all(v >= 0 for v in vals):
             rays = [
-                (r, zset | {idx} if vals[i] == 0 else zset)
+                (r, zset | 1 << idx if vals[i] == 0 else zset)
                 for i, (r, zset) in enumerate(rays)
             ]
             continue
@@ -87,7 +105,7 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
         zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
         kept = [(rays[i][0], rays[i][1]) for i in plus]
-        kept += [(rays[i][0], rays[i][1] | {idx}) for i in zero]
+        kept += [(rays[i][0], rays[i][1] | 1 << idx) for i in zero]
         for ip in plus:
             rp, zp = rays[ip]
             vp = vals[ip]
@@ -96,12 +114,12 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
                 vm = vals[im]
                 common = zp & zm
                 adjacent = not any(
-                    k != ip and k != im and common <= rays[k][1] for k in range(len(rays))
+                    k != ip and k != im and common & ~rays[k][1] == 0 for k in range(len(rays))
                 )
                 if not adjacent:
                     continue
                 combo = primitive_vector([vp * x - vm * y for x, y in zip(rm, rp)])
-                kept.append((combo, common | {idx}))
+                kept.append((combo, common | 1 << idx))
         rays = kept
 
     if lineality:
@@ -110,7 +128,7 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     # The generated cone holds a line iff its lineality space is nonzero.
     # That space is a face, so it is generated by the generators it contains,
     # and those are the generators on which every ray of the dual vanishes.
-    if not rays or frozenset.intersection(*(z for _, z in rays)):
+    if not rays or functools.reduce(int.__and__, (z for _, z in rays)):
         raise ValueError("cone contains a line")
     # With the combinatorial adjacency test every ray kept is extreme and no
     # ray is kept twice.
@@ -154,8 +172,8 @@ class Cone:
         normals = dual_description(prim, rank)
         # A generator is extreme iff no other one vanishes on a strict
         # superset of its facet normals.
-        zero_sets = [frozenset(j for j, h in enumerate(normals) if dot(h, r) == 0) for r in prim]
-        extreme = tuple(r for r, z in zip(prim, zero_sets) if not any(z < other for other in zero_sets))
+        zero_sets = [mask_of(j for j, h in enumerate(normals) if dot(h, r) == 0) for r in prim]
+        extreme = tuple(r for r, z in zip(prim, zero_sets) if not any(z != o and z & ~o == 0 for o in zero_sets))
         return cls(rank, extreme, normals)
 
     @classmethod
@@ -192,40 +210,40 @@ class Cone:
 class Face:
     """A face of a cone, identified by the set of extreme rays lying on it.
 
-    Equality and hashing cover index, dim and rays.  The rest is computed on
-    first use and kept: ray_set, and perp_lattice, a Z-basis of the
-    annihilator M intersect face^perp.  The basis is saturated, so pairing
-    with it is an exact coordinate system for the quotient lattice
-    N / (N intersect <face>).
+    Equality and hashing cover index, dim and rays; mask is the ray set as a
+    bitmask, vectors the ray generators and rank the lattice rank.  The rest
+    is computed on first use and kept: perp_lattice, a Z-basis of the
+    annihilator M intersect face^perp, saturated, so pairing with it is an
+    exact coordinate system for the quotient lattice N / (N intersect <face>).
     """
 
     index: int
     dim: int
     rays: tuple[int, ...]
-    cone: Cone = field(compare=False, repr=False)
-
-    @functools.cached_property
-    def ray_set(self) -> frozenset[int]:
-        return frozenset(self.rays)
+    mask: int = field(compare=False, repr=False)
+    vectors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    rank: int = field(compare=False, repr=False)
 
     @functools.cached_property
     def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
-        return integer_kernel_basis([self.cone.rays[i] for i in self.rays], self.cone.rank)
+        return integer_kernel_basis(self.vectors, self.rank)
 
 
 class FaceLattice:
-    """Graded poset of the faces of a cone.  children[i] lists the facets of
-    face i and parents[i] the faces it is a facet of, both in index order."""
+    """Graded poset of the faces of a cone in a lattice of rank `rank`.
+    children[i] lists the facets of face i and parents[i] the faces it is a
+    facet of, both in index order."""
 
-    __slots__ = ("cone", "faces", "by_dim", "children", "parents", "_by_rayset")
+    __slots__ = ("rank", "faces", "by_dim", "children", "parents", "_by_mask", "_down_sets")
 
-    def __init__(self, cone, faces, by_dim, children, parents, by_rayset):
-        self.cone = cone
+    def __init__(self, rank, faces, by_dim, children, parents, by_mask):
+        self.rank = rank
         self.faces = faces
         self.by_dim = by_dim
         self.children = children
         self.parents = parents
-        self._by_rayset = by_rayset
+        self._by_mask = by_mask
+        self._down_sets = None
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -240,20 +258,32 @@ class FaceLattice:
         return self.faces[self.by_dim[-1][0]]
 
     def face_by_rays(self, ray_indices: Iterable[int]) -> Face:
-        key = frozenset(ray_indices)
-        try:
-            return self.faces[self._by_rayset[key]]
-        except KeyError:
-            raise ValueError(f"no face with ray set {sorted(key)}") from None
+        ids = sorted(set(ray_indices))
+        # range-checked first: 1 << i fails for i < 0 and is huge for large i
+        if all(0 <= i < len(self.top.rays) for i in ids) and mask_of(ids) in self._by_mask:
+            return self.faces[self._by_mask[mask_of(ids)]]
+        raise ValueError(f"no face with ray set {ids}")
 
     def facets_of(self, face: Face) -> list[Face]:
         return [self.faces[i] for i in self.children[face.index]]
+
+    def down_sets(self) -> tuple[int, ...]:
+        """Per face id, the ids of the faces strictly below it as a bitmask:
+        the union of its children and their down-sets, computed on first
+        use.  Faces are walked in index order, so the children of a face,
+        one dimension lower, come first."""
+        if self._down_sets is None:
+            out: list[int] = []
+            for ids in self.children:
+                out.append(functools.reduce(int.__or__, (out[c] | 1 << c for c in ids), 0))
+            self._down_sets = tuple(out)
+        return self._down_sets
 
     def quotient_is_simplicial(self, face: Face) -> bool:
         """Whether the quotient of the cone by `face` is simplicial: its rays
         are the images of the faces covering `face`, its rank is
         rank - dim(face)."""
-        return len(self.parents[face.index]) == self.cone.rank - face.dim
+        return len(self.parents[face.index]) == self.rank - face.dim
 
 
 def _build_face_lattice(cone: Cone) -> FaceLattice:
@@ -266,34 +296,32 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
     the dimension and the facets found are the children.  Faces are then
     indexed by (dim, sorted rays).
     """
-    facet_sets = [
-        frozenset(i for i, r in enumerate(cone.rays) if dot(h, r) == 0)
-        for h in cone.facet_normals
-    ]
-    found = {}  # ray set -> (dim, ray sets of its facets)
-    level, dim = [frozenset(range(len(cone.rays)))], cone.rank
+    facet_masks = [mask_of(i for i, r in enumerate(cone.rays) if dot(h, r) == 0) for h in cone.facet_normals]
+    found = {}  # ray mask -> (dim, ray masks of its facets)
+    level, dim = [(1 << len(cone.rays)) - 1], cone.rank
     while level:
         below = set()
         for face in level:
             kept = []
-            for cand in sorted({face & s for s in facet_sets} - {face}, key=len, reverse=True):
-                if not any(cand < k for k in kept):
+            for cand in sorted({face & s for s in facet_masks} - {face}, key=int.bit_count, reverse=True):
+                if not any(cand & ~k == 0 for k in kept):
                     kept.append(cand)
             found[face] = (dim, kept)
             below.update(kept)
         level, dim = below, dim - 1
 
-    order = sorted((d, tuple(sorted(s)), s) for s, (d, _) in found.items())
-    faces = tuple(Face(i, d, rays, cone) for i, (d, rays, _) in enumerate(order))
-    # Keyed by the faces' own ray sets, so that the lattice holds one per face.
-    index = {f.ray_set: f.index for f in faces}
-    children = [sorted(index[t] for t in found[s][1]) for _, _, s in order]
+    order = sorted((d, tuple(ids_of(m)), m) for m, (d, _) in found.items())
+    faces = tuple(
+        Face(i, d, rays, m, tuple(cone.rays[j] for j in rays), cone.rank) for i, (d, rays, m) in enumerate(order)
+    )
+    index = {f.mask: f.index for f in faces}
+    children = [sorted(index[t] for t in found[m][1]) for _, _, m in order]
     parents = [[] for _ in faces]
     for hi, ids in enumerate(children):
         for lo in ids:
             parents[lo].append(hi)
     by_dim = tuple(tuple(f.index for f in faces if f.dim == d) for d in range(cone.rank + 1))
-    return FaceLattice(cone, faces, by_dim, children, parents, index)
+    return FaceLattice(cone.rank, faces, by_dim, children, parents, index)
 
 
 def memoized(fn):
@@ -310,21 +338,6 @@ def memoized(fn):
             return value
 
     return wrapper
-
-
-@memoized
-def down_sets(cone: Cone) -> tuple[frozenset[int], ...]:
-    """Per face id, the ids of the faces strictly below it: the union of its
-    children and their down-sets.  Faces are walked in index order, so the
-    children of a face, one dimension lower, come first."""
-    fl = cone.face_lattice()
-    out: list[frozenset[int]] = []
-    for ids in fl.children:
-        below = set(ids)
-        for child in ids:
-            below |= out[child]
-        out.append(frozenset(below))
-    return tuple(out)
 
 
 def is_simplicial(cone: Cone) -> bool:
@@ -362,9 +375,9 @@ def cover_pairings(mu: Face, tau: Face) -> tuple[int, ...]:
     saturated, so the values <v, r> are g times those of the generator, with
     g their gcd and the same sign.
     """
-    if tau.dim != mu.dim + 1 or not mu.ray_set <= tau.ray_set:
+    if tau.dim != mu.dim + 1 or mu.mask & ~tau.mask:
         raise ValueError("faces do not form a cover pair")
-    ray = mu.cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
+    ray = next(v for i, v in zip(tau.rays, tau.vectors) if not mu.mask >> i & 1)
     return primitive_vector([dot(v, ray) for v in mu.perp_lattice])
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Face, cover_pairings, down_sets, is_simple_in_dim, memoized
+from .cones import Cone, Face, cover_pairings, is_simple_in_dim, mask_of, memoized
 from .linalg import RatMatrix, WedgeBasis, interior_product_matrix
 
 
@@ -273,10 +273,11 @@ def facet_inequalities_report(cone: Cone) -> dict:
     return check_report("facet_inequalities", failures)
 
 
-def _slice(cone: Cone, degree: int, first: int, keep) -> IshidaComplex:
+def _slice(cone: Cone, degree: int, first: int, keep: int) -> IshidaComplex:
     """The rows and columns of ishida_complex(cone, degree) that belong to
-    the faces with ids in `keep`, from slot `first` (the faces of that
-    dimension) up to the faces of dimension `degree`, in their order.
+    the faces whose ids are set in the bitmask `keep`, from slot `first`
+    (the faces of that dimension) up to the faces of dimension `degree`, in
+    their order.
 
     This is a complex when `keep` is an up-set (a subcomplex) or a down-set
     (a quotient complex) of the face lattice.
@@ -287,7 +288,7 @@ def _slice(cone: Cone, degree: int, first: int, keep) -> IshidaComplex:
         width = math.comb(cone.rank - d, degree - d)
         ids, idx = [], []
         for j, fid in enumerate(full.term_faces[d]):
-            if fid in keep:
+            if keep >> fid & 1:
                 ids.append(fid)
                 idx.extend(range(j * width, (j + 1) * width))
         term_faces.append(tuple(ids))
@@ -307,7 +308,7 @@ def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
     dimension `degree`."""
     if not mu.dim <= degree <= cone.rank:
         raise ValueError("degree out of range for the face")
-    up = {f.index for f in cone.face_lattice().faces if mu.ray_set <= f.ray_set}
+    up = mask_of(f.index for f in cone.face_lattice().faces if mu.mask & ~f.mask == 0)
     return _slice(cone, degree, mu.dim, up)
 
 
@@ -316,7 +317,7 @@ def class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:
     of `face`, `face` included: slot s keeps the blocks of its
     s-dimensional faces, and is empty above dim(face).  Its cohomology is
     graded_class_cohomology(cone, degree, face)."""
-    return _slice(cone, degree, 0, down_sets(cone)[face.index] | {face.index})
+    return _slice(cone, degree, 0, cone.face_lattice().down_sets()[face.index] | 1 << face.index)
 
 
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:

@@ -20,8 +20,9 @@ A certification searches, for each facet in the order, a shelling of that
 facet's own facets, depth first and recursively.  Whether a face's facets
 have a shelling starting with a given set is a function of the face and the
 set alone, so each certification keeps one outcome memo, (face index,
-prefix bitmask) -> bool, shared by all its sub-searches and dropped when it
-returns: shelling() and is_shelling() each certify afresh.  One
+prefix) -> bool, shared by all its sub-searches and dropped when it
+returns: shelling() and is_shelling() each certify afresh.  Sets of faces
+and of rays are bitmasks over their indices, as in the face lattice.  One
 certification makes at most MAX_SEARCH_STEPS extensions of a partial order
 and raises RuntimeError beyond that, so a search cannot run without bound.
 """
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cones import Cone, Face, FaceLattice
+from .cones import Cone, Face, FaceLattice, mask_of
 from .linalg import dot
 
 # Extensions of a partial order allowed in one certification.  The largest
@@ -150,7 +151,7 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
     bool, and the count of extension steps against MAX_SEARCH_STEPS both
     live for this one call.
     """
-    if fl.cone.rank == 1:
+    if fl.rank == 1:
         return [StepCertificate(f.rays, (), ()) for f in ordered]
     memo: dict[tuple[int, int], bool] = {}
     steps = itertools.count(1)
@@ -161,9 +162,9 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
         if j > 0:
             if not prefix:
                 return None
-            if not _intersections_covered(fl, face, earlier, prefix):
+            if not _intersections_covered(face, earlier, prefix):
                 return None
-        ext = _find_shelling(fl, face, _prefix_mask(fl, face, prefix), memo, steps)
+        ext = _find_shelling(fl, face, mask_of(g.index for g in prefix), memo, steps)
         if ext is None:
             return None
         ext_faces = [fl.faces[i] for i in ext]
@@ -172,81 +173,68 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
     return certs
 
 
-def _prefix_mask(fl: FaceLattice, face: Face, facets: list[Face]) -> int:
-    """The given facets of face as a bitmask over face's list of children."""
-    ids = {g.index for g in facets}
-    return sum(1 << pos for pos, i in enumerate(fl.children[face.index]) if i in ids)
-
-
 def _covered_facets(fl: FaceLattice, face: Face, earlier: list[Face]) -> list[Face]:
-    out = []
-    for g in fl.facets_of(face):
-        if any(g.ray_set <= e.ray_set for e in earlier):
-            out.append(g)
-    return out
+    return [g for g in fl.facets_of(face) if any(g.mask & ~e.mask == 0 for e in earlier)]
 
 
-def _intersections_covered(fl: FaceLattice, face: Face, earlier: list[Face], covered: list[Face]) -> bool:
+def _intersections_covered(face: Face, earlier: list[Face], covered: list[Face]) -> bool:
     """face intersect (union of earlier) must equal the union of the covered
     facets of face.  Containment of each pairwise intersection in a single
     covered facet suffices: a face cannot be covered by finitely many proper
     subfaces."""
     for e in earlier:
-        common = face.ray_set & e.ray_set
-        if not any(common <= g.ray_set for g in covered):
+        common = face.mask & e.mask
+        if not any(common & ~g.mask == 0 for g in covered):
             return False
     return True
 
 
 def _find_shelling(
-    fl: FaceLattice, face: Face, prefix: int, memo: dict[tuple[int, int], bool], steps: Iterator[int]
+    fl: FaceLattice, face: Face, prefix: int, memo: dict[tuple[int, int], bool], steps: Iterator[int],
+    used: tuple[int, ...] = (), dead: set[int] | None = None,
 ) -> tuple[int, ...] | None:
     """A shelling order of face's facet poset whose initial segment is
     exactly the prefix set, or None.  Returns facet indices.
 
-    prefix is a bitmask over fl.children[face.index].  Depth-first over
-    partial orders; the partial orders (as masks) already found dead are
-    kept for this one search only.  Whether an inner sub-search succeeds is
-    looked up in, or stored to, memo, the outcome memo of the certification.
-    Each extension draws one step from steps and raises RuntimeError once
-    MAX_SEARCH_STEPS is exceeded.
+    prefix is a bitmask over face ids.  Depth first: `used` is the partial
+    order so far, which the result extends, and `dead` the partial orders
+    (as masks) found dead in this one search.  Whether an inner sub-search
+    succeeds is looked up in, or stored to, memo, the outcome memo of the
+    certification.  Each extension draws one step from steps and raises
+    RuntimeError once MAX_SEARCH_STEPS is exceeded.
     """
     facet_ids = fl.children[face.index]
     if face.dim <= 1:
         return tuple(facet_ids)
-    n_prefix = prefix.bit_count()
-    dead: set[int] = set()
-
-    def extend(used: tuple[int, ...], used_mask: int):
-        if len(used) == len(facet_ids):
-            return ()
-        if used_mask in dead:
-            return None
-        if next(steps) > MAX_SEARCH_STEPS:
-            raise RuntimeError(f"shelling search exceeded {MAX_SEARCH_STEPS} steps")
-        allowed = prefix if len(used) < n_prefix else ~0
-        earlier = [fl.faces[i] for i in used]
-        for pos, cand in enumerate(facet_ids):
-            bit = 1 << pos
-            if used_mask & bit or not allowed & bit:
-                continue
-            g = fl.faces[cand]
-            covered = _covered_facets(fl, g, earlier)
-            if used:
-                if not covered:
-                    continue
-                if not _intersections_covered(fl, g, earlier, covered):
-                    continue
-            if g.dim > 1:  # lower faces always shell
-                key = (cand, _prefix_mask(fl, g, covered))
-                if key not in memo:
-                    memo[key] = _find_shelling(fl, g, key[1], memo, steps) is not None
-                if not memo[key]:
-                    continue
-            rest = extend(used + (cand,), used_mask | bit)
-            if rest is not None:
-                return (cand,) + rest
-        dead.add(used_mask)
+    if len(used) == len(facet_ids):
+        return ()
+    dead = set() if dead is None else dead
+    used_mask = mask_of(used)
+    if used_mask in dead:
         return None
-
-    return extend((), 0)
+    if next(steps) > MAX_SEARCH_STEPS:
+        raise RuntimeError(f"shelling search exceeded {MAX_SEARCH_STEPS} steps")
+    allowed = prefix if len(used) < prefix.bit_count() else ~0
+    earlier = [fl.faces[i] for i in used]
+    for cand in facet_ids:
+        bit = 1 << cand
+        if used_mask & bit or not allowed & bit:
+            continue
+        g = fl.faces[cand]
+        covered = _covered_facets(fl, g, earlier)
+        if used:
+            if not covered:
+                continue
+            if not _intersections_covered(g, earlier, covered):
+                continue
+        if g.dim > 1:  # lower faces always shell
+            key = (cand, mask_of(c.index for c in covered))
+            if key not in memo:
+                memo[key] = _find_shelling(fl, g, key[1], memo, steps) is not None
+            if not memo[key]:
+                continue
+        rest = _find_shelling(fl, face, prefix, memo, steps, used + (cand,), dead)
+        if rest is not None:
+            return (cand,) + rest
+    dead.add(used_mask)
+    return None

@@ -247,7 +247,7 @@ def _bezout(values: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
-def normal_step_vector(fl, mu, tau) -> tuple[int, ...]:
+def normal_step_vector(mu, tau) -> tuple[int, ...]:
     """Integer vector in the span of tau whose class generates the image ray
     of tau in N / (N intersect <mu>), oriented to pair nonnegatively with the
     dual face of mu.
@@ -257,11 +257,10 @@ def normal_step_vector(fl, mu, tau) -> tuple[int, ...]:
     c_i combine the span basis into a preimage of g0.  Any two valid outputs
     differ by an element of <mu> intersect N.
     """
-    if tau.dim != mu.dim + 1 or not mu.ray_set <= tau.ray_set:
+    if tau.dim != mu.dim + 1 or not set(mu.rays) <= set(tau.rays):
         raise ValueError("faces do not form a cover pair")
-    cone = fl.cone
     if mu.dim == 0:
-        return cone.rays[tau.rays[0]]
+        return tau.vectors[0]
     proj = mu.perp_lattice
     images = [tuple(dot(u, b) for u in proj) for b in span_lattice(tau)]
     g0 = primitive_vector(next(v for v in images if any(v)))
@@ -272,7 +271,7 @@ def normal_step_vector(fl, mu, tau) -> tuple[int, ...]:
     g, coeffs = _bezout(factors)
     if g != 1:
         raise ValueError("projected span lattice is not generated by its primitive vector")
-    ray = cone.rays[next(i for i in tau.rays if i not in mu.ray_set)]
+    ray = next(v for i, v in zip(tau.rays, tau.vectors) if i not in mu.rays)
     sign = -1 if dot(proj[j0], ray) * g0[j0] < 0 else 1
     return tuple(sign * dot(coeffs, col) for col in zip(*span_lattice(tau)))
 
@@ -287,7 +286,7 @@ def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
     memo: dict = {}
     term_faces, bases = [], []
     for d in range(mu.dim, degree + 1):
-        ids = tuple(fid for fid in fl.by_dim[d] if mu.ray_set <= fl.faces[fid].ray_set)
+        ids = tuple(fid for fid in fl.by_dim[d] if set(mu.rays) <= set(fl.faces[fid].rays))
         term_faces.append(ids)
         bases.append({fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, memo) for fid in ids})
     term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
@@ -305,7 +304,7 @@ def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
                 if mid not in col_off:
                     continue
                 src = bases[s][mid]
-                step = normal_step_vector(fl, fl.faces[mid], fl.faces[tid])
+                step = normal_step_vector(fl.faces[mid], fl.faces[tid])
                 block = interior_product_matrix(src, tbasis, [dot(v, step) for v in src.vectors])
                 c0 = col_off[mid]
                 for a, brow in enumerate(dense(block)):

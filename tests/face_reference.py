@@ -31,7 +31,7 @@ from toricish.linalg import _coordinate_solver, _solve_coordinates, integer_kern
 def span_lattice(face: Face) -> tuple[tuple[int, ...], ...]:
     """A Z-basis of N intersected with the linear span of the face: the
     integer kernel of its perp lattice, so it is saturated."""
-    return integer_kernel_basis(face.perp_lattice, face.cone.rank)
+    return integer_kernel_basis(face.perp_lattice, face.rank)
 
 
 def lattice_coordinates(

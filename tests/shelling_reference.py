@@ -82,7 +82,7 @@ def reference_shelling(cone: Cone, max_tries: int = 500) -> Shelling:
 
 
 def reference_certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | None:
-    if fl.cone.rank == 1:
+    if fl.rank == 1:
         return [StepCertificate(f.rays, (), ()) for f in ordered]
     memo: dict = {}
     certs = []
@@ -173,7 +173,7 @@ def _t_minus_one_power(k: int) -> list[int]:
 
 def reference_g_polynomial(fl: FaceLattice) -> tuple[int, ...]:
     """Coefficients of Stanley's g-polynomial of the cone's cross-section."""
-    n = fl.cone.rank
+    n = fl.rank
     if n == 0:
         return (1,)
     memo: dict[int, list[int]] = {fl.apex.index: [1]}

@@ -6,8 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 from toricish.cli import cli
-from toricish.cones import FaceLattice
+from toricish.combinatorics import g_polynomial
+from toricish.cones import Cone, FaceLattice
+from toricish.decomposition import decomposition_report
+from toricish.ishida import ext_table
 from toricish.sampling import sample_cones
+from toricish.shelling import shelling
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +71,17 @@ class TestIshidaCmd:
     def test_bad_degree_exits_3(self, runner):
         res = invoke(runner, "ishida", DATA / "octahedron.json", "--l", 9)
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "face_sel,shown",
+        [("-1", "[-1]"), ("99", "[99]"), ("1000000000000000000", "[1000000000000000000]"), ("5,0", "[0, 5]")],
+    )
+    def test_not_a_face_exits_3(self, runner, face_sel, shown):
+        # Out-of-range indices, a huge one included, are no rays; rays 0 and
+        # 5 are opposite vertices of the octahedron, so they span no face.
+        res = runner.invoke(cli, ["ishida", str(DATA / "octahedron.json"), "--l", "2", "--face", face_sel])
+        assert res.exit_code == 3
+        assert f"no face with ray set {shown}" in res.output
 
     def test_repeated_face_index_exits_3(self, runner):
         # 0,0,2 is not read as the face [0, 2]
@@ -202,30 +217,39 @@ class TestVerifyCmd:
         assert res.exit_code == 1
         assert "is not in the range x>=1" in res.output
 
-    def test_family_memos_are_cleared(self, runner, monkeypatch):
-        """Each cone's memo is emptied once its reports are built, so what it
-        holds does not wait for the cyclic garbage collector."""
-        from toricish import cli as cli_module
+    def test_no_cone_family_outlives_its_caller(self):
+        """With the cyclic garbage collector off, no cone or face lattice is
+        left alive once its caller lets go of it: no face or lattice refers
+        back to its cone, so reference counting frees every one of them."""
+        from toricish.cli import _run_suite
 
-        kept, filled = [], []
+        def family():
+            return {id(o) for o in gc.get_objects() if isinstance(o, (Cone, FaceLattice))}
 
-        def keeping(*args, **kwargs):
-            cones = sample_cones(*args, **kwargs)
-            kept.extend(cones)
-            return cones
+        def suites():
+            for cone in sample_cones(7, 4, 5):
+                _run_suite(cone, "all")
 
-        def recording(cone, suite):
-            reports = run_suite(cone, suite)
-            filled.append(len(cone.memo))
-            return reports
+        def commands():
+            cone = Cone.from_rays([(0, 0, 0, 1), (2, 0, 0, 1), (0, 3, 0, 1), (2, 3, 0, 1), (1, 1, 5, 1)])
+            ext_table(cone)
+            decomposition_report(cone)
+            shelling(cone)
+            g_polynomial(cone.face_lattice())
 
-        run_suite = cli_module._run_suite
-        monkeypatch.setattr(cli_module, "sample_cones", keeping)
-        monkeypatch.setattr(cli_module, "_run_suite", recording)
-        res = invoke(runner, "verify", "--random", "4", "5", "--seed", "7")
-        assert res.exit_code == 0
-        assert len(kept) == 5 and all(filled)
-        assert all(not cone.memo for cone in kept)
+        gc.disable()
+        try:
+            # The ids of the session's corpora stay taken, so a new object
+            # left alive shows up under an id not seen before.
+            before = family()
+            suites()
+            after_suites = family()
+            commands()
+            after_commands = family()
+        finally:
+            gc.enable()
+        assert after_suites <= before
+        assert after_commands <= before
 
     def test_checked_cones_are_dropped(self, runner, monkeypatch):
         """verify keeps no cone, and so no face lattice, once its reports

@@ -161,14 +161,14 @@ def assert_face_lattice_oracle(cone):
     for h in cone.facet_normals:
         facet = frozenset(i for i, r in enumerate(cone.rays) if dot(h, r) == 0)
         closure |= {facet & t for t in closure}
-    assert {f.ray_set for f in fl.faces} == closure
+    assert {frozenset(f.rays) for f in fl.faces} == closure
     assert [f.index for f in fl.faces] == list(range(len(fl.faces)))
     assert [(f.dim, f.rays) for f in fl.faces] == sorted((f.dim, f.rays) for f in fl.faces)
     for f in fl.faces:
         vecs = [cone.rays[i] for i in f.rays]
         assert f.dim == (RatMatrix(vecs, ncols=cone.rank).rank() if vecs else 0)
         assert list(fl.children[f.index]) == [
-            g.index for g in fl.faces if g.dim == f.dim - 1 and g.ray_set < f.ray_set
+            g.index for g in fl.faces if g.dim == f.dim - 1 and set(g.rays) < set(f.rays)
         ]
         assert list(fl.parents[f.index]) == [
             g.index for g in fl.faces if f.index in fl.children[g.index]
@@ -197,10 +197,24 @@ class TestFaceLattice:
         for cone in full_corpus:
             expected = brute_force_faces(cone)
             fl = cone.face_lattice()
-            got = {f.ray_set: f.dim for f in fl.faces}
+            got = {frozenset(f.rays): f.dim for f in fl.faces}
             assert got == expected
             assert_face_lattice_oracle(cone)
             assert_face_lattice_oracle(dual(cone))
+
+    def test_masks_against_ray_sets(self, full_corpus):
+        """Each face's mask has exactly the bits of its rays, each down-set
+        holds exactly the faces whose ray sets are strict subsets of the
+        face's, and face_by_rays finds every face from its rays."""
+        for cone in full_corpus:
+            fl = cone.face_lattice()
+            ray_sets = [frozenset(f.rays) for f in fl.faces]
+            for f, rays in zip(fl.faces, ray_sets):
+                assert f.mask == sum(2**i for i in rays)
+                below = [g for g, other in enumerate(ray_sets) if other < rays]
+                assert fl.down_sets()[f.index] == sum(2**g for g in below)
+                assert fl.face_by_rays(f.rays) is f
+                assert fl.face_by_rays(reversed(f.rays)) is f
 
     def test_bases_computed_on_first_use(self, cube_cone):
         # Fresh cones: the session fixture's faces may have built theirs.
@@ -222,12 +236,12 @@ class TestFaceLattice:
                     continue
                 for nu_id in fl.by_dim[mu.dim + 2]:
                     nu = fl.faces[nu_id]
-                    if not mu.ray_set <= nu.ray_set:
+                    if not set(mu.rays) <= set(nu.rays):
                         continue
                     middles = [
                         lam
                         for lam_id in fl.by_dim[mu.dim + 1]
-                        if mu.ray_set <= (lam := fl.faces[lam_id]).ray_set <= nu.ray_set
+                        if set(mu.rays) <= set((lam := fl.faces[lam_id]).rays) <= set(nu.rays)
                     ]
                     assert len(middles) == 2
 
@@ -326,7 +340,7 @@ class TestNormalStep:
         fl = quadric_cone.face_lattice()
         for rid in fl.by_dim[1]:
             face = fl.faces[rid]
-            assert normal_step_vector(fl, fl.apex, face) == quadric_cone.rays[face.rays[0]]
+            assert normal_step_vector(fl.apex, face) == quadric_cone.rays[face.rays[0]]
 
     def test_annihilates_perp_and_sign(self, full_corpus):
         for cone in full_corpus:
@@ -334,7 +348,7 @@ class TestNormalStep:
             for hi, ids in enumerate(fl.children):
                 for lo in ids:
                     mu, tau = fl.faces[lo], fl.faces[hi]
-                    n = normal_step_vector(fl, mu, tau)
+                    n = normal_step_vector(mu, tau)
                     for u in tau.perp_lattice:
                         assert dot(u, n) == 0
                     # sample in the relative interior of the dual face of mu
@@ -353,7 +367,7 @@ class TestNormalStep:
             for hi, ids in enumerate(fl.children):
                 for lo in ids:
                     mu, tau = fl.faces[lo], fl.faces[hi]
-                    n = normal_step_vector(fl, mu, tau)
+                    n = normal_step_vector(mu, tau)
                     coords = lattice_coordinates(span_lattice(tau), span_lattice(mu) + (n,), cone.rank)
                     assert abs(_det([list(c) for c in coords])) == 1
 
@@ -372,7 +386,7 @@ class TestNormalStep:
                 for hi, ids in enumerate(fl.children):
                     for lo in ids:
                         mu, tau = fl.faces[lo], fl.faces[hi]
-                        step = normal_step_vector(fl, mu, tau)
+                        step = normal_step_vector(mu, tau)
                         assert cover_pairings(mu, tau) == tuple(dot(v, step) for v in mu.perp_lattice)
 
 

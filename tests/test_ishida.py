@@ -75,11 +75,9 @@ class TestDSquared:
         mu = fl.faces[fl.by_dim[1][0]]
         for nu_id in fl.by_dim[3]:
             nu = fl.faces[nu_id]
-            if not mu.ray_set <= nu.ray_set:
+            if not set(mu.rays) <= set(nu.rays):
                 continue
-            middles = [
-                fl.faces[i] for i in fl.by_dim[2] if mu.ray_set <= fl.faces[i].ray_set <= nu.ray_set
-            ]
+            middles = [fl.faces[i] for i in fl.by_dim[2] if set(mu.rays) <= set(fl.faces[i].rays) <= set(nu.rays)]
             assert len(middles) == 2
             total = None
             for lam in middles:
@@ -183,7 +181,7 @@ class TestCohomology:
                     mu, tau = fl.faces[lo], fl.faces[hi]
                     if mu.dim == 0 or mu.dim + 1 > l:
                         continue
-                    step = normal_step_vector(fl, mu, tau)
+                    step = normal_step_vector(mu, tau)
                     shift = span_lattice(mu)[0]
                     shifted = tuple(a + 3 * b for a, b in zip(step, shift))
                     src = WedgeBasis(mu.perp_lattice, l - mu.dim, n)

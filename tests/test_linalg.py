@@ -388,7 +388,7 @@ def test_blocks_match_ambient_reference(named_corpus, random_corpus):
         for hi, ids in enumerate(fl.children):
             for lo in ids:
                 mu, tau = fl.faces[lo], fl.faces[hi]
-                step = normal_step_vector(fl, mu, tau)
+                step = normal_step_vector(mu, tau)
                 for k in range(1, n - mu.dim + 1):
                     _assert_same_block(
                         WedgeBasis(mu.perp_lattice, k, n, cone.memo),
