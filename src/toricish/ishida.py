@@ -10,15 +10,18 @@ given by its pairings with the annihilator's basis (cones.cover_pairings).
 Each block is built once per wedge degree, written as sparse rows straight
 into the differential.
 
-Every other complex is a slice of it (_slice).  The faces containing a
-face mu form an up-set, so their blocks form a subcomplex (link_complex);
-the faces of a face F form a down-set, so theirs form a quotient complex
-(class_complex), whose cohomology is that of the graded piece of the sheaf
-complex for the lattice points in the relative interior class of F.  The
-face-intrinsic cohomology of F (core_table) is solved for from those.
+Every other complex is a slice of it, ranked modulo the prime certified
+once per full differential.  The faces containing a face mu form an up-set,
+so their blocks form a subcomplex (link_complex, re-indexed); the faces of
+a face F form a down-set, so theirs form a quotient complex (class_complex,
+the kept rows whole), whose cohomology is that of the graded piece of the
+sheaf complex for the lattice points in the relative interior class of F.
+The face-intrinsic cohomology of F (core_table) is solved for from those.
 
-All functions are pure.  Results are memoized in the cone's memo dict
-(cones.memoized); slices are built, ranked and dropped, never memoized.
+All functions are pure.  The cone's memo dict holds the memoized results
+(cones.memoized), the pairings of each cover pair, shared by every wedge
+degree, and the wedge powers behind the blocks (linalg.WedgeBasis); slices
+are built, ranked and dropped, never memoized.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Face, cover_pairings, is_simple_in_dim, mask_of, memoized
+from .cones import Cone, Face, cover_pairings, ids_of, is_simple_in_dim, memoized
 from .linalg import RatMatrix, WedgeBasis, interior_product_matrix
 
 
@@ -37,7 +40,8 @@ class IshidaComplex:
 
     term_faces[s] lists the face ids of dimension dim(mu) + s, whose blocks
     are wedge powers of degree l - dim(mu) - s; differentials[s] maps slot s
-    to slot s+1.
+    to slot s+1.  In a class_complex it keeps the full complex's columns,
+    so its width may exceed term_dims[s].
     """
 
     degree: int
@@ -66,6 +70,7 @@ def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
         for d, ids in enumerate(term_faces)
     ]
     term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
+    pairings = cone.memo.setdefault("cover_pairings", {})  # (mid, tid) -> pairings
     diffs = []
     for s in range(degree):
         col_off, off = {}, 0
@@ -78,8 +83,10 @@ def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
             block_rows = [[] for _ in range(tbasis.dim)]
             # Children come in index order, so every row stays sorted.
             for mid in fl.children[tid]:
-                pairings = cover_pairings(fl.faces[mid], fl.faces[tid])
-                block = interior_product_matrix(bases[s][mid], tbasis, pairings)
+                pair = pairings.get((mid, tid))
+                if pair is None:
+                    pair = pairings[mid, tid] = cover_pairings(fl.faces[mid], fl.faces[tid])
+                block = interior_product_matrix(bases[s][mid], tbasis, pair)
                 c0 = col_off[mid]
                 for row, brow in zip(block_rows, block.rows):
                     row.extend((c0 + j, x) for j, x in brow)
@@ -273,22 +280,21 @@ def facet_inequalities_report(cone: Cone) -> dict:
     return check_report("facet_inequalities", failures)
 
 
-def _slice(cone: Cone, degree: int, first: int, keep: int) -> IshidaComplex:
-    """The rows and columns of ishida_complex(cone, degree) that belong to
-    the faces whose ids are set in the bitmask `keep`, from slot `first`
-    (the faces of that dimension) up to the faces of dimension `degree`, in
-    their order.
-
-    This is a complex when `keep` is an up-set (a subcomplex) or a down-set
-    (a quotient complex) of the face lattice.
-    """
+def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
+    """The subcomplex of ishida_complex(cone, degree) over the faces
+    containing mu (an up-set), from the block of mu (slot 0) up to the
+    faces of dimension `degree`: their rows and columns, re-indexed, ranked
+    modulo the primes of the full differentials."""
+    if not mu.dim <= degree <= cone.rank:
+        raise ValueError("degree out of range for the face")
     full = ishida_complex(cone, degree)
+    faces = cone.face_lattice().faces
     term_faces, kept = [], []
-    for d in range(first, degree + 1):
+    for d in range(mu.dim, degree + 1):
         width = math.comb(cone.rank - d, degree - d)
         ids, idx = [], []
         for j, fid in enumerate(full.term_faces[d]):
-            if keep >> fid & 1:
+            if mu.mask & ~faces[fid].mask == 0:
                 ids.append(fid)
                 idx.extend(range(j * width, (j + 1) * width))
         term_faces.append(tuple(ids))
@@ -296,28 +302,37 @@ def _slice(cone: Cone, degree: int, first: int, keep: int) -> IshidaComplex:
     diffs = []
     for s in range(len(kept) - 1):
         new_col = {c: i for i, c in enumerate(kept[s])}
-        rows = full.differentials[first + s].rows
-        sliced = tuple(tuple((new_col[c], x) for c, x in rows[r] if c in new_col) for r in kept[s + 1])
-        diffs.append(RatMatrix.from_sparse(sliced, len(kept[s])))
+        d = full.differentials[mu.dim + s]
+        sliced = tuple(tuple((new_col[c], x) for c, x in d.rows[r] if c in new_col) for r in kept[s + 1])
+        diffs.append(RatMatrix.from_sparse(sliced, len(kept[s]), d.certified_prime()))
     return IshidaComplex(degree, tuple(term_faces), tuple(map(len, kept)), tuple(diffs))
-
-
-def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
-    """The subcomplex of ishida_complex(cone, degree) over the faces
-    containing mu, from the block of mu (slot 0) up to the faces of
-    dimension `degree`."""
-    if not mu.dim <= degree <= cone.rank:
-        raise ValueError("degree out of range for the face")
-    up = mask_of(f.index for f in cone.face_lattice().faces if mu.mask & ~f.mask == 0)
-    return _slice(cone, degree, mu.dim, up)
 
 
 def class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:
     """The quotient complex of ishida_complex(cone, degree) over the faces
     of `face`, `face` included: slot s keeps the blocks of its
     s-dimensional faces, and is empty above dim(face).  Its cohomology is
-    graded_class_cohomology(cone, degree, face)."""
-    return _slice(cone, degree, 0, cone.face_lattice().down_sets()[face.index] | 1 << face.index)
+    graded_class_cohomology(cone, degree, face).
+
+    The faces of `face` form a down-set, so a kept row has entries in kept
+    columns only: differentials[s] is the kept rows of the full one, whole,
+    with the full column indices and width, and the full one's prime.
+    """
+    full = ishida_complex(cone, degree)
+    fl = cone.face_lattice()
+    term_faces = [[] for _ in full.term_faces]
+    for fid in ids_of(fl.down_sets()[face.index] | 1 << face.index):
+        if fl.faces[fid].dim <= degree:
+            term_faces[fl.faces[fid].dim].append(fid)
+    widths = [math.comb(cone.rank - d, degree - d) for d in range(degree + 1)]
+    diffs = []
+    for s, d in enumerate(full.differentials):
+        # the faces of one dimension have consecutive ids
+        w, first = widths[s + 1], full.term_faces[s + 1][0]
+        rows = tuple(row for fid in term_faces[s + 1] for row in d.rows[(fid - first) * w:(fid - first + 1) * w])
+        diffs.append(RatMatrix.from_sparse(rows, d.ncols, d.certified_prime()))
+    term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
+    return IshidaComplex(degree, tuple(map(tuple, term_faces)), term_dims, tuple(diffs))
 
 
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:

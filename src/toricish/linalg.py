@@ -2,19 +2,25 @@
 
 Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout and in integers:
-never floats.  Lattice work (kernels, coordinates of one lattice basis in
-another, right inverses) and the contraction blocks are read off one
-column-Hermite reduction.  A contraction block takes the values of its
-functional on the source basis (the pairings of a cover pair,
-cones.cover_pairings) and is written as sparse rows, which the complexes
+never floats.  Lattice work (kernels, coordinates in a lattice basis) is
+read off one column-Hermite reduction.  A contraction block takes the
+values of its functional on the source basis (the pairings of a cover pair,
+cones.cover_pairings).  It needs no matrix inverse: a source vector e on
+which the functional phi is 1 projects the source onto the target,
+v -> v - phi(v) e, and the target coordinates of the projected basis, with
+their wedge powers as sparse rows, turn the contracted image into target
+coordinates.  The block is written as sparse rows, which the complexes
 offset straight into their differentials.
 Matrices are stored as sparse rows throughout (RatMatrix); ranks are
 eliminated modulo a Mersenne prime that a Hadamard bound proves large
-enough to give the rank over Q (RatMatrix.rank).  Input is integer only:
-RatMatrix and primitive_vector reject any other entry, so no rational ever
-enters.  All functions are pure and all returned objects immutable, apart
-from the memo dict that callers may hand to WedgeBasis (the complexes hand
-over the cone's memo dict, cones.Cone.memo).
+enough to give the rank over Q (RatMatrix.rank).  That prime is certified
+once per matrix and also certifies every slice of it, which is how the
+slices of a differential are ranked.  Input is integer only: RatMatrix
+and primitive_vector reject any other entry, so no rational ever enters.
+All functions are pure and all returned objects immutable, apart from the
+prime a RatMatrix keeps once found and the memo dict that callers may hand
+to WedgeBasis (the complexes hand over the cone's memo dict,
+cones.Cone.memo), which holds the wedge powers of each block's projection.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def primitive_vector(vec) -> tuple[int, ...]:
@@ -74,7 +81,9 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
     Each row is reduced by the pivot rows of its leading columns until it is
     zero or leads in a new column.  Entries stay signed and are reduced only
     once |x| >= p.  A pivot a other than +-1 (where 1/a == a) is not
-    inverted: the row is scaled by a instead.
+    inverted: the row is scaled by a instead.  A row leading with +-1 takes
+    the place of a stored pivot that does not, which is reduced in its
+    stead, so that as many pivots as possible are units.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -85,6 +94,8 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
                 pivots[c] = row
                 break
             a, b = prow[c], row[c]
+            if (b == 1 or b == -1) and a != 1 and a != -1:
+                pivots[c], row, prow, a, b = row, prow, row, b, a
             if a == 1 or a == -1:
                 b *= a
             else:
@@ -113,9 +124,11 @@ class RatMatrix:
     the rank over Q, and equals it when p lies above a Hadamard bound of
     every minor (_certified_prime), as no nonzero minor then vanishes mod p.
     Each entry, a 1 x 1 minor, then also lies below p, as _rank_mod needs.
+    The prime is kept once found (certified_prime), and from_sparse can
+    hand a slice of a matrix the prime of that matrix.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_prime")
 
     def __init__(self, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -133,11 +146,12 @@ class RatMatrix:
         self.rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
         self.nrows = len(rows)
         self.ncols = ncols
+        self._prime = None
 
     @classmethod
-    def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int) -> "RatMatrix":
+    def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int, prime=None) -> "RatMatrix":
         m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        m.rows, m.nrows, m.ncols, m._prime = rows, len(rows), ncols, prime
         return m
 
     def is_zero(self) -> bool:
@@ -155,9 +169,17 @@ class RatMatrix:
             out.append(tuple((c, acc[c]) for c in sorted(acc) if acc[c]))
         return RatMatrix.from_sparse(tuple(out), other.ncols)
 
+    def certified_prime(self) -> int:
+        """The prime rank() eliminates modulo, found on first use.  A slice
+        (a subset of the rows, of the columns, or both) has no larger
+        Hadamard bound, so the prime certifies the rank of any slice too."""
+        if self._prime is None:
+            self._prime = _certified_prime([dict(r) for r in self.rows if r])
+        return self._prime
+
     def rank(self) -> int:
         rows = [dict(r) for r in self.rows if r]
-        return _rank_mod(rows, _certified_prime(rows)) if rows else 0
+        return _rank_mod(rows, self.certified_prime()) if rows else 0
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
@@ -230,54 +252,83 @@ def _solve_coordinates(solver: tuple[tuple, tuple], vectors: Sequence[Sequence[i
     return tuple(out)
 
 
-def _integer_right_inverse(a: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
-    """Integer B (ncols x t, flat in row-major order) with a . B == I for the
-    t x ncols integer a.
-
-    With a . u == [h | 0] from the column-Hermite reduction, B is the first t
-    columns of u times h^-1.  That inverse is integral exactly when every
-    pivot is a unit, i.e. when the rows of a span a saturated sublattice;
-    otherwise ValueError.
-    """
-    t = len(a)
-    cols, r = _column_echelon(a, ncols)
-    if r != t or any(cols[i][i] not in (1, -1) for i in range(t)):
-        raise ValueError("target lattice is not saturated in the source lattice")
-    # h, the top t x t block of the reduced columns, is lower triangular:
-    # forward substitution, where dividing by a unit pivot is multiplying.
-    c = [[0] * t for _ in range(t)]
-    for j in range(t):
-        for i in range(j, t):
-            c[i][j] = ((i == j) - sum(cols[m][i] * c[m][j] for m in range(j, i))) * cols[i][i]
-    return tuple(sum(cols[m][t + i] * c[m][j] for m in range(t)) for i in range(ncols) for j in range(t))
-
-
 @lru_cache(maxsize=None)
 def _ksubsets(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    if k < 0:
-        return ()
     return tuple(itertools.combinations(range(m), k))
 
 
-def _wedge_power(b: tuple[int, ...], nrows: int, ncols: int, prev: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """j-th exterior power of the nrows x ncols integer matrix b: its j x j
-    minors, rows and columns indexed by lexicographically ordered j-subsets.
-    Matrices are flat in row-major order.  Each minor is a Laplace expansion
-    along its first row over `prev`, the (j-1)-th power."""
-    prev_row = {s: i for i, s in enumerate(_ksubsets(nrows, j - 1))}
-    prev_col = {s: i for i, s in enumerate(_ksubsets(ncols, j - 1))}
-    width = len(prev_col)
+@lru_cache(maxsize=None)
+def _laplace(m: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per k-subset S of range(m), in lexicographic order, the terms of an
+    expansion along S: (S[q], (-1)^q, index of S minus S[q] among the
+    (k-1)-subsets) for each position q."""
+    index = {s: i for i, s in enumerate(_ksubsets(m, k - 1))}
+    return tuple(
+        tuple((x, -1 if q % 2 else 1, index[s[:q] + s[q + 1:]]) for q, x in enumerate(s))
+        for s in _ksubsets(m, k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _insertions(m: int, k: int) -> tuple[dict[int, tuple[int, int]], ...]:
+    """_laplace(m, k) inverted: per (k-1)-subset index, x -> ((-1)^q, index
+    of the k-subset that holds x at position q), for each x not in it."""
+    out = tuple({} for _ in _ksubsets(m, k - 1))
+    for i, terms in enumerate(_laplace(m, k)):
+        for x, sign, rest in terms:
+            out[rest][x] = (sign, i)
+    return out
+
+
+def _wedge_rows(b, prev, p: int, t: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows of the j-th wedge power of the p x t integer matrix with
+    sparse rows b, from `prev`, its (j-1)-th power: the j x j minors, rows
+    and columns indexed by lexicographically ordered j-subsets.  Each minor
+    is a Laplace expansion along its first row."""
+    insert = _insertions(t, j)
     out = []
-    for rows in _ksubsets(nrows, j):
-        first, base = rows[0] * ncols, prev_row[rows[1:]] * width
-        for cols in _ksubsets(ncols, j):
-            val = 0
-            for q, c in enumerate(cols):
-                if b[first + c]:
-                    m = b[first + c] * prev[base + prev_col[cols[:q] + cols[q + 1:]]]
-                    val += -m if q % 2 else m
-            out.append(val)
+    for terms in _laplace(p, j):
+        first, _, rest = terms[0]
+        acc: dict[int, int] = {}
+        for c, x in b[first]:
+            for d, y in prev[rest]:
+                hit = insert[d].get(c)
+                if hit:
+                    sign, col = hit
+                    acc[col] = acc.get(col, 0) + sign * x * y
+        out.append(tuple((c, v) for c, v in acc.items() if v))
     return tuple(out)
+
+
+def _contraction_inverse(source: "WedgeBasis", target: "WedgeBasis", pairings: Sequence[int]):
+    """Sparse rows of an integer p x t matrix B (t = p - 1) that maps the
+    source lattice V onto the target W and fixes W, so A . B == I for the
+    target's coordinates A in the source basis: row i holds the target
+    coordinates of v_i - (pairings[i] / g) e, for an e in V pairing to g,
+    the gcd of the pairings up to sign.  W must be the part of V that the
+    functional annihilates, else ValueError: a projected vector outside the
+    span of W means the functional does not vanish on W, one outside the
+    lattice W that W is not saturated in V.
+    """
+    # e: a basis vector where a pairing is +-1, else a Bezout combination
+    i0 = next((i for i, x in enumerate(pairings) if x == 1 or x == -1), None)
+    if i0 is None:
+        cols, _ = _column_echelon([pairings], len(pairings))
+        g, e = cols[0][0], cols[0][1:]  # pairings . e == g
+    else:
+        g, e = 1, [0] * len(pairings)
+        e[i0] = pairings[i0]
+    ev = [sum(c * v[a] for c, v in zip(e, source.vectors) if c) for a in range(source.ambient)]
+    projected = [[x - f // g * y for x, y in zip(v, ev)] for v, f in zip(source.vectors, pairings)]
+    try:
+        b = _solve_coordinates(target.coordinate_solver, projected)
+    except ValueError as exc:
+        raise ValueError(
+            "functional must annihilate the target subspace"
+            if "span" in str(exc)
+            else "target lattice is not saturated in the source lattice"
+        ) from None
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in b)
 
 
 @dataclass(frozen=True)
@@ -289,11 +340,11 @@ class WedgeBasis:
     standard sign convention (sorting transpositions contribute -1 each).
 
     `memo`, when given, is a dict in which interior_product_matrix keeps,
-    for each (source, target) subspace pair, the target's coordinates in
-    the source basis, the integer right inverse and its wedge powers, so
-    that the blocks of every wedge degree share them.  The complexes pass
-    the cone's memo dict (Cone.memo), which is freed with the cone; its keys
-    are the pairs of subspace bases themselves.
+    for each (source basis, target basis, pairings), the wedge powers of the
+    integer right inverse (_contraction_inverse) as sparse rows, extended to
+    the degrees asked for so far, so that the blocks of every wedge degree
+    share them.  The complexes pass the cone's memo dict (Cone.memo), which
+    is freed with the cone.
     """
 
     vectors: tuple[tuple[int, ...], ...]
@@ -311,7 +362,7 @@ class WedgeBasis:
     @functools.cached_property
     def coordinate_solver(self) -> tuple[tuple, tuple]:
         """_coordinate_solver of the basis vectors, computed on first use, so
-        that the blocks from this basis to each of its targets share it."""
+        that the blocks into this basis from each of its sources share it."""
         return _coordinate_solver(self.vectors, self.ambient)
 
     @property
@@ -334,19 +385,16 @@ def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, pairings: Se
     (cones.cover_pairings).  A caller holding a step vector s passes
     [dot(v, s) for v in source.vectors].
 
-    Well defined only when W lies in the part of V that the functional
-    annihilates: it must vanish on every target basis vector, which is
-    checked from the target's coordinates in the source basis, and the
-    contracted image must land in the span of the target wedges (otherwise
-    the face pair is wrong and a ValueError is raised).
+    Well defined only when the functional vanishes on W and the contracted
+    image lands in the span of the target wedges; otherwise ValueError.  A
+    nonzero functional maps degree k in 2..p onto wedge^(k-1) of the part of
+    V that it annihilates, so W must be all of that part, of rank p - 1 and
+    saturated in V.
 
-    The block is computed relative to V, in integers.  With A the
-    coordinates of W's basis in V's basis, a right inverse B (A . B == I)
-    maps V onto W and fixes W, so the wedge powers of B turn the contracted
-    image into target coordinates: column S is
+    The block is computed relative to V, in integers.  A right inverse B of
+    W in V (_contraction_inverse) fixes W, so its wedge powers turn the
+    contracted image into target coordinates: column S is
     sum_pos (-1)^pos pairings[S[pos]] (row S minus S[pos] of wedge^(k-1) B).
-    B is integral because W is saturated in V, as perp(tau) is in perp(mu);
-    an unsaturated W raises ValueError.
     """
     if source.degree != target.degree + 1:
         raise ValueError("target degree must be one below the source degree")
@@ -355,37 +403,36 @@ def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, pairings: Se
     k, p, t = source.degree, len(source.vectors), len(target.vectors)
     if len(pairings) != p:
         raise ValueError("need one pairing per source basis vector")
-    memo = {} if source.memo is None else source.memo
-    key = (source.vectors, target.vectors)
-    entry = memo.get(key)  # (A flat, wedge^1 B, wedge^2 B, ...), extended on demand
-    if entry is None:
-        coords = _solve_coordinates(source.coordinate_solver, target.vectors)
-        entry = (tuple(x for row in coords for x in row),)
-    a = [entry[0][i * p:(i + 1) * p] for i in range(t)]
-    if any(dot(row, pairings) for row in a):
-        raise ValueError("functional must annihilate the target subspace")
-    powers = entry[1:] or (_integer_right_inverse(a, p),)
-    # If the functional is nonzero on V, the image is wedge^(k-1) of the part
-    # of V that it annihilates, which lies in wedge^(k-1) W only when W is
-    # all of it.
-    if 2 <= k <= p and t != p - 1 and any(pairings):
-        raise ValueError("target subspace does not contain image")
-    while len(powers) < k - 1:
-        powers += (_wedge_power(powers[0], p, t, powers[-1], len(powers) + 1),)
-    memo[key] = entry[:1] + powers
-    wedge = powers[k - 2] if k > 1 else (1,)
     width = target.dim
-    row_of = {s: i * width for i, s in enumerate(_ksubsets(p, k - 1))}
+    if not any(pairings):
+        return RatMatrix.from_sparse(((),) * width, source.dim)
+    if t != p - 1:
+        # Only degree 1 (the row of pairings) and degrees above p (no
+        # columns) have an image that fits in W.
+        if any(dot(row, pairings) for row in _solve_coordinates(source.coordinate_solver, target.vectors)):
+            raise ValueError("functional must annihilate the target subspace")
+        if 2 <= k <= p:
+            raise ValueError("target subspace does not contain image")
+        wedge = (((0, 1),),)
+    else:
+        memo = {} if source.memo is None else source.memo
+        key = (source.vectors, target.vectors, tuple(pairings))
+        powers = memo.get(key)  # [wedge^0 B, wedge^1 B, ...], extended on demand
+        if powers is None:
+            powers = memo[key] = [(((0, 1),),), _contraction_inverse(source, target, pairings)]
+        while len(powers) < k:
+            powers.append(_wedge_rows(powers[1], powers[-1], p, t, len(powers)))
+        wedge = powers[k - 1]
     rows = [[] for _ in range(width)]
-    for j, sub in enumerate(source.subsets):
-        col = [0] * width
-        for pos, i in enumerate(sub):
-            c = -pairings[i] if pos % 2 else pairings[i]
+    for j, terms in enumerate(_laplace(p, k)):
+        acc: dict[int, int] = {}
+        for i, sign, rest in terms:
+            c = pairings[i]
             if c:
-                base = row_of[sub[:pos] + sub[pos + 1:]]
-                for slot in range(width):
-                    col[slot] += c * wedge[base + slot]
-        for slot, x in enumerate(col):
+                c *= sign
+                for slot, y in wedge[rest]:
+                    acc[slot] = acc.get(slot, 0) + c * y
+        for slot, x in acc.items():
             if x:
                 rows[slot].append((j, x))
     return RatMatrix.from_sparse(tuple(map(tuple, rows)), source.dim)

@@ -10,10 +10,15 @@ off the down-set slices of the cone's own complexes (ishida.core_table).
 The functions here compute the same numbers from the face cones instead,
 each face cone's intrinsic cohomology being that of its own complex
 (degree_zero_cohomology).
+
+reindexed_class_complex cuts the quotient complex over the faces of F out
+of the cone's complex as a complex of its own, rows and columns re-indexed:
+the oracle for ishida.class_complex, which keeps whole rows instead.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from toricish.cones import (
@@ -24,8 +29,8 @@ from toricish.cones import (
     is_simplicial,
 )
 from toricish.decomposition import ic_multiplicities
-from toricish.ishida import cohomology_dims, ishida_complex
-from toricish.linalg import _coordinate_solver, _solve_coordinates, integer_kernel_basis
+from toricish.ishida import IshidaComplex, cohomology_dims, ishida_complex
+from toricish.linalg import RatMatrix, _coordinate_solver, _solve_coordinates, integer_kernel_basis
 
 
 def span_lattice(face: Face) -> tuple[tuple[int, ...], ...]:
@@ -79,3 +84,32 @@ def intrinsic_class(cone: Cone, face: Face) -> tuple:
 def intrinsic_multiplicities(cone: Cone, face: Face):
     """The IC multiplicity table of the face cone as a whole."""
     return ic_multiplicities(face_cone(cone, face))
+
+
+def kept_indices(cone: Cone, face: Face, degree: int) -> list[list[int]]:
+    """Per slot of ishida_complex(cone, degree), the indices of the terms
+    that belong to the faces of `face` (`face` included), chosen by ray set."""
+    full = ishida_complex(cone, degree)
+    faces = cone.face_lattice().faces
+    kept = []
+    for d, ids in enumerate(full.term_faces):
+        width = math.comb(cone.rank - d, degree - d)
+        kept.append([
+            j * width + a for j, fid in enumerate(ids) if set(faces[fid].rays) <= set(face.rays) for a in range(width)
+        ])
+    return kept
+
+
+def reindexed_class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:
+    """The rows and columns of ishida_complex(cone, degree) that belong to
+    the faces of `face`, re-indexed into a complex of their own."""
+    full = ishida_complex(cone, degree)
+    faces = cone.face_lattice().faces
+    kept = kept_indices(cone, face, degree)
+    term_faces = tuple(tuple(fid for fid in ids if set(faces[fid].rays) <= set(face.rays)) for ids in full.term_faces)
+    diffs = []
+    for s, d in enumerate(full.differentials):
+        new_col = {c: i for i, c in enumerate(kept[s])}
+        rows = tuple(tuple((new_col[c], x) for c, x in d.rows[r] if c in new_col) for r in kept[s + 1])
+        diffs.append(RatMatrix.from_sparse(rows, len(kept[s])))
+    return IshidaComplex(degree, term_faces, tuple(map(len, kept)), tuple(diffs))

@@ -330,9 +330,15 @@ class TestPredicates:
             for c in range(cone.rank + 1):
                 assert vals[c] == all(oracle[i] for i in fl.by_dim[c])
 
-    def test_duality_swaps_classes(self, random_corpus):
-        for cone in random_corpus:
-            assert is_cone_over_simplicial(cone) == is_cone_over_simple(dual(cone))
+    def test_duality_swaps_classes(self, random_corpus, simplicial_class_corpus, simple_class_corpus):
+        """Both ways: the dual of a cone over a simple polytope is a cone
+        over a simplicial one and the other way round, and a simplicial cone
+        stays simplicial.  The class corpora give positives of both."""
+        for cone in random_corpus + simplicial_class_corpus + simple_class_corpus:
+            d = dual(cone)
+            assert is_cone_over_simplicial(cone) == is_cone_over_simple(d), cone
+            assert is_cone_over_simple(cone) == is_cone_over_simplicial(d), cone
+            assert is_simplicial(cone) == is_simplicial(d), cone
 
 
 class TestNormalStep:

@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paper_reference import ext_dims_simplicial_class
 from toricish.combinatorics import g_polynomial, h_tilde_vector, h_vector, hodge_du_bois_table
@@ -246,14 +246,19 @@ def _invariants(cone):
     st.integers(0, 10**6),
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2)), max_size=6),
 )
+@example(5, 1, [(0, 1, 1), (1, 2, -2), (2, 3, 1), (3, 4, 2), (4, 0, -1), (0, 2, 1)])
+@example(5, 2, [(1, 0, 2), (2, 1, 1), (3, 2, -1), (4, 3, 1), (0, 4, 1), (2, 0, -2)])
+@example(5, 3, [(4, 0, -1), (3, 1, 2), (0, 3, 1), (1, 4, -2), (2, 4, 1), (0, 1, 1)])
 @settings(max_examples=40, deadline=None)
 def test_invariants_under_lattice_automorphism(dim, seed, ops):
     """A unimodular change of coordinates, a product of elementary integer
     matrices, changes no invariant.  The moved cone's faces get other
     coordinates and other indices, and the slices behind its core rows and
     per-face IC tables live in those ambient coordinates, so this also
-    checks that none of them depends on the coordinates, and that the moved
-    cone's own shelling, searched under its new face indices, certifies."""
+    checks that none of them depends on the coordinates.  The moved cone's
+    own shelling, searched under its new face indices, certifies, and each
+    cone's shelling, carried through the ray bijection, is a shelling of the
+    other.  The pinned examples are dimension-5 cones."""
     (cone,) = sample_cones(seed, dim, 1)
     moved = [list(r) for r in cone.rays]
     for i, j, c in ops:
@@ -263,7 +268,12 @@ def test_invariants_under_lattice_automorphism(dim, seed, ops):
                 r[i] += c * r[j]
     moved_cone = Cone.from_rays(moved, dim)
     assert _invariants(moved_cone) == _invariants(cone)
-    assert is_shelling(moved_cone, shelling(moved_cone).order)
+    to_moved = [moved_cone.rays.index(tuple(r)) for r in moved]
+    to_cone = {m: i for i, m in enumerate(to_moved)}
+    order, moved_order = shelling(cone).order, shelling(moved_cone).order
+    assert is_shelling(moved_cone, moved_order)
+    assert is_shelling(moved_cone, [[to_moved[i] for i in facet] for facet in order])
+    assert is_shelling(cone, [[to_cone[i] for i in facet] for facet in moved_order])
 
 
 def test_cone_family_is_freed():

@@ -8,11 +8,19 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from face_reference import face_cone, intrinsic_class, intrinsic_multiplicities, intrinsic_rows
+from face_reference import (
+    face_cone,
+    intrinsic_class,
+    intrinsic_multiplicities,
+    intrinsic_rows,
+    kept_indices,
+    reindexed_class_complex,
+)
 from paper_reference import dual
 from toricish.cones import Cone
 from toricish.decomposition import face_class, ic_multiplicities, multiplicities_from_cohomology
-from toricish.ishida import class_complex, cohomology_dims, core_table, graded_class_cohomology
+from toricish.ishida import class_complex, cohomology_dims, core_table, graded_class_cohomology, ishida_complex
+from toricish.linalg import _certified_prime
 from toricish.sampling import sample_cones
 
 SMALL = [
@@ -67,6 +75,27 @@ def test_random_cones(dim, seed):
     (cone,) = sample_cones(seed, dim, 1)
     assert_slices_match_oracle(cone)
     assert_slices_match_oracle(dual(cone))
+
+
+def test_class_slices_keep_whole_rows(full_corpus):
+    """class_complex keeps the faces of F and, of each differential, their
+    rows whole: every entry of a kept row lies in a kept face's columns, the
+    cohomology is that of the re-indexed slice, and the prime of the full
+    differential, which the slice takes, is no smaller than the slice's own."""
+    for cone in full_corpus:
+        for face in cone.face_lattice().faces:
+            for l in range(cone.rank + 1):
+                got, want = class_complex(cone, face, l), reindexed_class_complex(cone, face, l)
+                assert (got.term_faces, got.term_dims) == (want.term_faces, want.term_dims), (cone, face.rays, l)
+                assert cohomology_dims(got) == cohomology_dims(want), (cone, face.rays, l)
+                kept = kept_indices(cone, face, l)
+                for s, (d, whole) in enumerate(zip(got.differentials, ishida_complex(cone, l).differentials)):
+                    assert (d.nrows, d.ncols) == (len(kept[s + 1]), whole.ncols)
+                    assert d.rows == tuple(whole.rows[r] for r in kept[s + 1])
+                    cols = set(kept[s])
+                    assert all(c in cols for row in d.rows for c, _ in row), (cone, face.rays, l)
+                    own = _certified_prime([dict(r) for r in d.rows if r])
+                    assert own <= d.certified_prime() == whole.certified_prime()
 
 
 def test_top_face_is_the_default(full_corpus):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from ambient_reference import (
 )
 from face_reference import lattice_coordinates
 from toricish import linalg
-from toricish.cones import cover_pairings
 from toricish.ishida import ishida_complex, link_complex
 from toricish.linalg import (
     RatMatrix,
@@ -266,6 +266,21 @@ class TestInteriorProduct:
         with pytest.raises(ValueError, match="one pairing per"):
             interior_product_matrix(src, tgt, (1, 0, 0))
 
+    def test_pairings_without_a_unit(self):
+        # No pairing is +-1, so the right inverse is built from a Bezout
+        # combination: iota(e1 ^ e2) = 2 e2 - 3 e1 = -(3, -2), and twice that
+        # for the step (4, 6), whose pairings are not primitive.
+        src = WedgeBasis(((1, 0), (0, 1)), 2, 2)
+        tgt = WedgeBasis(((3, -2),), 1, 2)
+        assert dense(interior_product_matrix(src, tgt, (2, 3))) == ((-1,),)
+        assert dense(interior_product_matrix(src, tgt, (4, 6))) == ((-2,),)
+        for step in ((2, 3), (4, 6)):
+            _assert_same_block(src, tgt, step)
+        src = WedgeBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 3)
+        tgt = WedgeBasis(((3, -2, 0), (0, 0, 1)), 1, 3)
+        for step in ((2, 3, 0), (-4, -6, 0)):
+            _assert_same_block(src, tgt, step)
+
     def test_image_outside_target_raises(self):
         # source plane spanned by e1, e2; target spanned by e3 only: the
         # contraction by e1 hits e2 wedges, which are not multiples of e3.
@@ -361,12 +376,11 @@ def test_unsaturated_target_raises():
         interior_product_matrix(src, tgt, (1, 0))
 
 
-def _assert_same_block(src, tgt, step, pairings=None):
+def _assert_same_block(src, tgt, step):
     """The integer kernel, given the pairings of the step with the source
     basis, and the ambient reference, given the step, agree entry for entry,
     or raise the same ValueError."""
-    if pairings is None:
-        pairings = [dot(v, step) for v in src.vectors]
+    pairings = [dot(v, step) for v in src.vectors]
     try:
         expected = ambient_interior_product_matrix(src, tgt, step)
     except ValueError as exc:
@@ -379,23 +393,33 @@ def _assert_same_block(src, tgt, step, pairings=None):
     assert all(type(x) is int for row in got.rows for _, x in row)
 
 
-def test_blocks_match_ambient_reference(named_corpus, random_corpus):
-    """Every cover pair and every wedge degree of both corpora, built through
-    the cone's memo the way the complexes build them."""
-    for cone in named_corpus + random_corpus:
+def test_blocks_match_ambient_reference(full_corpus):
+    """Every block of every differential the complexes assemble, one per
+    cover pair and wedge degree, equals the ambient reference built from the
+    pair's step vector, and no entry lies outside the blocks."""
+    for cone in full_corpus:
         fl = cone.face_lattice()
         n = cone.rank
-        for hi, ids in enumerate(fl.children):
-            for lo in ids:
-                mu, tau = fl.faces[lo], fl.faces[hi]
-                step = normal_step_vector(mu, tau)
-                for k in range(1, n - mu.dim + 1):
-                    _assert_same_block(
-                        WedgeBasis(mu.perp_lattice, k, n, cone.memo),
-                        WedgeBasis(tau.perp_lattice, k - 1, n, cone.memo),
-                        step,
-                        cover_pairings(mu, tau),
-                    )
+        for l in range(n + 1):
+            cx = ishida_complex(cone, l)
+            for s, d in enumerate(cx.differentials):
+                assert all(type(x) is int for row in d.rows for _, x in row)
+                full = dense(d)
+                cw, rw = math.comb(n - s, l - s), math.comb(n - s - 1, l - s - 1)
+                in_blocks = 0
+                for i, tid in enumerate(cx.term_faces[s + 1]):
+                    for mid in fl.children[tid]:
+                        j = cx.term_faces[s].index(mid)
+                        mu, tau = fl.faces[mid], fl.faces[tid]
+                        want = ambient_interior_product_matrix(
+                            WedgeBasis(mu.perp_lattice, l - s, n),
+                            WedgeBasis(tau.perp_lattice, l - s - 1, n),
+                            normal_step_vector(mu, tau),
+                        )
+                        got = tuple(row[j * cw:(j + 1) * cw] for row in full[i * rw:(i + 1) * rw])
+                        assert got == dense(want), (cone, mu.rays, tau.rays, l)
+                        in_blocks += sum(1 for row in got for x in row if x)
+                assert in_blocks == sum(map(len, d.rows))
 
 
 def _unimodular(n, ops):
