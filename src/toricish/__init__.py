@@ -49,8 +49,8 @@ from .ishida import (
     verify_surjectivity,
 )
 from .linalg import (
+    Contraction,
     RatMatrix,
-    WedgeBasis,
     integer_kernel_basis,
     interior_product_matrix,
     primitive_vector,

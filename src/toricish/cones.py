@@ -4,11 +4,12 @@ A Cone is full-dimensional and strongly convex in a lattice of the stated
 rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, with no linear algebra.
 Each face computes, on first use, a saturated lattice basis of its
-annihilator; the wedge blocks of the complexes and the pairings of that
-basis with the lattice step between covering faces (cover_pairings, read
-off a ray) are built on it, and nothing else reads it.  Every vector here
-is an integer vector and every computation is in integers: the double
-description, the lattice bases, the pairings.
+annihilator and its coordinate solver; the contraction of the complexes
+for a cover pair is built on them and on the pairings of that basis with
+the pair's lattice step (cover_pairings, read off a ray), and nothing
+else reads them.  Every vector here is an integer vector and every
+computation is in integers: the double description, the lattice bases,
+the pairings.
 
 A set of rays or of faces is an int bitmask over their indices.  Neither a
 face nor a face lattice refers back to its cone: a face carries its ray
@@ -28,7 +29,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .linalg import dot, integer_kernel_basis, primitive_vector
+from .linalg import coordinate_solver, dot, integer_kernel_basis, primitive_vector
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -55,11 +56,14 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     old ones, reduced by its gcd (primitive_vector), so no division is made
     and the entries stay small.
 
-    Raises ValueError("cone not full-dimensional; quotient out lineality/span
+    Raises ValueError when a generator's length is not the rank,
+    ValueError("cone not full-dimensional; quotient out lineality/span
     first") when the generators do not span, and ValueError("cone contains a
     line") when the dual is degenerate, i.e. the generated cone is not
     strongly convex.
     """
+    if any(len(g) != rank for g in generators):
+        raise ValueError(f"every vector must have length {rank}, the lattice rank")
     if rank == 0:
         return ()
     gens: list[tuple[int, ...]] = []
@@ -162,10 +166,11 @@ class Cone:
             if not vectors:
                 raise ValueError("cannot infer the lattice rank from an empty generator list")
             rank = len(vectors[0])
+        # checked here too, as zero vectors never reach dual_description
+        if any(len(v) != rank for v in vectors):
+            raise ValueError(f"every vector must have length {rank}, the lattice rank")
         prim = sorted({primitive_vector(v) for v in vectors if any(v)})
         if rank == 0:
-            if prim:
-                raise ValueError("a rank-0 lattice admits no rays")
             return cls(0, (), ())
         if not prim:
             raise ValueError("cone not full-dimensional; quotient out lineality/span first")
@@ -214,7 +219,8 @@ class Face:
     bitmask, vectors the ray generators and rank the lattice rank.  The rest
     is computed on first use and kept: perp_lattice, a Z-basis of the
     annihilator M intersect face^perp, saturated, so pairing with it is an
-    exact coordinate system for the quotient lattice N / (N intersect <face>).
+    exact coordinate system for the quotient lattice N / (N intersect <face>),
+    and perp_solver, the linalg.coordinate_solver of that basis.
     """
 
     index: int
@@ -227,6 +233,10 @@ class Face:
     @functools.cached_property
     def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
         return integer_kernel_basis(self.vectors, self.rank)
+
+    @functools.cached_property
+    def perp_solver(self) -> tuple[tuple, tuple]:
+        return coordinate_solver(self.perp_lattice, self.rank)
 
 
 class FaceLattice:

@@ -7,8 +7,9 @@ complex has, in cohomological degree i, one block per i-dimensional face mu,
 namely the (l - i)-th wedge power of the annihilator of mu; the differential
 is contraction in the first slot by the lattice step of each cover pair,
 given by its pairings with the annihilator's basis (cones.cover_pairings).
-Each block is built once per wedge degree, written as sparse rows straight
-into the differential.
+Each cover pair has one linalg.Contraction (contraction), which every wedge
+degree shares; each block is written as sparse rows straight into the
+differential.
 
 Every other complex is a slice of it, ranked modulo the prime certified
 once per full differential.  The faces containing a face mu form an up-set,
@@ -19,9 +20,8 @@ sheaf complex for the lattice points in the relative interior class of F.
 The face-intrinsic cohomology of F (core_table) is solved for from those.
 
 All functions are pure.  The cone's memo dict holds the memoized results
-(cones.memoized), the pairings of each cover pair, shared by every wedge
-degree, and the wedge powers behind the blocks (linalg.WedgeBasis); slices
-are built, ranked and dropped, never memoized.
+(cones.memoized) and nothing else, the contractions included; slices are
+built, ranked and dropped, never memoized.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .cones import Cone, Face, cover_pairings, ids_of, is_simple_in_dim, memoized
-from .linalg import RatMatrix, WedgeBasis, interior_product_matrix
+from .linalg import Contraction, RatMatrix, interior_product_matrix
 
 
 @dataclass(frozen=True)
@@ -57,37 +57,34 @@ class IshidaComplex:
 
 
 @memoized
+def contraction(cone: Cone, mid: int, tid: int) -> Contraction:
+    """The contraction from perp(mu) onto perp(tau) for the cover pair of
+    face ids mid < tid, with its wedge powers, for every wedge degree."""
+    faces = cone.face_lattice().faces
+    return Contraction(faces[mid].perp_lattice, faces[tid].perp_solver, cover_pairings(faces[mid], faces[tid]))
+
+
+@memoized
 def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
     """The degree-zero complex at wedge degree `degree`, over every face of
     dimension at most `degree`."""
     if not 0 <= degree <= cone.rank:
         raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
-    n = cone.rank
     fl = cone.face_lattice()
     term_faces = fl.by_dim[: degree + 1]
-    bases = [
-        {fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, cone.memo) for fid in ids}
-        for d, ids in enumerate(term_faces)
-    ]
-    term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
-    pairings = cone.memo.setdefault("cover_pairings", {})  # (mid, tid) -> pairings
+    widths = [math.comb(cone.rank - d, degree - d) for d in range(degree + 1)]
+    term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
     diffs = []
     for s in range(degree):
-        col_off, off = {}, 0
-        for fid in term_faces[s]:
-            col_off[fid] = off
-            off += bases[s][fid].dim
+        # the faces of one dimension have consecutive ids
+        w, first = widths[s], term_faces[s][0]
         rows = []
         for tid in term_faces[s + 1]:
-            tbasis = bases[s + 1][tid]
-            block_rows = [[] for _ in range(tbasis.dim)]
+            block_rows = [[] for _ in range(widths[s + 1])]
             # Children come in index order, so every row stays sorted.
             for mid in fl.children[tid]:
-                pair = pairings.get((mid, tid))
-                if pair is None:
-                    pair = pairings[mid, tid] = cover_pairings(fl.faces[mid], fl.faces[tid])
-                block = interior_product_matrix(bases[s][mid], tbasis, pair)
-                c0 = col_off[mid]
+                block = interior_product_matrix(contraction(cone, mid, tid), degree - s)
+                c0 = (mid - first) * w
                 for row, brow in zip(block_rows, block.rows):
                     row.extend((c0 + j, x) for j, x in brow)
             rows.extend(map(tuple, block_rows))

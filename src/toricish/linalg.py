@@ -1,16 +1,17 @@
-"""Exact linear algebra over Q and Z, done in integers, plus wedge-power bases.
+"""Exact linear algebra over Q and Z, done in integers, plus contractions
+of wedge powers.
 
 Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout and in integers:
 never floats.  Lattice work (kernels, coordinates in a lattice basis) is
-read off one column-Hermite reduction.  A contraction block takes the
-values of its functional on the source basis (the pairings of a cover pair,
-cones.cover_pairings).  It needs no matrix inverse: a source vector e on
-which the functional phi is 1 projects the source onto the target,
+read off one column-Hermite reduction.  A Contraction holds one functional
+on a lattice, given by its values on the basis (the pairings of a cover
+pair, cones.cover_pairings), and needs no matrix inverse: a source vector
+e on which the functional phi is 1 projects the source onto the target,
 v -> v - phi(v) e, and the target coordinates of the projected basis, with
 their wedge powers as sparse rows, turn the contracted image into target
-coordinates.  The block is written as sparse rows, which the complexes
-offset straight into their differentials.
+coordinates.  Each block (interior_product_matrix) is written as sparse
+rows, which the complexes offset straight into their differentials.
 Matrices are stored as sparse rows throughout (RatMatrix); ranks are
 eliminated modulo a Mersenne prime that a Hadamard bound proves large
 enough to give the rank over Q (RatMatrix.rank).  That prime is certified
@@ -18,18 +19,15 @@ once per matrix and also certifies every slice of it, which is how the
 slices of a differential are ranked.  Input is integer only: RatMatrix
 and primitive_vector reject any other entry, so no rational ever enters.
 All functions are pure and all returned objects immutable, apart from the
-prime a RatMatrix keeps once found and the memo dict that callers may hand
-to WedgeBasis (the complexes hand over the cone's memo dict,
-cones.Cone.memo), which holds the wedge powers of each block's projection.
+prime a RatMatrix keeps once found and the wedge powers a Contraction
+extends on demand.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -223,7 +221,7 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tup
     return tuple(tuple(c[len(rows):]) for c in cols[r:])
 
 
-def _coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple]:
+def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple]:
     """(h, u) from the column-Hermite reduction basis . u == [h | 0] of p
     independent basis rows: h[j] holds entries j..p-1 of the lower
     triangular column j of h, pivot first, and u the columns of u."""
@@ -280,12 +278,12 @@ def _insertions(m: int, k: int) -> tuple[dict[int, tuple[int, int]], ...]:
     return out
 
 
-def _wedge_rows(b, prev, p: int, t: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sparse rows of the j-th wedge power of the p x t integer matrix with
-    sparse rows b, from `prev`, its (j-1)-th power: the j x j minors, rows
-    and columns indexed by lexicographically ordered j-subsets.  Each minor
-    is a Laplace expansion along its first row."""
-    insert = _insertions(t, j)
+def _wedge_rows(b, prev, p: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows of the j-th wedge power of the p x (p - 1) integer matrix
+    with sparse rows b, from `prev`, its (j-1)-th power: the j x j minors,
+    rows and columns indexed by lexicographically ordered j-subsets.  Each
+    minor is a Laplace expansion along its first row."""
+    insert = _insertions(p - 1, j)
     out = []
     for terms in _laplace(p, j):
         first, _, rest = terms[0]
@@ -300,130 +298,80 @@ def _wedge_rows(b, prev, p: int, t: int, j: int) -> tuple[tuple[tuple[int, int],
     return tuple(out)
 
 
-def _contraction_inverse(source: "WedgeBasis", target: "WedgeBasis", pairings: Sequence[int]):
-    """Sparse rows of an integer p x t matrix B (t = p - 1) that maps the
-    source lattice V onto the target W and fixes W, so A . B == I for the
-    target's coordinates A in the source basis: row i holds the target
-    coordinates of v_i - (pairings[i] / g) e, for an e in V pairing to g,
-    the gcd of the pairings up to sign.  W must be the part of V that the
-    functional annihilates, else ValueError: a projected vector outside the
-    span of W means the functional does not vanish on W, one outside the
-    lattice W that W is not saturated in V.
-    """
-    # e: a basis vector where a pairing is +-1, else a Bezout combination
-    i0 = next((i for i, x in enumerate(pairings) if x == 1 or x == -1), None)
-    if i0 is None:
-        cols, _ = _column_echelon([pairings], len(pairings))
-        g, e = cols[0][0], cols[0][1:]  # pairings . e == g
-    else:
-        g, e = 1, [0] * len(pairings)
-        e[i0] = pairings[i0]
-    ev = [sum(c * v[a] for c, v in zip(e, source.vectors) if c) for a in range(source.ambient)]
-    projected = [[x - f // g * y for x, y in zip(v, ev)] for v, f in zip(source.vectors, pairings)]
-    try:
-        b = _solve_coordinates(target.coordinate_solver, projected)
-    except ValueError as exc:
-        raise ValueError(
-            "functional must annihilate the target subspace"
-            if "span" in str(exc)
-            else "target lattice is not saturated in the source lattice"
-        ) from None
-    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in b)
+class Contraction:
+    """Contraction by a nonzero functional phi on a lattice V onto the part
+    W of V that phi annihilates, at every wedge degree.  V is given by its
+    basis (source_vectors), W by the coordinate_solver of its basis, phi by
+    its values `pairings` on the basis of V.  In the complexes, V = perp(mu),
+    W = perp(tau) and phi is the lattice step of a cover pair mu < tau.
 
+    With e in V pairing to g, the gcd of the pairings up to sign, the map
+    v -> v - (phi(v) / g) e takes V onto W and fixes W.  Row i of the
+    integer p x (p - 1) matrix B holds the target coordinates of the image
+    of the i-th basis vector.  `powers` holds wedge^0 B, wedge^1 B = B, ...
+    as sparse rows, extended on demand (wedge) and shared by every degree.
 
-@dataclass(frozen=True)
-class WedgeBasis:
-    """Basis of the k-th wedge power of a subspace of Q^ambient.
-
-    The subspace is given by a basis (rows); the wedge basis is indexed by
-    k-element subsets of the row indices in lexicographic order, with the
-    standard sign convention (sorting transpositions contribute -1 each).
-
-    `memo`, when given, is a dict in which interior_product_matrix keeps,
-    for each (source basis, target basis, pairings), the wedge powers of the
-    integer right inverse (_contraction_inverse) as sparse rows, extended to
-    the degrees asked for so far, so that the blocks of every wedge degree
-    share them.  The complexes pass the cone's memo dict (Cone.memo), which
-    is freed with the cone.
+    ValueError unless phi is nonzero and W is all of ker phi, of rank
+    p - 1 and saturated in V: an image outside the span of W means that phi
+    does not vanish on W, one outside the lattice W that W is not saturated.
     """
 
-    vectors: tuple[tuple[int, ...], ...]
-    degree: int
-    ambient: int
-    memo: dict | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("pairings", "powers")
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("negative wedge degree")
-        for v in self.vectors:
-            if len(v) != self.ambient:
-                raise ValueError("vector length does not match ambient dimension")
+    def __init__(self, source_vectors: Sequence[Sequence[int]], target_solver: tuple[tuple, tuple], pairings: Sequence[int]):
+        p = len(source_vectors)
+        if len(pairings) != p:
+            raise ValueError("need one pairing per source basis vector")
+        if len(target_solver[0]) != p - 1:
+            raise ValueError("target rank must be one below the source rank")
+        if not any(pairings):
+            raise ValueError("the functional is zero")
+        # e: a basis vector where a pairing is +-1, else a Bezout combination
+        i0 = next((i for i, x in enumerate(pairings) if x == 1 or x == -1), None)
+        if i0 is None:
+            cols, _ = _column_echelon([pairings], p)
+            g, e = cols[0][0], cols[0][1:]  # pairings . e == g
+        else:
+            g, e = 1, [0] * p
+            e[i0] = pairings[i0]
+        ev = [sum(c * x for c, x in zip(e, col) if c) for col in zip(*source_vectors)]
+        projected = [[x - f // g * y for x, y in zip(v, ev)] for v, f in zip(source_vectors, pairings)]
+        try:
+            b = _solve_coordinates(target_solver, projected)
+        except ValueError as exc:
+            raise ValueError(
+                "functional must annihilate the target subspace"
+                if "span" in str(exc)
+                else "target lattice is not saturated in the source lattice"
+            ) from None
+        self.pairings = tuple(pairings)
+        self.powers = [(((0, 1),),), tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in b)]
 
-    @functools.cached_property
-    def coordinate_solver(self) -> tuple[tuple, tuple]:
-        """_coordinate_solver of the basis vectors, computed on first use, so
-        that the blocks into this basis from each of its sources share it."""
-        return _coordinate_solver(self.vectors, self.ambient)
-
-    @property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return _ksubsets(len(self.vectors), self.degree)
-
-    @property
-    def dim(self) -> int:
-        return len(self.subsets)
+    def wedge(self, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """wedge^j B, rows and columns indexed by j-subsets."""
+        powers, p = self.powers, len(self.pairings)
+        while len(powers) <= j:
+            powers.append(_wedge_rows(powers[1], powers[-1], p, len(powers)))
+        return powers[j]
 
 
-def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, pairings: Sequence[int]) -> RatMatrix:
-    """Matrix of contraction in the first slot by a functional on the source
-    subspace V, from wedge degree k of V to degree k-1 of the target W, as
-    an integer matrix in sparse rows.
+def interior_product_matrix(contraction: Contraction, k: int) -> RatMatrix:
+    """Matrix of the contraction from wedge degree k >= 1 of V to degree
+    k - 1 of W, as an integer matrix in sparse rows.  Its C(p, k) columns
+    and C(p - 1, k - 1) rows are indexed by the lexicographically ordered
+    subsets of the basis indices, with the standard sign convention
+    (sorting transpositions contribute -1 each).
 
-    The functional is given by its values `pairings` on the basis of V.  The
-    blocks of the complexes have V = perp(mu) and W = perp(tau) for a cover
-    pair mu < tau, and pair with the lattice step from mu to tau
-    (cones.cover_pairings).  A caller holding a step vector s passes
-    [dot(v, s) for v in source.vectors].
-
-    Well defined only when the functional vanishes on W and the contracted
-    image lands in the span of the target wedges; otherwise ValueError.  A
-    nonzero functional maps degree k in 2..p onto wedge^(k-1) of the part of
-    V that it annihilates, so W must be all of that part, of rank p - 1 and
-    saturated in V.
-
-    The block is computed relative to V, in integers.  A right inverse B of
-    W in V (_contraction_inverse) fixes W, so its wedge powers turn the
-    contracted image into target coordinates: column S is
-    sum_pos (-1)^pos pairings[S[pos]] (row S minus S[pos] of wedge^(k-1) B).
+    B fixes W, so its wedge powers turn the contracted image into target
+    coordinates: column S is sum_pos (-1)^pos pairings[S[pos]] (row S minus
+    S[pos] of wedge^(k-1) B).
     """
-    if source.degree != target.degree + 1:
-        raise ValueError("target degree must be one below the source degree")
-    if source.ambient != target.ambient:
-        raise ValueError("mismatched ambient dimensions")
-    k, p, t = source.degree, len(source.vectors), len(target.vectors)
-    if len(pairings) != p:
-        raise ValueError("need one pairing per source basis vector")
-    width = target.dim
-    if not any(pairings):
-        return RatMatrix.from_sparse(((),) * width, source.dim)
-    if t != p - 1:
-        # Only degree 1 (the row of pairings) and degrees above p (no
-        # columns) have an image that fits in W.
-        if any(dot(row, pairings) for row in _solve_coordinates(source.coordinate_solver, target.vectors)):
-            raise ValueError("functional must annihilate the target subspace")
-        if 2 <= k <= p:
-            raise ValueError("target subspace does not contain image")
-        wedge = (((0, 1),),)
-    else:
-        memo = {} if source.memo is None else source.memo
-        key = (source.vectors, target.vectors, tuple(pairings))
-        powers = memo.get(key)  # [wedge^0 B, wedge^1 B, ...], extended on demand
-        if powers is None:
-            powers = memo[key] = [(((0, 1),),), _contraction_inverse(source, target, pairings)]
-        while len(powers) < k:
-            powers.append(_wedge_rows(powers[1], powers[-1], p, t, len(powers)))
-        wedge = powers[k - 1]
-    rows = [[] for _ in range(width)]
+    if k < 1:
+        raise ValueError("contraction needs a source degree of at least 1")
+    pairings = contraction.pairings
+    p = len(pairings)
+    wedge = contraction.wedge(k - 1)
+    rows = [[] for _ in range(math.comb(p - 1, k - 1))]
     for j, terms in enumerate(_laplace(p, k)):
         acc: dict[int, int] = {}
         for i, sign, rest in terms:
@@ -435,4 +383,4 @@ def interior_product_matrix(source: WedgeBasis, target: WedgeBasis, pairings: Se
         for slot, x in acc.items():
             if x:
                 rows[slot].append((j, x))
-    return RatMatrix.from_sparse(tuple(map(tuple, rows)), source.dim)
+    return RatMatrix.from_sparse(tuple(map(tuple, rows)), math.comb(p, k))

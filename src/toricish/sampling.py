@@ -15,8 +15,10 @@ from .cones import Cone
 
 COORD_BOUND = 3
 
-# Random draws sample_cones makes before it gives up.
+# Random draws sample_cones makes before it gives up, and the highest
+# dimension it samples in.
 MAX_SAMPLE_TRIES = 10000
+MAX_SAMPLE_DIM = 8
 
 
 def random_cone(rng: random.Random, dim: int, n_rays: int) -> Cone | None:
@@ -39,13 +41,16 @@ def sample_cones(
     count: int,
     predicate: Callable[[Cone], bool] | None = None,
 ) -> list[Cone]:
-    """Deterministic list of `count` distinct cones of the given dimension
-    satisfying the predicate, from at most MAX_SAMPLE_TRIES draws."""
+    """Deterministic list of `count` distinct cones of the given dimension,
+    at most MAX_SAMPLE_DIM, satisfying the predicate, from at most
+    MAX_SAMPLE_TRIES draws."""
     if count < 0:
         raise ValueError("cone count must be non-negative")
+    if dim > MAX_SAMPLE_DIM:
+        raise ValueError(f"random cones are sampled in dimension at most {MAX_SAMPLE_DIM}, not {dim}")
     rng = random.Random(seed * 1_000_003 + dim)
     # At most dim + 5 rays, dim + 4 in dimension 5 and 8 from dimension 6
-    # on, which keeps the complexes desk-scale.
+    # on (so none above MAX_SAMPLE_DIM), which keeps the complexes desk-scale.
     max_rays = 8 if dim >= 6 else dim + 4 if dim == 5 else dim + 5
     out: list[Cone] = []
     seen = set()

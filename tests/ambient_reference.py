@@ -4,9 +4,12 @@ The contraction blocks are built in ambient coordinates, the original, slow
 route: every wedge is expanded into the standard wedge basis of Q^ambient
 with Fraction determinants, and each contracted image is solved against the
 target wedges by exact Gaussian elimination.  It makes no use of lattices or
-right inverses, which makes it an independent oracle for
-toricish.linalg.interior_product_matrix.  RatMatrix takes integers only, so
-each block and differential is checked to be integral on the way (integral).
+projections, which makes it an independent oracle for
+toricish.linalg.interior_product_matrix.  Its bases are AmbientBasis
+records of its own; the wedge coordinates and target solver of each basis
+and degree are kept in a bounded cache, as every block reuses them.
+RatMatrix takes integers only, so each block and differential is checked
+to be integral on the way (integral).
 
 bareiss_rank (fraction-free elimination over Z) is the oracle for
 RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
@@ -16,20 +19,23 @@ normal_step_vector builds the lattice step of a cover pair from the span
 lattice of the larger face (face_reference.span_lattice) and Bezout
 coefficients: the oracle for cones.cover_pairings, which reads the step's
 pairings off a ray.  assemble_over_up_set builds the complex over the
-faces containing a face on its own, block by block from those steps: the
-oracle for ishida.link_complex, which slices it out of ishida_complex.
+faces containing a face on its own, one Contraction per cover pair from
+those steps: the oracle for ishida.link_complex, which slices it out of
+ishida_complex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from face_reference import span_lattice
 from toricish.ishida import IshidaComplex
-from toricish.linalg import RatMatrix, WedgeBasis, dot, interior_product_matrix, primitive_vector
+from toricish.linalg import Contraction, RatMatrix, dot, interior_product_matrix, primitive_vector
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -142,12 +148,14 @@ class ColumnSolver:
                     a[i] = [x - f * y for x, y in zip(a[i], a[r])]
             pivots.append((r, c))
             r += 1
-        self._reduced = a
+        # the row operations to replay, as sparse rows
+        self._replay = [[(j, x) for j, x in enumerate(row[self.ncols:]) if x] for row in a]
         self._pivots = pivots
         self._rank = r
 
     def solve(self, target: Sequence):
-        vals = [dot(self._reduced[i][self.ncols:], target) for i in range(self.height)]
+        target = {j: t for j, t in enumerate(target) if t}
+        vals = [sum(x * target[j] for j, x in row if j in target) for row in self._replay]
         if any(vals[i] for i in range(self._rank, self.height)):
             return None
         # Free columns (if any) take coordinate zero; pivot rows then read off
@@ -188,7 +196,39 @@ def wedge_coordinates(vectors: Sequence[Sequence], ambient: int) -> list[Fractio
     ]
 
 
-def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step) -> RatMatrix:
+@dataclass(frozen=True)
+class AmbientBasis:
+    """Basis of the degree-th wedge power of the subspace of Q^ambient
+    spanned by `vectors`, indexed by the lexicographically ordered
+    degree-subsets of the vector indices, with the standard sign convention
+    (sorting transpositions contribute -1 each)."""
+
+    vectors: tuple[tuple[int, ...], ...]
+    degree: int
+    ambient: int
+
+    @property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.combinations(range(len(self.vectors)), self.degree))
+
+    @property
+    def dim(self) -> int:
+        return len(self.subsets)
+
+
+@lru_cache(maxsize=1024)
+def _wedges(basis: AmbientBasis) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+    """wedge_coordinates of every basis wedge, by subset."""
+    return {sub: tuple(wedge_coordinates([basis.vectors[i] for i in sub], basis.ambient)) for sub in basis.subsets}
+
+
+@lru_cache(maxsize=1024)
+def _wedge_solver(basis: AmbientBasis) -> ColumnSolver:
+    """A ColumnSolver for the basis wedges in ambient wedge coordinates."""
+    return ColumnSolver(list(_wedges(basis).values()), math.comb(basis.ambient, basis.degree))
+
+
+def ambient_interior_product_matrix(source: AmbientBasis, target: AmbientBasis, step) -> RatMatrix:
     """The contraction block of interior_product_matrix, computed in ambient
     wedge coordinates, in Fractions; every entry is checked to be an integer."""
     if source.degree != target.degree + 1:
@@ -196,12 +236,9 @@ def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step
     for u in target.vectors:
         if dot(u, step) != 0:
             raise ValueError("functional must annihilate the target subspace")
-    amb = source.ambient
-    height = len(list(itertools.combinations(range(amb), source.degree - 1)))
-    target_cols = [
-        wedge_coordinates([target.vectors[i] for i in sub], amb) for sub in target.subsets
-    ]
-    solver = ColumnSolver(target_cols, height)
+    height = math.comb(source.ambient, target.degree)
+    solver = _wedge_solver(target)
+    rest_wedges = _wedges(AmbientBasis(source.vectors, target.degree, source.ambient))
     pairings = [dot(v, step) for v in source.vectors]
     columns = []
     for sub in source.subsets:
@@ -210,8 +247,7 @@ def ambient_interior_product_matrix(source: WedgeBasis, target: WedgeBasis, step
             if not pairings[i]:
                 continue
             sign = -1 if pos % 2 else 1
-            rest = [source.vectors[j] for j in sub if j != i]
-            for slot, val in enumerate(wedge_coordinates(rest, amb)):
+            for slot, val in enumerate(rest_wedges[sub[:pos] + sub[pos + 1:]]):
                 image[slot] += sign * pairings[i] * val
         coeffs = solver.solve(image)
         if coeffs is None:
@@ -279,36 +315,26 @@ def normal_step_vector(mu, tau) -> tuple[int, ...]:
 def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
     """The complex over the faces containing mu, from the block of mu (slot
     0) up to the faces of dimension `degree`, assembled on its own: dense
-    rows, one block per cover pair from interior_product_matrix with the
-    pairings of normal_step_vector, and a memo of its own."""
+    rows, one block per cover pair from interior_product_matrix, on a
+    Contraction of its own with the pairings of normal_step_vector."""
     n = cone.rank
     fl = cone.face_lattice()
-    memo: dict = {}
-    term_faces, bases = [], []
-    for d in range(mu.dim, degree + 1):
-        ids = tuple(fid for fid in fl.by_dim[d] if set(mu.rays) <= set(fl.faces[fid].rays))
-        term_faces.append(ids)
-        bases.append({fid: WedgeBasis(fl.faces[fid].perp_lattice, degree - d, n, memo) for fid in ids})
-    term_dims = tuple(sum(b.dim for b in row.values()) for row in bases)
+    dims = range(mu.dim, degree + 1)
+    term_faces = [tuple(fid for fid in fl.by_dim[d] if set(mu.rays) <= set(fl.faces[fid].rays)) for d in dims]
+    widths = [math.comb(n - d, degree - d) for d in dims]
+    term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
     diffs = []
     for s in range(len(term_faces) - 1):
-        col_off, off = {}, 0
-        for fid in term_faces[s]:
-            col_off[fid] = off
-            off += bases[s][fid].dim
         rows = [[0] * term_dims[s] for _ in range(term_dims[s + 1])]
-        r0 = 0
-        for tid in term_faces[s + 1]:
-            tbasis = bases[s + 1][tid]
+        for t, tid in enumerate(term_faces[s + 1]):
             for mid in fl.children[tid]:
-                if mid not in col_off:
+                if mid not in term_faces[s]:
                     continue
-                src = bases[s][mid]
-                step = normal_step_vector(fl.faces[mid], fl.faces[tid])
-                block = interior_product_matrix(src, tbasis, [dot(v, step) for v in src.vectors])
-                c0 = col_off[mid]
-                for a, brow in enumerate(dense(block)):
+                lo, hi = fl.faces[mid], fl.faces[tid]
+                step = normal_step_vector(lo, hi)
+                c = Contraction(lo.perp_lattice, hi.perp_solver, [dot(v, step) for v in lo.perp_lattice])
+                r0, c0 = t * widths[s + 1], term_faces[s].index(mid) * widths[s]
+                for a, brow in enumerate(dense(interior_product_matrix(c, degree - lo.dim))):
                     rows[r0 + a][c0:c0 + len(brow)] = brow
-            r0 += tbasis.dim
         diffs.append(RatMatrix(integral(rows), ncols=term_dims[s]))
     return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs))

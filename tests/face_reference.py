@@ -30,7 +30,7 @@ from toricish.cones import (
 )
 from toricish.decomposition import ic_multiplicities
 from toricish.ishida import IshidaComplex, cohomology_dims, ishida_complex
-from toricish.linalg import RatMatrix, _coordinate_solver, _solve_coordinates, integer_kernel_basis
+from toricish.linalg import RatMatrix, _solve_coordinates, coordinate_solver, integer_kernel_basis
 
 
 def span_lattice(face: Face) -> tuple[tuple[int, ...], ...]:
@@ -48,7 +48,7 @@ def lattice_coordinates(
     vector.  Raises ValueError when the basis rows are dependent or a vector
     lies outside their span or outside the lattice they generate.
     """
-    return _solve_coordinates(_coordinate_solver(basis, ambient), vectors)
+    return _solve_coordinates(coordinate_solver(basis, ambient), vectors)
 
 
 def face_cone(cone: Cone, face: Face) -> Cone:

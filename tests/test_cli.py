@@ -217,6 +217,11 @@ class TestVerifyCmd:
         assert res.exit_code == 1
         assert "is not in the range x>=1" in res.output
 
+    def test_random_above_the_sampled_dimensions_exits_3(self, runner):
+        res = invoke(runner, "verify", "--random", "9", "1")
+        assert res.exit_code == 3
+        assert "error: random cones are sampled in dimension at most 8, not 9" in res.output
+
     def test_no_cone_family_outlives_its_caller(self):
         """With the cyclic garbage collector off, no cone or face lattice is
         left alive once its caller lets go of it: no face or lattice refers

@@ -72,6 +72,21 @@ class TestDualDescription:
         with pytest.raises(ValueError, match="full-dimensional"):
             dual_description([(1, 0, 0), (0, 1, 0)], 3)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Cone.from_rays([(1, 0, 5), (0, 1, 7)], rank=2),
+            lambda: Cone.from_rays([(1, 0), (0, 1, 1)]),
+            lambda: Cone.from_rays([(1, 0), (0, 1), (0, 0, 0)]),
+            lambda: Cone.from_rays([(1,)], rank=0),
+            lambda: Cone.from_dual_rays([(1, 0), (0, 1), (1, 1, 1)]),
+            lambda: Cone.from_dual_rays([(1,)], rank=0),
+        ],
+    )
+    def test_vector_length_must_be_the_rank(self, build):
+        with pytest.raises(ValueError, match="length"):
+            build()
+
     def test_contains_a_line(self):
         with pytest.raises(ValueError, match="line"):
             Cone.from_rays([(1, 0), (-1, 0), (0, 1), (0, -1)])

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from ambient_reference import assemble_over_up_set, dense, normal_step_vector
 from face_reference import degree_zero_cohomology, face_cone, span_lattice
 from paper_reference import dual, quotient_cone
-from toricish.cones import cover_pairings, is_simplicial
+from toricish.cones import Cone, is_simplicial
 from toricish.ishida import (
     IshidaComplex,
     cohomology_dims,
+    contraction,
     ext_table,
     graded_class_cohomology,
     ishida_complex,
@@ -22,7 +23,7 @@ from toricish.ishida import (
     verify_link_exactness,
     verify_surjectivity,
 )
-from toricish.linalg import RatMatrix, WedgeBasis, dot, interior_product_matrix
+from toricish.linalg import Contraction, RatMatrix, dot, interior_product_matrix
 from toricish.sampling import sample_cones
 
 
@@ -60,6 +61,19 @@ class TestBuild:
             ishida_complex(orthant, -1)
 
 
+def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
+    """After ext_table, a fresh cone's memo holds one Contraction per cover
+    pair and otherwise only memoized results, all keyed (name, *args)."""
+    for cone in named_corpus:
+        cone = Cone.from_rays(cone.rays, cone.rank)
+        ext_table(cone)
+        fl = cone.face_lattice()
+        pairs = {("contraction", mid, tid) for tid, ids in enumerate(fl.children) for mid in ids}
+        degrees = {("ishida_complex", l) for l in range(cone.rank + 1)}
+        assert set(cone.memo) == pairs | degrees | {("core_table",), ("ext_table",)}
+        assert all(isinstance(cone.memo[key], Contraction) for key in pairs)
+
+
 class TestDSquared:
     def test_full_corpus(self, full_corpus):
         for cone in full_corpus:
@@ -81,16 +95,8 @@ class TestDSquared:
             assert len(middles) == 2
             total = None
             for lam in middles:
-                first = interior_product_matrix(
-                    WedgeBasis(mu.perp_lattice, l - mu.dim, n),
-                    WedgeBasis(lam.perp_lattice, l - lam.dim, n),
-                    cover_pairings(mu, lam),
-                )
-                second = interior_product_matrix(
-                    WedgeBasis(lam.perp_lattice, l - lam.dim, n),
-                    WedgeBasis(nu.perp_lattice, l - nu.dim, n),
-                    cover_pairings(lam, nu),
-                )
+                first = interior_product_matrix(contraction(cone, mu.index, lam.index), l - mu.dim)
+                second = interior_product_matrix(contraction(cone, lam.index, nu.index), l - lam.dim)
                 comp = dense(second.matmul(first))
                 if total is None:
                     total = comp
@@ -184,10 +190,13 @@ class TestCohomology:
                     step = normal_step_vector(mu, tau)
                     shift = span_lattice(mu)[0]
                     shifted = tuple(a + 3 * b for a, b in zip(step, shift))
-                    src = WedgeBasis(mu.perp_lattice, l - mu.dim, n)
-                    tgt = WedgeBasis(tau.perp_lattice, l - tau.dim, n)
-                    a = interior_product_matrix(src, tgt, [dot(v, step) for v in src.vectors])
-                    b = interior_product_matrix(src, tgt, [dot(v, shifted) for v in src.vectors])
+                    a, b = (
+                        interior_product_matrix(
+                            Contraction(mu.perp_lattice, tau.perp_solver, [dot(v, w) for v in mu.perp_lattice]),
+                            l - mu.dim,
+                        )
+                        for w in (step, shifted)
+                    )
                     assert a.rows == b.rows
 
 

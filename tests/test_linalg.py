@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambient_reference import (
+    AmbientBasis,
     ColumnSolver,
     ambient_interior_product_matrix,
     bareiss_rank,
@@ -17,8 +18,9 @@ from face_reference import lattice_coordinates
 from toricish import linalg
 from toricish.ishida import ishida_complex, link_complex
 from toricish.linalg import (
+    Contraction,
     RatMatrix,
-    WedgeBasis,
+    coordinate_solver,
     dot,
     integer_kernel_basis,
     interior_product_matrix,
@@ -235,94 +237,78 @@ class TestIntegerKernel:
                 assert sum(a * b for a, b in zip(r, v)) == 0
 
 
+def _contraction(source, target, pairings):
+    """The Contraction from the lattice spanned by `source` onto the one
+    spanned by `target`, both in Z^n for n the source vectors' length."""
+    return Contraction(source, coordinate_solver(target, len(source[0])), pairings)
+
+
 class TestInteriorProduct:
     def test_degree_one_contraction(self):
-        src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
-        tgt = WedgeBasis(((0, 1),), 0, 2)
-        m = interior_product_matrix(src, tgt, (1, 0))
+        m = interior_product_matrix(_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 1)
         assert dense(m) == ((1, 0),)
         assert m.rows == (((0, 1),),)
 
-    def test_zero_step_gives_zero_matrix(self):
-        src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
-        tgt = WedgeBasis(((0, 1),), 0, 2)
-        assert interior_product_matrix(src, tgt, (0, 0)).is_zero()
+    def test_zero_functional_raises(self):
+        with pytest.raises(ValueError, match="functional is zero"):
+            _contraction(((1, 0), (0, 1)), ((0, 1),), (0, 0))
 
     def test_step_must_annihilate_target(self):
-        src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
-        tgt = WedgeBasis(((1, 0),), 0, 2)
         with pytest.raises(ValueError, match="annihilate"):
-            interior_product_matrix(src, tgt, (1, 0))
-        # Read from the target's coordinates in the source basis: the
-        # functional 2 v1 - v2 vanishes on v1 + 2 v2 only.
-        src = WedgeBasis(((1, 1, 0), (0, 1, 1), (0, 0, 1)), 1, 3)
-        assert dense(interior_product_matrix(src, WedgeBasis(((1, 3, 2),), 0, 3), (2, -1, 5))) == ((2, -1, 5),)
-        with pytest.raises(ValueError, match="annihilate"):
-            interior_product_matrix(src, WedgeBasis(((1, 2, 2),), 0, 3), (2, -1, 5))
-
-    def test_one_pairing_per_source_vector(self):
-        src = WedgeBasis(((1, 0), (0, 1)), 1, 2)
-        tgt = WedgeBasis(((0, 1),), 0, 2)
-        with pytest.raises(ValueError, match="one pairing per"):
-            interior_product_matrix(src, tgt, (1, 0, 0))
-
-    def test_pairings_without_a_unit(self):
-        # No pairing is +-1, so the right inverse is built from a Bezout
-        # combination: iota(e1 ^ e2) = 2 e2 - 3 e1 = -(3, -2), and twice that
-        # for the step (4, 6), whose pairings are not primitive.
-        src = WedgeBasis(((1, 0), (0, 1)), 2, 2)
-        tgt = WedgeBasis(((3, -2),), 1, 2)
-        assert dense(interior_product_matrix(src, tgt, (2, 3))) == ((-1,),)
-        assert dense(interior_product_matrix(src, tgt, (4, 6))) == ((-2,),)
-        for step in ((2, 3), (4, 6)):
-            _assert_same_block(src, tgt, step)
-        src = WedgeBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 3)
-        tgt = WedgeBasis(((3, -2, 0), (0, 0, 1)), 1, 3)
-        for step in ((2, 3, 0), (-4, -6, 0)):
-            _assert_same_block(src, tgt, step)
+            _contraction(((1, 0), (0, 1)), ((1, 0),), (1, 0))
 
     def test_image_outside_target_raises(self):
-        # source plane spanned by e1, e2; target spanned by e3 only: the
-        # contraction by e1 hits e2 wedges, which are not multiples of e3.
-        src = WedgeBasis(((1, 0, 0), (0, 1, 0)), 1, 3)
-        tgt = WedgeBasis(((0, 0, 1),), 0, 3)
-        # contraction of e2* by step (0,1,0): image is 1 on the empty wedge,
-        # expressible; use degree 2 to force a genuine mismatch
-        src2 = WedgeBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 3)
-        tgt2 = WedgeBasis(((0, 0, 1),), 1, 3)
-        with pytest.raises(ValueError, match="target subspace does not contain image"):
-            interior_product_matrix(src2, tgt2, (1, 0, 0))
+        # source Q^3, target spanned by e3 only: the contraction by e1
+        # hits e2 wedges, which are not multiples of e3, as the target's
+        # rank is not one below the source's
+        with pytest.raises(ValueError, match="one below"):
+            _contraction(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),), (1, 0, 0))
+
+    def test_source_degree_at_least_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            interior_product_matrix(_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 0)
+
+    def test_one_pairing_per_source_vector(self):
+        with pytest.raises(ValueError, match="one pairing per"):
+            _contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0, 0))
 
     def test_double_contraction_vanishes(self):
-        # brute-force check of iota_n . iota_n = 0 through a chain of
-        # subspaces on which n stays annihilating
-        w2 = WedgeBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 3)
-        w1 = WedgeBasis(((0, 1, 0), (0, 0, 1)), 1, 3)
-        w0 = WedgeBasis(((0, 0, 1),), 0, 3)
-        a = interior_product_matrix(w2, w1, (1, 0, 0))
-        b = interior_product_matrix(w1, w0, (0, 0))
-        assert b.matmul(a).is_zero()
+        # iota_a iota_b + iota_b iota_a = 0: the two paths through the
+        # diamond Q^3 > <e2, e3>, <e1, e3> > <e3> cancel, and neither is zero
+        v, u = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),)
+        paths = []
+        for a, w in (((1, 0, 0), ((0, 1, 0), (0, 0, 1))), ((0, 1, 0), ((1, 0, 0), (0, 0, 1)))):
+            first = interior_product_matrix(_contraction(v, w, a), 2)
+            second = interior_product_matrix(_contraction(w, u, (1, 0)), 1)
+            paths.append(dense(second.matmul(first)))
+        assert paths == [((1, 0, 0),), ((-1, 0, 0),)]
+
+    def test_pairings_without_a_unit(self):
+        # No pairing is +-1, so the projection is built from a Bezout
+        # combination: iota(e1 ^ e2) = 2 e2 - 3 e1 = -(3, -2), and twice that
+        # for the step (4, 6), whose pairings are not primitive.
+        src, tgt = ((1, 0), (0, 1)), ((3, -2),)
+        assert dense(interior_product_matrix(_contraction(src, tgt, (2, 3)), 2)) == ((-1,),)
+        assert dense(interior_product_matrix(_contraction(src, tgt, (4, 6)), 2)) == ((-2,),)
+        for step in ((2, 3), (4, 6)):
+            _assert_same_block(AmbientBasis(src, 2, 2), AmbientBasis(tgt, 1, 2), step)
+        src, tgt = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((3, -2, 0), (0, 0, 1))
+        for step in ((2, 3, 0), (-4, -6, 0)):
+            _assert_same_block(AmbientBasis(src, 2, 3), AmbientBasis(tgt, 1, 3), step)
 
     @given(st.lists(st.tuples(st_small, st_small, st_small, st_small), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_random_chain_contraction(self, u):
-        # Random 3-dim subspace of Q^4 with a nested 2-dim and 1-dim chain
-        # and a step vector annihilating the smaller subspaces: contracting
-        # twice by the same vector must give zero, and the column blocks
-        # must match the alternating-sum definition by hand.
+        # Random 3-dim subspace of Q^4 and a step vector annihilating a
+        # 2-dim subspace of it: the column blocks must match the
+        # alternating-sum definition by hand.
         if RatMatrix(u).rank() != 3:
             return
         kern = integer_kernel_basis(u[1:], 4)
         step = next((v for v in kern if sum(a * b for a, b in zip(v, u[0]))), None)
         if step is None:
             return
-        w2 = WedgeBasis(tuple(u), 2, 4)
-        w1 = WedgeBasis(tuple(u[1:]), 1, 4)
-        w0 = WedgeBasis((u[2],), 0, 4)
-        a = interior_product_matrix(w2, w1, [dot(v, step) for v in w2.vectors])
-        b = interior_product_matrix(w1, w0, [dot(v, step) for v in w1.vectors])
-        assert b.matmul(a).is_zero()
-        a = dense(a)
+        a = dense(interior_product_matrix(_contraction(tuple(u), tuple(u[1:]), [dot(v, step) for v in u]), 2))
         # hand expansion: image of u0 ^ u1 is <u0, step> u1, of u0 ^ u2 is
         # <u0, step> u2, of u1 ^ u2 is zero (step annihilates both factors)
         pairing = sum(x * y for x, y in zip(u[0], step))
@@ -332,11 +318,11 @@ class TestInteriorProduct:
 
 
 def test_wedge_basis_conventions():
-    basis = WedgeBasis(((1, 0, 0), (0, 1, 0)), 0, 3)
+    basis = AmbientBasis(((1, 0, 0), (0, 1, 0)), 0, 3)
     assert basis.subsets == ((),) and basis.dim == 1
-    basis = WedgeBasis(((1, 0, 0), (0, 1, 0)), 3, 3)
+    basis = AmbientBasis(((1, 0, 0), (0, 1, 0)), 3, 3)
     assert basis.subsets == () and basis.dim == 0
-    basis = WedgeBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 3)
+    basis = AmbientBasis(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 3)
     assert basis.dim == 3
     assert basis.subsets == ((0, 1), (0, 2), (1, 2))
 
@@ -369,11 +355,9 @@ class TestLatticeCoordinates:
 
 
 def test_unsaturated_target_raises():
-    # <2 e2> has index 2 in <e1, e2>: the right inverse is not integral
-    src = WedgeBasis(((1, 0), (0, 1)), 2, 2)
-    tgt = WedgeBasis(((0, 2),), 1, 2)
+    # <2 e2> has index 2 in <e1, e2>: the projection is not integral
     with pytest.raises(ValueError, match="saturated"):
-        interior_product_matrix(src, tgt, (1, 0))
+        _contraction(((1, 0), (0, 1)), ((0, 2),), (1, 0))
 
 
 def _assert_same_block(src, tgt, step):
@@ -385,9 +369,9 @@ def _assert_same_block(src, tgt, step):
         expected = ambient_interior_product_matrix(src, tgt, step)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            interior_product_matrix(src, tgt, pairings)
+            interior_product_matrix(_contraction(src.vectors, tgt.vectors, pairings), src.degree)
         return
-    got = interior_product_matrix(src, tgt, pairings)
+    got = interior_product_matrix(_contraction(src.vectors, tgt.vectors, pairings), src.degree)
     assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
     assert got.rows == expected.rows
     assert all(type(x) is int for row in got.rows for _, x in row)
@@ -412,8 +396,8 @@ def test_blocks_match_ambient_reference(full_corpus):
                         j = cx.term_faces[s].index(mid)
                         mu, tau = fl.faces[mid], fl.faces[tid]
                         want = ambient_interior_product_matrix(
-                            WedgeBasis(mu.perp_lattice, l - s, n),
-                            WedgeBasis(tau.perp_lattice, l - s - 1, n),
+                            AmbientBasis(mu.perp_lattice, l - s, n),
+                            AmbientBasis(tau.perp_lattice, l - s - 1, n),
                             normal_step_vector(mu, tau),
                         )
                         got = tuple(row[j * cw:(j + 1) * cw] for row in full[i * rw:(i + 1) * rw])
@@ -452,17 +436,16 @@ st_ops = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-2
 @settings(max_examples=80, deadline=None)
 def test_random_saturated_chains_match_ambient_reference(data):
     # g_0..g_{n-1} is a random basis of Z^n.  The source is <g_0..g_{p-1}>,
-    # the target <g_1..g_q> with q <= p - 1, each in a random basis of its
-    # own; both are saturated.  The step pairs to zero with g_1..g_q and
-    # arbitrarily with the rest, so q < p - 1 exercises the error path.
+    # the target <g_1..g_{p-1}>, each in a random basis of its own; both are
+    # saturated.  The step pairs to zero with g_1..g_{p-1}, to a nonzero
+    # value with g_0 and arbitrarily with the rest.
     n = data.draw(st.sampled_from((4, 5)))
     p = data.draw(st.integers(1, n))
-    q = data.draw(st.integers(0, p - 1))
     g, ginv = _unimodular(n, data.draw(st_ops))
     source = _mix(g[:p], data.draw(st_ops))
-    target = _mix(g[1:q + 1], data.draw(st_ops))
-    coeffs = [0 if 1 <= j <= q else data.draw(st.integers(-3, 3)) for j in range(n)]
+    target = _mix(g[1:p], data.draw(st_ops))
+    coeffs = [data.draw(st.integers(-3, 3).filter(bool))] + [0] * (p - 1)
+    coeffs += [data.draw(st.integers(-3, 3)) for _ in range(n - p)]
     step = tuple(sum(c * row[j] for j, c in enumerate(coeffs)) for row in ginv)
-    memo = {}
     for k in range(1, p + 1):
-        _assert_same_block(WedgeBasis(source, k, n, memo), WedgeBasis(target, k - 1, n, memo), step)
+        _assert_same_block(AmbientBasis(source, k, n), AmbientBasis(target, k - 1, n), step)
