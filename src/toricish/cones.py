@@ -2,7 +2,8 @@
 
 A Cone is full-dimensional and strongly convex in a lattice of the stated
 rank, presented by its primitive extreme ray generators.  Its face lattice
-is read off the incidence of rays and facets alone, with no linear algebra.
+is read off the incidence of rays and facets alone, walked from whichever
+side is smaller, with no linear algebra.
 Each face computes, on first use, a saturated lattice basis of its
 annihilator and its coordinate solver; the contraction of the complexes
 for a cover pair is built on them and on the pairings of that basis with
@@ -274,9 +275,6 @@ class FaceLattice:
             return self.faces[self._by_mask[mask_of(ids)]]
         raise ValueError(f"no face with ray set {ids}")
 
-    def facets_of(self, face: Face) -> list[Face]:
-        return [self.faces[i] for i in self.children[face.index]]
-
     def down_sets(self) -> tuple[int, ...]:
         """Per face id, the ids of the faces strictly below it as a bitmask:
         the union of its children and their down-sets, computed on first
@@ -297,41 +295,62 @@ class FaceLattice:
 
 
 def _build_face_lattice(cone: Cone) -> FaceLattice:
-    """The face lattice from the ray-facet incidence alone, top face first.
+    """The face lattice from the ray-facet incidence alone.
 
-    The facets of a face F are the maximal sets among F & S other than F,
-    with S running over the facet ray sets.  Candidates are tested largest
-    first, so each is checked only against the maximal sets already kept.
-    One level down from a face is one dimension down, so the level gives
-    the dimension and the facets found are the children.  Faces are then
-    indexed by (dim, sorted rays).
+    A face is given by its ray set, or dually by the set of facets it lies
+    in, and _maximal_intersections walks whichever side of the incidence is
+    smaller: down from the top face over the facets' ray sets, giving each
+    face its facets, or up from the apex over the rays' facet sets, giving
+    each face the faces it is a facet of.  One level is one dimension.  A
+    facet set is then mapped back to the rays lying on all its facets, and
+    faces are indexed by (dim, sorted rays).
     """
     facet_masks = [mask_of(i for i, r in enumerate(cone.rays) if dot(h, r) == 0) for h in cone.facet_normals]
-    found = {}  # ray mask -> (dim, ray masks of its facets)
-    level, dim = [(1 << len(cone.rays)) - 1], cone.rank
-    while level:
-        below = set()
-        for face in level:
-            kept = []
-            for cand in sorted({face & s for s in facet_masks} - {face}, key=int.bit_count, reverse=True):
-                if not any(cand & ~k == 0 for k in kept):
-                    kept.append(cand)
-            found[face] = (dim, kept)
-            below.update(kept)
-        level, dim = below, dim - 1
+    if len(facet_masks) <= len(cone.rays):
+        found = _maximal_intersections((1 << len(cone.rays)) - 1, facet_masks)
+        dims = {m: cone.rank - level for m, (level, _) in found.items()}
+        covers = [(m, t) for m, (_, kept) in found.items() for t in kept]
+    else:
+        ray_masks = [mask_of(j for j, f in enumerate(facet_masks) if f >> i & 1) for i in range(len(cone.rays))]
+        found = _maximal_intersections((1 << len(facet_masks)) - 1, ray_masks)
+        rays_of = {m: mask_of(i for i, r in enumerate(ray_masks) if m & ~r == 0) for m in found}
+        dims = {rays_of[m]: level for m, (level, _) in found.items()}
+        covers = [(rays_of[t], rays_of[m]) for m, (_, kept) in found.items() for t in kept]
 
-    order = sorted((d, tuple(ids_of(m)), m) for m, (d, _) in found.items())
+    order = sorted((d, tuple(ids_of(m)), m) for m, d in dims.items())
     faces = tuple(
         Face(i, d, rays, m, tuple(cone.rays[j] for j in rays), cone.rank) for i, (d, rays, m) in enumerate(order)
     )
     index = {f.mask: f.index for f in faces}
-    children = [sorted(index[t] for t in found[m][1]) for _, _, m in order]
-    parents = [[] for _ in faces]
+    children, parents = [[] for _ in faces], [[] for _ in faces]
+    for hi, lo in covers:
+        children[index[hi]].append(index[lo])
     for hi, ids in enumerate(children):
+        ids.sort()
         for lo in ids:
             parents[lo].append(hi)
     by_dim = tuple(tuple(f.index for f in faces if f.dim == d) for d in range(cone.rank + 1))
     return FaceLattice(cone.rank, faces, by_dim, children, parents, index)
+
+
+def _maximal_intersections(start: int, sets: list[int]) -> dict[int, tuple[int, list[int]]]:
+    """Level by level from `start`: each mask T reached maps to its level
+    and the maximal masks among T & S other than T, S running over `sets`,
+    which make up the next level.  Candidates are tested largest first, so
+    each is checked only against the maximal masks already kept."""
+    found = {}
+    level, depth = [start], 0
+    while level:
+        below = set()
+        for t in level:
+            kept = []
+            for cand in sorted({t & s for s in sets} - {t}, key=int.bit_count, reverse=True):
+                if not any(cand & ~k == 0 for k in kept):
+                    kept.append(cand)
+            found[t] = (depth, kept)
+            below.update(kept)
+        level, depth = below, depth + 1
+    return found
 
 
 def memoized(fn):

@@ -22,9 +22,12 @@ have a shelling starting with a given set is a function of the face and the
 set alone, so each certification keeps one outcome memo, (face index,
 prefix) -> bool, shared by all its sub-searches and dropped when it
 returns: shelling() and is_shelling() each certify afresh.  Sets of faces
-and of rays are bitmasks over their indices, as in the face lattice.  One
-certification makes at most MAX_SEARCH_STEPS extensions of a partial order
-and raises RuntimeError beyond that, so a search cannot run without bound.
+and of rays are bitmasks over their indices, as in the face lattice.  The
+facets of a candidate already covered by a partial order are found by the
+diamond property, from each facet's parents, not by testing them against
+every earlier face.  One certification makes at most MAX_SEARCH_STEPS
+extensions of a partial order and raises RuntimeError beyond that, so a
+search cannot run without bound.
 """
 
 from __future__ import annotations
@@ -139,8 +142,6 @@ def is_shelling(cone: Cone, order: Sequence[Sequence[int]]) -> bool:
         return False
     if sorted(f.index for f in faces) != sorted(fl.by_dim[n - 1]):
         return False
-    if len(set(f.index for f in faces)) != len(faces):
-        return False
     return _certify(fl, faces) is not None
 
 
@@ -149,91 +150,90 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
 
     The outcome memo of the sub-searches, (face index, prefix bitmask) ->
     bool, and the count of extension steps against MAX_SEARCH_STEPS both
-    live for this one call.
+    live for this one call, as does `up`, each face's parents as a bitmask.
     """
     if fl.rank == 1:
         return [StepCertificate(f.rays, (), ()) for f in ordered]
     memo: dict[tuple[int, int], bool] = {}
     steps = itertools.count(1)
+    up = [mask_of(ids) for ids in fl.parents]
+    used_mask, earlier = 0, ()
     certs = []
-    for j, face in enumerate(ordered):
-        earlier = ordered[:j]
-        prefix = _covered_facets(fl, face, earlier)
-        if j > 0:
-            if not prefix:
-                return None
-            if not _intersections_covered(face, earlier, prefix):
-                return None
-        ext = _find_shelling(fl, face, mask_of(g.index for g in prefix), memo, steps)
+    for face in ordered:
+        prefix = _covered_facets(fl, up, face.index, used_mask)
+        if earlier and not (prefix and _intersections_covered(fl, face.mask, earlier, prefix)):
+            return None
+        ext = _find_shelling(fl, up, face, mask_of(prefix), memo, steps)
         if ext is None:
             return None
         ext_faces = [fl.faces[i] for i in ext]
         prefix_sorted = tuple(f.rays for f in ext_faces[: len(prefix)])
         certs.append(StepCertificate(face.rays, prefix_sorted, tuple(f.rays for f in ext_faces)))
+        used_mask, earlier = used_mask | 1 << face.index, earlier + (face.mask,)
     return certs
 
 
-def _covered_facets(fl: FaceLattice, face: Face, earlier: list[Face]) -> list[Face]:
-    return [g for g in fl.facets_of(face) if any(g.mask & ~e.mask == 0 for e in earlier)]
+def _covered_facets(fl: FaceLattice, up: list[int], face_id: int, used_mask: int) -> list[int]:
+    """The facets of the face lying in a face of used_mask, all siblings of
+    the face: by the diamond property, those with such a parent."""
+    return [k for k in fl.children[face_id] if up[k] & used_mask]
 
 
-def _intersections_covered(face: Face, earlier: list[Face], covered: list[Face]) -> bool:
+def _intersections_covered(fl: FaceLattice, face: int, earlier: tuple[int, ...], covered: list[int]) -> bool:
     """face intersect (union of earlier) must equal the union of the covered
-    facets of face.  Containment of each pairwise intersection in a single
-    covered facet suffices: a face cannot be covered by finitely many proper
-    subfaces."""
+    facets of face (ray masks, but covered holds face ids).  Containment of
+    each pairwise intersection in a single covered facet suffices: a face
+    cannot be covered by finitely many proper subfaces.  An earlier face
+    through a covered facet meets face in just that facet, found first."""
+    rays = [fl.faces[k].mask for k in covered]
     for e in earlier:
-        common = face.mask & e.mask
-        if not any(common & ~g.mask == 0 for g in covered):
+        common = face & e
+        if common not in rays and not any(common & ~c == 0 for c in rays):
             return False
     return True
 
 
 def _find_shelling(
-    fl: FaceLattice, face: Face, prefix: int, memo: dict[tuple[int, int], bool], steps: Iterator[int],
-    used: tuple[int, ...] = (), dead: set[int] | None = None,
+    fl: FaceLattice, up: list[int], face: Face, prefix: int, memo: dict[tuple[int, int], bool],
+    steps: Iterator[int], used_mask: int = 0, earlier: tuple[int, ...] = (), dead: set[int] | None = None,
 ) -> tuple[int, ...] | None:
     """A shelling order of face's facet poset whose initial segment is
     exactly the prefix set, or None.  Returns facet indices.
 
-    prefix is a bitmask over face ids.  Depth first: `used` is the partial
-    order so far, which the result extends, and `dead` the partial orders
-    (as masks) found dead in this one search.  Whether an inner sub-search
-    succeeds is looked up in, or stored to, memo, the outcome memo of the
-    certification.  Each extension draws one step from steps and raises
-    RuntimeError once MAX_SEARCH_STEPS is exceeded.
+    prefix is a bitmask over face ids, and up holds each face's parents as
+    one.  Depth first: `used_mask` is the partial order so far as a set,
+    which the result extends, `earlier` its ray masks in order, and `dead`
+    the partial orders (as masks) found dead in this one search.  Whether
+    an inner sub-search succeeds is looked up in, or stored to, memo, the
+    outcome memo of the certification.  Each extension draws one step from
+    steps and raises RuntimeError once MAX_SEARCH_STEPS is exceeded.
     """
     facet_ids = fl.children[face.index]
     if face.dim <= 1:
         return tuple(facet_ids)
-    if len(used) == len(facet_ids):
+    if len(earlier) == len(facet_ids):
         return ()
     dead = set() if dead is None else dead
-    used_mask = mask_of(used)
     if used_mask in dead:
         return None
     if next(steps) > MAX_SEARCH_STEPS:
         raise RuntimeError(f"shelling search exceeded {MAX_SEARCH_STEPS} steps")
-    allowed = prefix if len(used) < prefix.bit_count() else ~0
-    earlier = [fl.faces[i] for i in used]
+    allowed = prefix if len(earlier) < prefix.bit_count() else ~0
     for cand in facet_ids:
         bit = 1 << cand
         if used_mask & bit or not allowed & bit:
             continue
         g = fl.faces[cand]
-        covered = _covered_facets(fl, g, earlier)
-        if used:
-            if not covered:
-                continue
-            if not _intersections_covered(g, earlier, covered):
-                continue
+        covered = _covered_facets(fl, up, cand, used_mask)
+        if earlier and not (covered and _intersections_covered(fl, g.mask, earlier, covered)):
+            continue
         if g.dim > 1:  # lower faces always shell
-            key = (cand, mask_of(c.index for c in covered))
+            key = (cand, mask_of(covered))
             if key not in memo:
-                memo[key] = _find_shelling(fl, g, key[1], memo, steps) is not None
+                memo[key] = _find_shelling(fl, up, g, key[1], memo, steps) is not None
             if not memo[key]:
                 continue
-        rest = _find_shelling(fl, face, prefix, memo, steps, used + (cand,), dead)
+        rest = _find_shelling(fl, up, face, prefix, memo, steps, used_mask | bit, earlier + (g.mask,), dead)
         if rest is not None:
             return (cand,) + rest
     dead.add(used_mask)

@@ -7,11 +7,15 @@ dual cone (`dual`) swaps the simple and simplicial classes; and the closed
 forms here (`ext_dims_simplicial_class`, `hodge_deligne_from_table`,
 `euler_h1_prediction`) are the paper's predictions that the tests compare
 with the cohomology routes.  The samplers build the seeded corpora of the
-conftest fixtures.
+conftest fixtures, and the vertex lists (`cube_vertices`, `cross_vertices`,
+`simplex_product_vertices`) give the cones over the d-cube, the
+d-cross-polytope and products of simplices, in the coordinates the
+benchmark's inputs use.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from toricish.combinatorics import binomial, h_vector
@@ -119,3 +123,17 @@ def mixed_corpus(seed: int, dims=(3, 4, 5), per_dim: int = 4, include_dim6: int 
     if include_dim6:
         out.extend(sample_cones(seed, 6, include_dim6))
     return out
+
+
+def cube_vertices(d: int) -> list[tuple[int, ...]]:
+    return list(itertools.product((-1, 1), repeat=d))
+
+
+def cross_vertices(d: int) -> list[tuple[int, ...]]:
+    return [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
+
+
+def simplex_product_vertices(dims: Sequence[int]) -> list[tuple[int, ...]]:
+    """Vertices of the product of the standard simplices {0, e_1, ..., e_a}."""
+    factors = [[tuple(int(j == i) for j in range(a)) for i in range(-1, a)] for a in dims]
+    return [sum(parts, ()) for parts in itertools.product(*factors)]

@@ -105,7 +105,7 @@ def reference_certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertific
 
 def _covered_facets(fl: FaceLattice, face: Face, earlier: list[Face]) -> list[Face]:
     out = []
-    for g in fl.facets_of(face):
+    for g in (fl.faces[i] for i in fl.children[face.index]):
         if any(set(g.rays) <= set(e.rays) for e in earlier):
             out.append(g)
     return out

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ambient_reference import _det, _integer_rows, kernel_basis, normal_step_vector
 from face_reference import face_cone, lattice_coordinates, span_lattice
-from paper_reference import dual, quotient_cone
+from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
 from toricish.cones import (
     Cone,
     cone_over_polytope,
@@ -196,6 +196,20 @@ def test_face_lattice_oracle_on_random_cones(dim, seed):
     (cone,) = sample_cones(seed, dim, 1)
     assert_face_lattice_oracle(cone)
     assert_face_lattice_oracle(dual(cone))
+
+
+def test_face_lattice_oracle_on_both_sides_of_the_incidence(full_corpus):
+    """The lattice is walked from the smaller side of the ray-facet
+    incidence.  The cone over the 5-cube (32 rays, 10 facets) takes the ray
+    side and the one over the 5-cross-polytope (10 rays, 32 facets) the
+    facet side; the corpus the oracle checks, with its duals, reaches both."""
+    cube5, cross5 = cone_over_polytope(cube_vertices(5)), cone_over_polytope(cross_vertices(5))
+    assert (len(cube5.rays), len(cube5.facet_normals)) == (32, 10)
+    assert (len(cross5.rays), len(cross5.facet_normals)) == (10, 32)
+    assert_face_lattice_oracle(cube5)
+    assert_face_lattice_oracle(cross5)
+    corpus = full_corpus + [dual(c) for c in full_corpus]
+    assert {len(c.facet_normals) > len(c.rays) for c in corpus} == {False, True}
 
 
 class TestFaceLattice:

@@ -6,10 +6,10 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from paper_reference import dual
+from paper_reference import cross_vertices, cube_vertices, dual, simplex_product_vertices
 from shelling_reference import reference_certify, reference_shelling
 from toricish.cli import cli
-from toricish.cones import Cone
+from toricish.cones import Cone, cone_over_polytope
 from toricish.sampling import sample_cones
 from toricish.shelling import is_shelling, shelling
 
@@ -148,3 +148,21 @@ def test_search_step_budget(octahedron_cone, monkeypatch, tmp_path):
     res = CliRunner().invoke(cli, ["shelling", str(path)], catch_exceptions=False)
     assert res.exit_code == 3
     assert "shelling search exceeded" in res.output
+
+
+@pytest.mark.parametrize(
+    "vertices, steps",
+    [(cross_vertices(6), 7_648), (cube_vertices(6), 7_096), (simplex_product_vertices((2, 2, 2)), 3_247)],
+    ids=["cross6", "cube6", "simplex2-cubed"],
+)
+def test_search_step_counts_are_pinned(vertices, steps, monkeypatch):
+    """The one certification shelling() makes on each of these rank-7 cones
+    takes exactly this many extension steps, the counts that the comment on
+    MAX_SEARCH_STEPS quotes: that budget passes and one step less raises.
+    A search that reorders its candidates or does more work fails here."""
+    cone = cone_over_polytope(vertices)
+    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps)
+    assert is_shelling(cone, shelling(cone).order)
+    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps - 1)
+    with pytest.raises(RuntimeError, match=f"exceeded {steps - 1} steps"):
+        shelling(cone)
