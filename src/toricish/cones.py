@@ -5,12 +5,11 @@ rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, walked from whichever
 side is smaller, with no linear algebra.
 Each face computes, on first use, a saturated lattice basis of its
-annihilator and its coordinate solver; the contraction of the complexes
-for a cover pair is built on them and on the pairings of that basis with
-the pair's lattice step (cover_pairings, read off a ray), and nothing
-else reads them.  Every vector here is an integer vector and every
-computation is in integers: the double description, the lattice bases,
-the pairings.
+annihilator; the contractions of the complexes are built on these bases
+and on the pairings of each with the lattice step of a cover pair
+(cover_pairings, read off a ray).  Every vector here is an integer vector
+and every computation is in integers: the double description, the lattice
+bases, the pairings.  The cone's linear symmetries are in symmetry.py.
 
 A set of rays or of faces is an int bitmask over their indices.  Neither a
 face nor a face lattice refers back to its cone: a face carries its ray
@@ -30,7 +29,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .linalg import coordinate_solver, dot, integer_kernel_basis, primitive_vector
+from .linalg import dot, integer_kernel_basis, primitive_vector
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -217,11 +216,10 @@ class Face:
     """A face of a cone, identified by the set of extreme rays lying on it.
 
     Equality and hashing cover index, dim and rays; mask is the ray set as a
-    bitmask, vectors the ray generators and rank the lattice rank.  The rest
-    is computed on first use and kept: perp_lattice, a Z-basis of the
+    bitmask, vectors the ray generators and rank the lattice rank.
+    perp_lattice is computed on first use and kept: a Z-basis of the
     annihilator M intersect face^perp, saturated, so pairing with it is an
-    exact coordinate system for the quotient lattice N / (N intersect <face>),
-    and perp_solver, the linalg.coordinate_solver of that basis.
+    exact coordinate system for the quotient lattice N / (N intersect <face>).
     """
 
     index: int
@@ -235,17 +233,14 @@ class Face:
     def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
         return integer_kernel_basis(self.vectors, self.rank)
 
-    @functools.cached_property
-    def perp_solver(self) -> tuple[tuple, tuple]:
-        return coordinate_solver(self.perp_lattice, self.rank)
-
 
 class FaceLattice:
     """Graded poset of the faces of a cone in a lattice of rank `rank`.
     children[i] lists the facets of face i and parents[i] the faces it is a
-    facet of, both in index order."""
+    facet of, both in index order; by_mask maps each face's ray mask to its
+    id."""
 
-    __slots__ = ("rank", "faces", "by_dim", "children", "parents", "_by_mask", "_down_sets")
+    __slots__ = ("rank", "faces", "by_dim", "children", "parents", "by_mask", "_down_sets")
 
     def __init__(self, rank, faces, by_dim, children, parents, by_mask):
         self.rank = rank
@@ -253,7 +248,7 @@ class FaceLattice:
         self.by_dim = by_dim
         self.children = children
         self.parents = parents
-        self._by_mask = by_mask
+        self.by_mask = by_mask
         self._down_sets = None
 
     @property
@@ -271,8 +266,8 @@ class FaceLattice:
     def face_by_rays(self, ray_indices: Iterable[int]) -> Face:
         ids = sorted(set(ray_indices))
         # range-checked first: 1 << i fails for i < 0 and is huge for large i
-        if all(0 <= i < len(self.top.rays) for i in ids) and mask_of(ids) in self._by_mask:
-            return self.faces[self._by_mask[mask_of(ids)]]
+        if all(0 <= i < len(self.top.rays) for i in ids) and mask_of(ids) in self.by_mask:
+            return self.faces[self.by_mask[mask_of(ids)]]
         raise ValueError(f"no face with ray set {ids}")
 
     def down_sets(self) -> tuple[int, ...]:

@@ -116,12 +116,13 @@ def multiplicities_simple_class(cone: Cone, face: Face | None = None) -> ICMulti
 def multiplicities_from_cohomology(cone: Cone, face: Face | None = None) -> ICMultiplicities:
     """General route, valid up to dimension six.
 
-    Dimension three is the ray count minus three; dimensions four to six
-    read the (l, 1) entries off the face's intrinsic cohomology one short of
-    the top (its core table row).  Dimension five additionally solves a
-    small linear system involving the tables of the face's facets for the
-    (0, 2) entry; in dimension six the analogous system is underdetermined
-    and (0, 2), (1, 2) are reported as undetermined rather than guessed.
+    Dimensions three to six read the (l, 1) entries off the face's
+    intrinsic cohomology one short of the top (its core table row); in
+    dimension three that is the ray count minus three.  Dimension five
+    also solves a small linear system involving the tables of the face's
+    facets for the (0, 2) entry; in dimension six the analogous system is
+    underdetermined and (0, 2), (1, 2) are reported as undetermined rather
+    than guessed.
     """
     fl = cone.face_lattice()
     face = fl.top if face is None else face
@@ -133,13 +134,10 @@ def multiplicities_from_cohomology(cone: Cone, face: Face | None = None) -> ICMu
     entries = {p: 0 for p in admissible_pairs(d)}
     details: dict = {}
     undetermined: tuple = ()
-    if d == 3:
-        entries[(0, 1)] = len(face.rays) - 3
-    else:
-        rows = core_table(cone)[face.index]
-        # the (l, 1) entries are h^1 .. h^(d-2) at degree d - 1
-        for l, x in enumerate(rows[d - 1][1:d - 1]):
-            entries[(l, 1)] = x
+    rows = core_table(cone)[face.index]
+    # the (l, 1) entries are h^1 .. h^(d-2) at degree d - 1
+    for l, x in enumerate(rows[d - 1][1:d - 1]):
+        entries[(l, 1)] = x
     if d == 5:
         facet_a01 = facet_a11 = 0
         for fid in fl.children[face.index]:

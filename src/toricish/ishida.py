@@ -7,8 +7,10 @@ complex has, in cohomological degree i, one block per i-dimensional face mu,
 namely the (l - i)-th wedge power of the annihilator of mu; the differential
 is contraction in the first slot by the lattice step of each cover pair,
 given by its pairings with the annihilator's basis (cones.cover_pairings).
-Each cover pair has one linalg.Contraction (contraction), which every wedge
-degree shares; each block is written as sparse rows straight into the
+Each cover pair has one linalg.Contraction, which every wedge degree
+shares; the contractions into a face tau are built together
+(contractions), on one coordinate solver of perp(tau) that is then
+dropped.  Each block is written as sparse rows straight into the
 differential.
 
 Every other complex is a slice of it, ranked modulo the prime certified
@@ -17,7 +19,9 @@ so their blocks form a subcomplex (link_complex, re-indexed); the faces of
 a face F form a down-set, so theirs form a quotient complex (class_complex,
 the kept rows whole), whose cohomology is that of the graded piece of the
 sheaf complex for the lattice points in the relative interior class of F.
-The face-intrinsic cohomology of F (core_table) is solved for from those.
+The face-intrinsic cohomology of F (core_table) is solved for from those,
+for one face per orbit of the cone's linear automorphisms, and copied to
+the rest of the orbit.
 
 All functions are pure.  The cone's memo dict holds the memoized results
 (cones.memoized) and nothing else, the contractions included; slices are
@@ -30,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 from .cones import Cone, Face, cover_pairings, ids_of, is_simple_in_dim, memoized
-from .linalg import Contraction, RatMatrix, interior_product_matrix
+from .linalg import Contraction, RatMatrix, coordinate_solver, interior_product_matrix
+from .symmetry import face_orbits
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,15 @@ class IshidaComplex:
 
 
 @memoized
-def contraction(cone: Cone, mid: int, tid: int) -> Contraction:
-    """The contraction from perp(mu) onto perp(tau) for the cover pair of
-    face ids mid < tid, with its wedge powers, for every wedge degree."""
-    faces = cone.face_lattice().faces
-    return Contraction(faces[mid].perp_lattice, faces[tid].perp_solver, cover_pairings(faces[mid], faces[tid]))
+def contractions(cone: Cone, tid: int) -> tuple[Contraction, ...]:
+    """The contractions from perp(mu) onto perp(tau) for the face tau of id
+    tid and each facet mu of it, in the order of its children, with their
+    wedge powers, for every wedge degree.  The coordinate solver of
+    perp(tau) is built once here and dropped."""
+    fl = cone.face_lattice()
+    tau = fl.faces[tid]
+    solver = coordinate_solver(tau.perp_lattice, cone.rank)
+    return tuple(Contraction(fl.faces[m].perp_lattice, solver, cover_pairings(fl.faces[m], tau)) for m in fl.children[tid])
 
 
 @memoized
@@ -82,8 +91,8 @@ def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
         for tid in term_faces[s + 1]:
             block_rows = [[] for _ in range(widths[s + 1])]
             # Children come in index order, so every row stays sorted.
-            for mid in fl.children[tid]:
-                block = interior_product_matrix(contraction(cone, mid, tid), degree - s)
+            for mid, c in zip(fl.children[tid], contractions(cone, tid)):
+                block = interior_product_matrix(c, degree - s)
                 c0 = (mid - first) * w
                 for row, brow in zip(block_rows, block.rows):
                     row.extend((c0 + j, x) for j, x in brow)
@@ -107,10 +116,24 @@ def core_table(cone: Cone) -> dict:
     sum_j C(n - dim F, j) core[F][m - j], whose term j = 0 is core[F][m]:
     it is solved for degree by degree.  The top face's slice is the whole
     complex.
+
+    Only the least face of each orbit (symmetry.face_orbits) is sliced; the
+    rest of its orbit gets its rows.  The rows are Q-dimensions, and a
+    Q-linear automorphism A of the cone carries each face's intrinsic
+    complex isomorphically onto its image's: A^-T takes perp(mu) onto
+    perp(A mu) with its wedge powers, and the lattice step of a cover pair
+    mu < tau to s_tau / s_mu times that of A mu < A tau, with s_F > 0 the
+    |det| of A from the lattice of span F to that of span A F.  Such a
+    rescaling is a coboundary: scaling the blocks of each face mu by s_mu
+    turns one complex into the other.
     """
     n = cone.rank
+    orbit = face_orbits(cone)
     table = {}
     for face in cone.face_lattice().faces:
+        if orbit[face.index] != face.index:
+            table[face.index] = table[orbit[face.index]]
+            continue
         nd, rows = n - face.dim, []
         for m in range(face.dim + 1):
             cx = class_complex(cone, face, m) if nd else ishida_complex(cone, m)

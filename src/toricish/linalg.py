@@ -16,8 +16,9 @@ Matrices are stored as sparse rows throughout (RatMatrix); ranks are
 eliminated modulo a Mersenne prime that a Hadamard bound proves large
 enough to give the rank over Q (RatMatrix.rank).  That prime is certified
 once per matrix and also certifies every slice of it, which is how the
-slices of a differential are ranked.  Input is integer only: RatMatrix
-and primitive_vector reject any other entry, so no rational ever enters.
+slices of a differential are ranked.  Input is integer only:
+primitive_vector rejects any other entry, as cli.load_cone_file does for a
+cone file, so no rational ever enters.
 All functions are pure and all returned objects immutable, apart from the
 prime a RatMatrix keeps once found and the wedge powers a Contraction
 extends on demand.
@@ -113,9 +114,8 @@ class RatMatrix:
     """Immutable exact matrix, stored as sparse rows.
 
     `rows` holds, per row, a tuple of (column, value) pairs in increasing
-    column order, with no zero value.  The constructor takes dense rows of
-    ints and rejects any other entry with ValueError; from_sparse takes rows
-    already in that form and trusts them.
+    column order, with no zero integer value.  from_sparse, the only
+    constructor, takes rows already in that form and trusts them.
 
     rank() is the rank over Q: sparse elimination of the integer rows
     modulo a Mersenne prime p (_rank_mod).  The rank modulo p never exceeds
@@ -127,24 +127,6 @@ class RatMatrix:
     """
 
     __slots__ = ("rows", "nrows", "ncols", "_prime")
-
-    def __init__(self, rows, ncols: int | None = None):
-        rows = [tuple(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("declared column count does not match rows")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        if any(type(x) is not int for r in rows for x in r):
-            raise ValueError("matrix entries must be integers")
-        self.rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self._prime = None
 
     @classmethod
     def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int, prime=None) -> "RatMatrix":

@@ -8,8 +8,9 @@ projections, which makes it an independent oracle for
 toricish.linalg.interior_product_matrix.  Its bases are AmbientBasis
 records of its own; the wedge coordinates and target solver of each basis
 and degree are kept in a bounded cache, as every block reuses them.
-RatMatrix takes integers only, so each block and differential is checked
-to be integral on the way (integral).
+dense_matrix, the dense constructor of a RatMatrix, takes integers only,
+so each block and differential is checked to be integral on the way
+(integral).
 
 bareiss_rank (fraction-free elimination over Z) is the oracle for
 RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
@@ -35,7 +36,7 @@ from typing import Sequence
 
 from face_reference import span_lattice
 from toricish.ishida import IshidaComplex
-from toricish.linalg import Contraction, RatMatrix, dot, interior_product_matrix, primitive_vector
+from toricish.linalg import Contraction, RatMatrix, coordinate_solver, dot, interior_product_matrix, primitive_vector
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -254,7 +255,25 @@ def ambient_interior_product_matrix(source: AmbientBasis, target: AmbientBasis, 
             raise ValueError("target subspace does not contain image")
         columns.append(coeffs)
     rows = [tuple(col[i] for col in columns) for i in range(target.dim)]
-    return RatMatrix(integral(rows), ncols=source.dim)
+    return dense_matrix(integral(rows), ncols=source.dim)
+
+
+def dense_matrix(rows: Sequence[Sequence[int]], ncols: int | None = None) -> RatMatrix:
+    """A RatMatrix from dense rows of ints.  ValueError on any other entry,
+    on ragged rows, or on a column count that does not match the rows."""
+    rows = [tuple(r) for r in rows]
+    if rows:
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        if ncols is not None and ncols != width:
+            raise ValueError("declared column count does not match rows")
+        ncols = width
+    elif ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    if any(type(x) is not int for r in rows for x in r):
+        raise ValueError("matrix entries must be integers")
+    return RatMatrix.from_sparse(tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows), ncols)
 
 
 def dense(m: RatMatrix) -> tuple[tuple, ...]:
@@ -332,9 +351,9 @@ def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
                     continue
                 lo, hi = fl.faces[mid], fl.faces[tid]
                 step = normal_step_vector(lo, hi)
-                c = Contraction(lo.perp_lattice, hi.perp_solver, [dot(v, step) for v in lo.perp_lattice])
+                c = Contraction(lo.perp_lattice, coordinate_solver(hi.perp_lattice, cone.rank), [dot(v, step) for v in lo.perp_lattice])
                 r0, c0 = t * widths[s + 1], term_faces[s].index(mid) * widths[s]
                 for a, brow in enumerate(dense(interior_product_matrix(c, degree - lo.dim))):
                     rows[r0 + a][c0:c0 + len(brow)] = brow
-        diffs.append(RatMatrix(integral(rows), ncols=term_dims[s]))
+        diffs.append(dense_matrix(integral(rows), ncols=term_dims[s]))
     return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs))

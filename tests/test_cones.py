@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import _det, _integer_rows, kernel_basis, normal_step_vector
+from ambient_reference import _det, _integer_rows, dense_matrix, kernel_basis, normal_step_vector
 from face_reference import face_cone, lattice_coordinates, span_lattice
 from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
 from toricish.cones import (
@@ -16,7 +16,7 @@ from toricish.cones import (
     is_simple_in_dim,
     is_simplicial,
 )
-from toricish.linalg import RatMatrix, dot, primitive_vector
+from toricish.linalg import dot, primitive_vector
 from toricish.sampling import sample_cones
 
 
@@ -29,7 +29,7 @@ def brute_force_facet_normals(rays, rank):
             out.add(primitive_vector(r))
         return out
     for subset in itertools.combinations(rays, rank - 1):
-        m = RatMatrix(subset, ncols=rank)
+        m = dense_matrix(subset, ncols=rank)
         if m.rank() != rank - 1:
             continue
         h = primitive_vector(_integer_rows(kernel_basis(subset, rank))[0])
@@ -50,7 +50,7 @@ def brute_force_faces(cone):
                 i for i, r in enumerate(cone.rays) if all(dot(h, r) == 0 for h in subset)
             )
             vecs = [cone.rays[i] for i in rays]
-            dim = RatMatrix(vecs, ncols=cone.rank).rank() if vecs else 0
+            dim = dense_matrix(vecs, ncols=cone.rank).rank() if vecs else 0
             seen[rays] = dim
     return seen
 
@@ -132,9 +132,9 @@ def test_dual_description_matches_brute_force(case):
     rank, gens = case
     nonzero = [g for g in gens if any(g)]
     expected = brute_force_facet_normals(nonzero, rank) if nonzero else set()
-    if not nonzero or RatMatrix(nonzero, ncols=rank).rank() < rank:
+    if not nonzero or dense_matrix(nonzero, ncols=rank).rank() < rank:
         message = "cone not full-dimensional; quotient out lineality/span first"
-    elif not expected or RatMatrix(sorted(expected), ncols=rank).rank() < rank:
+    elif not expected or dense_matrix(sorted(expected), ncols=rank).rank() < rank:
         # A full-dimensional cone is pointed exactly when its facet normals span.
         message = "cone contains a line"
     else:
@@ -181,7 +181,7 @@ def assert_face_lattice_oracle(cone):
     assert [(f.dim, f.rays) for f in fl.faces] == sorted((f.dim, f.rays) for f in fl.faces)
     for f in fl.faces:
         vecs = [cone.rays[i] for i in f.rays]
-        assert f.dim == (RatMatrix(vecs, ncols=cone.rank).rank() if vecs else 0)
+        assert f.dim == (dense_matrix(vecs, ncols=cone.rank).rank() if vecs else 0)
         assert list(fl.children[f.index]) == [
             g.index for g in fl.faces if g.dim == f.dim - 1 and set(g.rays) < set(f.rays)
         ]
@@ -460,7 +460,7 @@ class TestFaceCone:
 @settings(max_examples=25, deadline=None)
 def test_random_cones_well_formed(seed):
     for cone in sample_cones(seed, 3, 2):
-        assert RatMatrix(cone.rays, ncols=3).rank() == 3
+        assert dense_matrix(cone.rays, ncols=3).rank() == 3
         assert set(cone.facet_normals) == brute_force_facet_normals(cone.rays, 3)
         f = cone.f_vector
         assert f[0] == f[-1] == 1

@@ -50,6 +50,20 @@ class TestLowDimRoute:
     def test_simplicial_zero(self, orthant):
         assert multiplicities_from_cohomology(orthant).nonzero == {}
 
+    def test_dim3_row_is_ray_count_minus_three(self, full_corpus):
+        # dimension three reads (0, 1) off the core row, as four to six do:
+        # h^1 at degree 2 is the ray count minus three on every 3-face
+        cones = full_corpus + [c for s in range(4) for c in sample_cones(s, 4, 30) + sample_cones(s, 5, 5)]
+        seen = 0
+        for cone in cones:
+            fl, core = cone.face_lattice(), core_table(cone)
+            for fid in fl.by_dim[3] if cone.rank >= 3 else ():
+                face = fl.faces[fid]
+                assert core[fid][2][1] == len(face.rays) - 3, (cone, face.rays)
+                assert multiplicities_from_cohomology(cone, face).entries == {(0, 1): len(face.rays) - 3}
+                seen += len(face.rays) > 3
+        assert seen >= 10
+
     def test_dim6_undetermined(self, pyramid_tower_cone):
         m = multiplicities_from_cohomology(pyramid_tower_cone)
         assert m.undetermined == ((0, 2), (1, 2))

@@ -1,16 +1,17 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import assemble_over_up_set, dense, normal_step_vector
+from ambient_reference import assemble_over_up_set, dense, dense_matrix, normal_step_vector
 from face_reference import degree_zero_cohomology, face_cone, span_lattice
 from paper_reference import dual, quotient_cone
-from toricish.cones import Cone, is_simplicial
+from toricish.cones import Cone, Face, is_simplicial
 from toricish.ishida import (
     IshidaComplex,
     cohomology_dims,
-    contraction,
+    contractions,
     ext_table,
     graded_class_cohomology,
     ishida_complex,
@@ -23,7 +24,7 @@ from toricish.ishida import (
     verify_link_exactness,
     verify_surjectivity,
 )
-from toricish.linalg import Contraction, RatMatrix, dot, interior_product_matrix
+from toricish.linalg import Contraction, coordinate_solver, dot, interior_product_matrix
 from toricish.sampling import sample_cones
 
 
@@ -61,17 +62,28 @@ class TestBuild:
             ishida_complex(orthant, -1)
 
 
+def _contraction(cone, mid, tid):
+    """The memoised contraction of the cover pair of face ids mid < tid."""
+    return contractions(cone, tid)[cone.face_lattice().children[tid].index(mid)]
+
+
 def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
-    """After ext_table, a fresh cone's memo holds one Contraction per cover
-    pair and otherwise only memoized results, all keyed (name, *args)."""
+    """After ext_table, a fresh cone's memo holds, per face with facets, one
+    Contraction per cover pair into it, in the order of its children, and
+    otherwise only memoized results, all keyed (name, *args).  No face keeps
+    a coordinate solver."""
     for cone in named_corpus:
         cone = Cone.from_rays(cone.rays, cone.rank)
         ext_table(cone)
         fl = cone.face_lattice()
-        pairs = {("contraction", mid, tid) for tid, ids in enumerate(fl.children) for mid in ids}
+        targets = {("contractions", tid) for tid, ids in enumerate(fl.children) if ids}
         degrees = {("ishida_complex", l) for l in range(cone.rank + 1)}
-        assert set(cone.memo) == pairs | degrees | {("core_table",), ("ext_table",)}
-        assert all(isinstance(cone.memo[key], Contraction) for key in pairs)
+        assert set(cone.memo) == targets | degrees | {("core_table",), ("ext_table",)}
+        for _, tid in targets:
+            got = cone.memo[("contractions", tid)]
+            assert len(got) == len(fl.children[tid]) and all(isinstance(c, Contraction) for c in got)
+        kept = {f.name for f in dataclasses.fields(Face)} | {"perp_lattice"}
+        assert all(set(vars(face)) <= kept for face in fl.faces)
 
 
 class TestDSquared:
@@ -95,8 +107,8 @@ class TestDSquared:
             assert len(middles) == 2
             total = None
             for lam in middles:
-                first = interior_product_matrix(contraction(cone, mu.index, lam.index), l - mu.dim)
-                second = interior_product_matrix(contraction(cone, lam.index, nu.index), l - lam.dim)
+                first = interior_product_matrix(_contraction(cone, mu.index, lam.index), l - mu.dim)
+                second = interior_product_matrix(_contraction(cone, lam.index, nu.index), l - lam.dim)
                 comp = dense(second.matmul(first))
                 if total is None:
                     total = comp
@@ -114,7 +126,7 @@ class TestDSquared:
             cx.degree,
             cx.term_faces,
             cx.term_dims,
-            (RatMatrix(rows), *cx.differentials[1:]),
+            (dense_matrix(rows), *cx.differentials[1:]),
         )
         assert not bad.d_squared_is_zero()
 
@@ -192,7 +204,7 @@ class TestCohomology:
                     shifted = tuple(a + 3 * b for a, b in zip(step, shift))
                     a, b = (
                         interior_product_matrix(
-                            Contraction(mu.perp_lattice, tau.perp_solver, [dot(v, w) for v in mu.perp_lattice]),
+                            Contraction(mu.perp_lattice, coordinate_solver(tau.perp_lattice, cone.rank), [dot(v, w) for v in mu.perp_lattice]),
                             l - mu.dim,
                         )
                         for w in (step, shifted)
