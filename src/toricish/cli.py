@@ -302,21 +302,20 @@ def hodge(cone):
 
     With "polytope_vertices" input the polytope is the one given; with
     "rays"/"dual_rays" the cone is treated as the cone over its
-    cross-section polytope.  The polytope f-vector of an n-polytope lists
-    f_0 ... f_(n-1) and leaves out the polytope itself, so a point (a rank-1
-    cone) gets [] as a polygon gets [f_0, f_1]."""
+    cross-section polytope.  The tables are read off the cone's f-vector.
+    The reported polytope f-vector of an n-polytope is the cone's without
+    its first and last entries, f_0 ... f_(n-1), so a point (a rank-1 cone)
+    gets [] as a polygon gets [f_0, f_1]."""
     if cone.rank < 1:
         raise ValueError("hodge needs a cone of dimension at least 1, i.e. a polytope of dimension at least 0")
     if not is_cone_over_simple(cone):
         raise ValueError("the polytope is not simple; the Hodge table formulas do not apply")
-    n = cone.rank - 1
-    f_poly = cone.f_vector[1:-1]
-    table = hodge_du_bois_table(f_poly, n)
+    table = hodge_du_bois_table(cone.f_vector)
     return {
-        "polytope_dim": n,
-        "polytope_f_vector": list(f_poly),
+        "polytope_dim": cone.rank - 1,
+        "polytope_f_vector": list(cone.f_vector[1:-1]),
         "hodge_du_bois": [list(row) for row in table],
-        "hodge_deligne_uv_coefficients": list(hodge_deligne_coefficients(f_poly, n)),
+        "hodge_deligne_uv_coefficients": list(hodge_deligne_coefficients(cone.f_vector)),
         "betti": list(betti_numbers(table)),
     }
 

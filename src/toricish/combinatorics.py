@@ -3,11 +3,11 @@ simplicial and simple cross-sections, Stanley's g-polynomial recursion for
 intersection-cohomology stalks, and Hodge-Deligne / Hodge-Du Bois tables of
 projective toric varieties of simple polytopes.
 
-Two f-vector conventions coexist in the sources and both are exposed here
-explicitly: cone mode counts faces of the cone itself (f[0] = 1 for the
-apex, f[n] = 1 for the cone), polytope mode counts faces of a polytope with
-the extra convention f_{-1} = 1 kept separate.  They are related by
-f_l(polytope) = f_{l+1}(cone over it).
+Every face-number function takes the f-vector of a cone, apex first:
+f[0] = 1 for the apex, f[n] = 1 for the cone of rank n, so the vector's
+length fixes the dimension.  For a cone over a polytope, f[j] counts the
+polytope's (j-1)-faces, with the apex as the empty face; the polytope has
+dimension len(f) - 2.
 """
 
 from __future__ import annotations
@@ -19,31 +19,24 @@ from typing import Sequence
 from .cones import FaceLattice, ids_of
 
 
-def binomial(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def h_vector(f: Sequence[int], n: int | None = None) -> tuple[int, ...]:
-    """h_j = sum_{l >= j} (-1)^{l-j} C(l, j) f_{n-1-l}, the transform whose
-    entries are the even Betti numbers of a simplicial projective toric
-    variety when the cone is over a simplicial polytope."""
-    if n is None:
-        n = len(f) - 1
+def h_vector(f: Sequence[int]) -> tuple[int, ...]:
+    """h_j = sum_{l >= j} (-1)^{l-j} C(l, j) f_{n-1-l} for a cone of rank
+    n, the transform whose entries are the even Betti numbers of a
+    simplicial projective toric variety when the cone is over a simplicial
+    polytope."""
+    n = len(f) - 1
     return tuple(
-        sum((-1) ** (l - j) * binomial(l, j) * f[n - 1 - l] for l in range(j, n))
+        sum((-1) ** (l - j) * math.comb(l, j) * f[n - 1 - l] for l in range(j, n))
         for j in range(n)
     )
 
 
-def h_tilde_vector(f: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+def h_tilde_vector(f: Sequence[int]) -> tuple[int, ...]:
     """The companion transform with the roles of the face numbers reversed;
     symmetric and unimodal for cones over simple polytopes."""
-    if n is None:
-        n = len(f) - 1
+    n = len(f) - 1
     return tuple(
-        sum(f[n - l] * binomial(n - 1 - l, j - l) * (-1) ** (j - l) for l in range(j + 1))
+        sum(f[n - l] * math.comb(n - 1 - l, j - l) * (-1) ** (j - l) for l in range(j + 1))
         for j in range(n)
     )
 
@@ -88,7 +81,7 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     n = fl.rank
     if n == 0:
         return ICStalkPoly((1,))
-    t_minus_one = [[(-1) ** (k - j) * binomial(k, j) for j in range(k + 1)] for k in range(n)]
+    t_minus_one = [[(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)] for k in range(n)]
     below = fl.down_sets()
     g: dict[int, list[int]] = {}
     for face in fl.faces:
@@ -114,41 +107,34 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     return ICStalkPoly(tuple(g[fl.top.index]))
 
 
-def hodge_deligne_coefficients(f_polytope: Sequence[int], n: int) -> tuple[int, ...]:
-    """Coefficients c_p of (uv)^p in sum_{j=0..n} f_{j-1} (uv - 1)^(n-j),
-    with f_{-1} = 1; f_polytope lists f_0 .. f_{n-1}."""
-    if len(f_polytope) != n:
-        raise ValueError("polytope f-vector must have length n")
+def hodge_deligne_coefficients(f: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients c_p of (uv)^p in sum_{j=0..n} f[j] (uv - 1)^(n-j), for
+    the polytope of dimension n = len(f) - 2 that the cone is over."""
+    n = len(f) - 2
     coeffs = [0] * (n + 1)
     for j in range(n + 1):
-        fj = 1 if j == 0 else f_polytope[j - 1]
         for p in range(n - j + 1):
-            coeffs[p] += fj * binomial(n - j, p) * (-1) ** (n - j - p)
+            coeffs[p] += f[j] * math.comb(n - j, p) * (-1) ** (n - j - p)
     return tuple(coeffs)
 
 
-def hodge_du_bois_table(f_polytope: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+def hodge_du_bois_table(f: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Table T with T[p][q] the (p, q) Hodge-Du Bois number of the projective
-    toric variety of a simple n-polytope with the given face numbers:
-    ones on the diagonal except f_0 - n at (n-1, n-1), an extra row at
-    q = n-1, zero elsewhere."""
-    if n < 2:
-        return tuple(
-            tuple(1 if p == q else 0 for q in range(n + 1)) for p in range(n + 1)
-        )
-    if len(f_polytope) != n:
-        raise ValueError("polytope f-vector must have length n")
+    toric variety of the simple polytope of dimension n = len(f) - 2 that
+    the cone is over: ones on the diagonal except f[1] - n (vertices less
+    n) at (n-1, n-1), an extra row at q = n-1, zero elsewhere.  For n = 0
+    the index n-1 is the last, where f[1] - n = 1 as well."""
+    n = len(f) - 2
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for p in range(n + 1):
         if p != n - 1:
             table[p][p] = 1
-    table[n - 1][n - 1] = f_polytope[0] - n
+    table[n - 1][n - 1] = f[1] - n
     for p in range(1, n - 1):
         total = (-1) ** (n - p)
         for j in range(n - p + 1):
-            fj = 1 if j == 0 else f_polytope[j - 1]
             sign = 1 if j % 2 else -1
-            total += sign * fj * binomial(n - j, p)
+            total += sign * f[j] * math.comb(n - j, p)
         table[p][n - 1] = total
     return tuple(tuple(row) for row in table)
 

@@ -22,7 +22,7 @@ provably equal, so a mismatch means an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cones import Cone, Face, ids_of, memoized
 from .combinatorics import h_tilde_vector, h_vector
@@ -44,7 +44,6 @@ class ICMultiplicities:
     entries: dict
     undetermined: tuple[tuple[int, int], ...]
     method: str
-    details: dict = field(default_factory=dict)
 
     def get(self, l: int, j: int):
         """Multiplicity at (l, j); None when the entry is undetermined."""
@@ -55,10 +54,6 @@ class ICMultiplicities:
     @property
     def nonzero(self) -> dict:
         return {k: v for k, v in self.entries.items() if v}
-
-
-def _zero_table(dim: int, method: str) -> ICMultiplicities:
-    return ICMultiplicities(dim, {p: 0 for p in admissible_pairs(dim)}, (), method)
 
 
 @memoized
@@ -87,12 +82,10 @@ def multiplicities_simplicial_class(cone: Cone, face: Face | None = None) -> ICM
     if not over_simplicial:
         raise ValueError("cone is not a cone over a simplicial polytope")
     d = face.dim
-    h = h_vector(f, d)
+    h = h_vector(f)
     entries = {p: 0 for p in admissible_pairs(d)}
     for j in range(1, (d + 1) // 2):
-        l = d - 2 * j - 1
-        if (l, j) in entries:
-            entries[(l, j)] = h[j] - h[j - 1]
+        entries[(d - 2 * j - 1, j)] = h[j] - h[j - 1]
     return ICMultiplicities(d, entries, (), "simplicial_closed_form")
 
 
@@ -105,11 +98,10 @@ def multiplicities_simple_class(cone: Cone, face: Face | None = None) -> ICMulti
     if not over_simple:
         raise ValueError("cone is not a cone over a simple polytope")
     d = face.dim
-    ht = h_tilde_vector(f, d)
+    ht = h_tilde_vector(f)
     entries = {p: 0 for p in admissible_pairs(d)}
     for j in range(1, (d + 1) // 2):
-        if (0, j) in entries:
-            entries[(0, j)] = ht[j] - ht[j - 1]
+        entries[(0, j)] = ht[j] - ht[j - 1]
     return ICMultiplicities(d, entries, (), "simple_closed_form")
 
 
@@ -129,10 +121,7 @@ def multiplicities_from_cohomology(cone: Cone, face: Face | None = None) -> ICMu
     d = face.dim
     if d > 6:
         raise ValueError("direct multiplicity computation is limited to dimension <= 6")
-    if d <= 2 or len(face.rays) == d:
-        return _zero_table(d, "cohomology")
     entries = {p: 0 for p in admissible_pairs(d)}
-    details: dict = {}
     undetermined: tuple = ()
     rows = core_table(cone)[face.index]
     # the (l, 1) entries are h^1 .. h^(d-2) at degree d - 1
@@ -147,7 +136,6 @@ def multiplicities_from_cohomology(cone: Cone, face: Face | None = None) -> ICMu
         h3 = rows[3]
         rank_r = facet_a01 - h3[1]
         entries[(0, 2)] = h3[2] + rank_r - facet_a11
-        details["facet_system_rank"] = rank_r
     elif d == 6:
         undetermined = ((0, 2), (1, 2))
         for p in undetermined:
@@ -155,16 +143,16 @@ def multiplicities_from_cohomology(cone: Cone, face: Face | None = None) -> ICMu
     for (l, j), v in entries.items():
         if v < 0:
             raise RuntimeError(f"negative multiplicity at {(l, j)}: {v}")
-    return ICMultiplicities(d, entries, undetermined, "cohomology", details)
+    return ICMultiplicities(d, entries, undetermined, "cohomology")
 
 
 @memoized
 def ic_multiplicities(cone: Cone, face: Face | None = None) -> ICMultiplicities:
     """Dispatch for one face (the whole cone by default): closed forms when
-    a class predicate holds (any dimension), the cohomology route otherwise
-    (dimension <= 6).  All applicable routes are computed and compared; the
-    first closed form wins as the reported method because it never leaves
-    entries undetermined."""
+    a class predicate holds (any dimension), and the cohomology route on
+    every face of dimension <= 6.  All applicable routes are computed and
+    compared; the first closed form wins as the reported method because it
+    never leaves entries undetermined."""
     face = cone.face_lattice().top if face is None else face
     _, over_simplicial, over_simple = face_class(cone, face)
     routes = []

@@ -152,8 +152,6 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
     bool, and the count of extension steps against MAX_SEARCH_STEPS both
     live for this one call, as does `up`, each face's parents as a bitmask.
     """
-    if fl.rank == 1:
-        return [StepCertificate(f.rays, (), ()) for f in ordered]
     memo: dict[tuple[int, int], bool] = {}
     steps = itertools.count(1)
     up = [mask_of(ids) for ids in fl.parents]

@@ -16,9 +16,10 @@ benchmark's inputs use.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
-from toricish.combinatorics import binomial, h_vector
+from toricish.combinatorics import h_vector
 from toricish.cones import Cone, Face, is_cone_over_simple, is_cone_over_simplicial, is_simplicial
 from toricish.linalg import dot
 from toricish.sampling import sample_cones
@@ -55,7 +56,7 @@ def ext_dims_simplicial_class(cone: Cone) -> dict:
     if not is_cone_over_simplicial(cone):
         raise ValueError("cone is not a cone over a simplicial polytope")
     n = cone.rank
-    h = h_vector(cone.f_vector, n)
+    h = h_vector(cone.f_vector)
     out = {}
     for l in range(1, n):
         k = n - l
@@ -81,8 +82,8 @@ def euler_h1_prediction(f_cone: Sequence[int], n: int, j: int) -> int:
     """Predicted dimension of the first cohomology of the wedge-(n-j)
     complex of a cone over a simple polytope, 1 <= j < n/2, read off from
     the Euler characteristic when that is the only nonvanishing degree."""
-    return -binomial(n, j) + sum(
-        (-1) ** (l - 1) * f_cone[l] * binomial(n - l, j) for l in range(1, n - j + 1)
+    return -math.comb(n, j) + sum(
+        (-1) ** (l - 1) * f_cone[l] * math.comb(n - l, j) for l in range(1, n - j + 1)
     )
 
 

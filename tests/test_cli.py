@@ -162,6 +162,22 @@ class TestHodgeCmd:
             "betti": [1],
         }
 
+    def test_rank_two_is_a_segment(self, runner, tmp_path):
+        # A segment, n = len(f) - 2 = 1: the projective line, whose (0, 0)
+        # entry is f[1] - n = 2 - 1.
+        path = tmp_path / "segment.json"
+        path.write_text('{"lattice_rank": 2, "rays": [[1, 0], [1, 3]]}')
+        data = json.loads(invoke(runner, "hodge", path).output)
+        assert data == {
+            "schema_version": 1,
+            "command": "hodge",
+            "polytope_dim": 1,
+            "polytope_f_vector": [2],
+            "hodge_du_bois": [[1, 0], [0, 1]],
+            "hodge_deligne_uv_coefficients": [1, 1],
+            "betti": [1, 0, 1],
+        }
+
     def test_rank_zero_exits_3(self, runner, tmp_path):
         path = tmp_path / "point.json"
         path.write_text('{"lattice_rank": 0, "rays": []}')
@@ -364,6 +380,13 @@ class TestIO:
             f_vectors.append(json.loads(res.output)["f_vector"])
         assert f_vectors[0] == f_vectors[1] == f_vectors[2] == [1, 4, 4, 1]
 
+    def test_rank_zero_from_dual_rays(self, runner, tmp_path):
+        # no dual ray in rank 0 describes the whole (zero) lattice
+        path = tmp_path / "point.json"
+        path.write_text('{"lattice_rank": 0, "dual_rays": []}')
+        data = json.loads(invoke(runner, "faces", path).output)
+        assert (data["lattice_rank"], data["rays"], data["f_vector"]) == (0, [], [1])
+
 
 class TestInputValidation:
     """Bad cone files exit with code 3 and say what is wrong; nothing is
@@ -388,6 +411,17 @@ class TestInputValidation:
         res = self._run(runner, tmp_path, json.dumps(payload))
         assert res.exit_code == 3
         assert "integer coordinate" in res.output
+
+    def test_missing_lattice_rank(self, runner, tmp_path):
+        res = self._run(runner, tmp_path, json.dumps({"rays": [[1, 0], [0, 1]]}))
+        assert res.exit_code == 3
+        assert 'missing "lattice_rank"' in res.output
+
+    def test_vector_length_not_the_rank(self, runner, tmp_path):
+        payload = {"lattice_rank": 3, "rays": [[1, 0, 1], [0, 1]]}
+        res = self._run(runner, tmp_path, json.dumps(payload))
+        assert res.exit_code == 3
+        assert "vector length does not match lattice_rank" in res.output
 
     @pytest.mark.parametrize("rank", [-1, 2.0], ids=["negative", "float"])
     def test_bad_lattice_rank(self, runner, tmp_path, rank):

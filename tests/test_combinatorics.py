@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from face_reference import degree_zero_cohomology
@@ -6,7 +8,6 @@ from shelling_reference import reference_g_polynomial
 from toricish.combinatorics import (
     ICStalkPoly,
     betti_numbers,
-    binomial,
     g_polynomial,
     h_tilde_vector,
     h_vector,
@@ -16,8 +17,9 @@ from toricish.combinatorics import (
 from toricish.sampling import sample_cones
 
 
-def simplex_polytope_f(n):
-    return [binomial(n + 1, j + 1) for j in range(n)]
+def simplex_cone_f(n):
+    """f-vector of the cone over the n-simplex."""
+    return [math.comb(n + 1, j) for j in range(n + 2)]
 
 
 class TestHVector:
@@ -65,10 +67,10 @@ class TestHTildeVector:
             for j in range(1, (n + 1) // 2):
                 diff = ht[j] - ht[j - 1]
                 second = sum(
-                    (-1) ** l * f[n + l - j] * binomial(n - j + l, l) for l in range(j + 1)
+                    (-1) ** l * f[n + l - j] * math.comb(n - j + l, l) for l in range(j + 1)
                 )
                 third = sum(
-                    (-1) ** (j - l) * f[n - l] * binomial(n - l, j - l) for l in range(j + 1)
+                    (-1) ** (j - l) * f[n - l] * math.comb(n - l, j - l) for l in range(j + 1)
                 )
                 assert diff == second == third
 
@@ -134,20 +136,20 @@ class TestFVector:
 class TestHodgeDeligne:
     def test_projective_space(self):
         for n in (1, 2, 3, 4, 5):
-            assert hodge_deligne_coefficients(simplex_polytope_f(n), n) == (1,) * (n + 1)
+            assert hodge_deligne_coefficients(simplex_cone_f(n)) == (1,) * (n + 1)
 
     def test_square(self):
-        assert hodge_deligne_coefficients((4, 4), 2) == (1, 2, 1)
+        assert hodge_deligne_coefficients((1, 4, 4, 1)) == (1, 2, 1)
 
     def test_binomial_top_coefficient(self):
-        coeffs = hodge_deligne_coefficients((9, 18, 15, 6), 4)
+        coeffs = hodge_deligne_coefficients((1, 9, 18, 15, 6, 1))
         assert coeffs[3] == 9 - 4
         assert coeffs[0] == 1
 
 
 class TestHodgeDuBois:
     def test_binomial_diamond(self):
-        table = hodge_du_bois_table((9, 18, 15, 6), 4)
+        table = hodge_du_bois_table((1, 9, 18, 15, 6, 1))
         assert [table[p][3] for p in range(5)] == [0, 1, 4, 5, 0]
         assert [table[p][p] for p in range(5)] == [1, 1, 1, 5, 1]
         for p in range(5):
@@ -157,23 +159,21 @@ class TestHodgeDuBois:
 
     def test_simplex_identity_diamond(self):
         for n in (2, 3, 4, 5):
-            table = hodge_du_bois_table(simplex_polytope_f(n), n)
+            table = hodge_du_bois_table(simplex_cone_f(n))
             for p in range(n + 1):
                 for q in range(n + 1):
                     assert table[p][q] == (1 if p == q else 0)
 
     def test_degenerate_dimension(self):
-        assert hodge_du_bois_table((2,), 1) == ((1, 0), (0, 1))
+        assert hodge_du_bois_table((1, 2, 1)) == ((1, 0), (0, 1))
 
     def test_betti_consistency(self, simple_class_corpus, binomial_cone, cube_cone):
         for cone in list(simple_class_corpus) + [binomial_cone, cube_cone]:
-            n = cone.rank - 1
-            f = cone.f_vector[1:-1]
-            table = hodge_du_bois_table(f, n)
-            assert hodge_deligne_from_table(table) == hodge_deligne_coefficients(f, n)
+            table = hodge_du_bois_table(cone.f_vector)
+            assert hodge_deligne_from_table(table) == hodge_deligne_coefficients(cone.f_vector)
 
     def test_betti_anti_diagonals(self):
-        table = hodge_du_bois_table((9, 18, 15, 6), 4)
+        table = hodge_du_bois_table((1, 9, 18, 15, 6, 1))
         assert betti_numbers(table) == (1, 0, 1, 0, 2, 4, 5, 0, 1)
         # Euler characteristic equals the number of facets of the polytope
         assert sum((-1) ** k * b for k, b in enumerate(betti_numbers(table))) == 6

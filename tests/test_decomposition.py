@@ -251,7 +251,7 @@ def _invariants(cone):
             for t in face_multiplicity_tables(cone).values()
         ),
         "g": g_polynomial(cone.face_lattice()).coefficients,
-        "hodge": hodge_du_bois_table(cone.f_vector[1:-1], cone.rank - 1) if is_cone_over_simple(cone) else None,
+        "hodge": hodge_du_bois_table(cone.f_vector) if is_cone_over_simple(cone) else None,
     }
 
 

@@ -42,7 +42,7 @@ def _assembled(n, face_dim, rows, degree):
 
 
 def _table(m):
-    return m.dim, m.entries, m.undetermined, m.method, m.details
+    return m.dim, m.entries, m.undetermined, m.method
 
 
 def assert_slices_match_oracle(cone):

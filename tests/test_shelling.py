@@ -56,6 +56,9 @@ def test_not_a_permutation_fails(quadric_cone):
     facets = facet_ray_tuples(quadric_cone)
     assert not is_shelling(quadric_cone, facets[:-1])
     assert not is_shelling(quadric_cone, facets + [facets[0]])
+    # the quadric cone has rays 0..3
+    for bad in (-1, 4):
+        assert not is_shelling(quadric_cone, [(facets[0][0], bad)] + facets[1:])
 
 
 def test_shelling_output_verifies(full_corpus):
