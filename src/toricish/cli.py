@@ -164,7 +164,7 @@ def cone_command(*params, table=None, file_required=True):
                     options["label"], meta = meta.get("name") or file, {}
                 payload = _payload(name, meta, body(cone, **options))
                 emit(payload, fmt, output, table)
-            except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+            except (ValueError, RuntimeError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(3)
             if payload.get("ok") is False:

@@ -79,8 +79,6 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     binomials built once per call.
     """
     n = fl.rank
-    if n == 0:
-        return ICStalkPoly((1,))
     t_minus_one = [[(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)] for k in range(n)]
     below = fl.down_sets()
     g: dict[int, list[int]] = {}

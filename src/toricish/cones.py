@@ -75,6 +75,8 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
         if p not in seen:
             seen.add(p)
             gens.append(p)
+    if len(gens) < rank:
+        raise ValueError("cone not full-dimensional; quotient out lineality/span first")
     lineality = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     rays: list[tuple[tuple[int, ...], int]] = []  # (ray, mask of the generators it vanishes on)
 

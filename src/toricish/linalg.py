@@ -233,19 +233,14 @@ def _solve_coordinates(solver: tuple[tuple, tuple], vectors: Sequence[Sequence[i
 
 
 @lru_cache(maxsize=None)
-def _ksubsets(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(m), k))
-
-
-@lru_cache(maxsize=None)
 def _laplace(m: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per k-subset S of range(m), in lexicographic order, the terms of an
     expansion along S: (S[q], (-1)^q, index of S minus S[q] among the
     (k-1)-subsets) for each position q."""
-    index = {s: i for i, s in enumerate(_ksubsets(m, k - 1))}
+    index = {s: i for i, s in enumerate(itertools.combinations(range(m), k - 1))}
     return tuple(
         tuple((x, -1 if q % 2 else 1, index[s[:q] + s[q + 1:]]) for q, x in enumerate(s))
-        for s in _ksubsets(m, k)
+        for s in itertools.combinations(range(m), k)
     )
 
 
@@ -253,7 +248,7 @@ def _laplace(m: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 def _insertions(m: int, k: int) -> tuple[dict[int, tuple[int, int]], ...]:
     """_laplace(m, k) inverted: per (k-1)-subset index, x -> ((-1)^q, index
     of the k-subset that holds x at position q), for each x not in it."""
-    out = tuple({} for _ in _ksubsets(m, k - 1))
+    out = tuple({} for _ in range(math.comb(m, k - 1)))
     for i, terms in enumerate(_laplace(m, k)):
         for x, sign, rest in terms:
             out[rest][x] = (sign, i)

@@ -97,7 +97,8 @@ def shelling(cone: Cone) -> Shelling:
     heights = [dot(w, r) for r in cone.rays]
     l = math.lcm(*heights)
     p = [sum(l // s * r[i] for s, r in zip(heights, cone.rays)) for i in range(n)]
-    normals = [_facet_normal(cone, fl.faces[fid]) for fid in facet_ids]
+    normal_of = {fl.by_mask[mask_of(i for i, r in enumerate(cone.rays) if not dot(h, r))]: h for h in cone.facet_normals}
+    normals = [normal_of[fid] for fid in facet_ids]
     hp = [dot(h, p) for h in normals]
 
     for t in range(1, MAX_DIRECTIONS + 1):
@@ -122,13 +123,6 @@ def shelling(cone: Cone) -> Shelling:
             order = tuple(f.rays for f in ordered)
             return Shelling(order, t, tuple(certs))
     raise RuntimeError("no admissible shelling direction found")
-
-
-def _facet_normal(cone: Cone, facet: Face) -> tuple[int, ...]:
-    for h in cone.facet_normals:
-        if all(dot(h, cone.rays[i]) == 0 for i in facet.rays):
-            return h
-    raise ValueError("face is not a facet")
 
 
 def is_shelling(cone: Cone, order: Sequence[Sequence[int]]) -> bool:
@@ -193,15 +187,14 @@ def _intersections_covered(fl: FaceLattice, face: int, earlier: tuple[int, ...],
 
 def _find_shelling(
     fl: FaceLattice, up: list[int], face: Face, prefix: int, memo: dict[tuple[int, int], bool],
-    steps: Iterator[int], used_mask: int = 0, earlier: tuple[int, ...] = (), dead: set[int] | None = None,
+    steps: Iterator[int], used_mask: int = 0, earlier: tuple[int, ...] = (),
 ) -> tuple[int, ...] | None:
     """A shelling order of face's facet poset whose initial segment is
     exactly the prefix set, or None.  Returns facet indices.
 
     prefix is a bitmask over face ids, and up holds each face's parents as
     one.  Depth first: `used_mask` is the partial order so far as a set,
-    which the result extends, `earlier` its ray masks in order, and `dead`
-    the partial orders (as masks) found dead in this one search.  Whether
+    which the result extends, and `earlier` its ray masks in order.  Whether
     an inner sub-search succeeds is looked up in, or stored to, memo, the
     outcome memo of the certification.  Each extension draws one step from
     steps and raises RuntimeError once MAX_SEARCH_STEPS is exceeded.
@@ -211,9 +204,6 @@ def _find_shelling(
         return tuple(facet_ids)
     if len(earlier) == len(facet_ids):
         return ()
-    dead = set() if dead is None else dead
-    if used_mask in dead:
-        return None
     if next(steps) > MAX_SEARCH_STEPS:
         raise RuntimeError(f"shelling search exceeded {MAX_SEARCH_STEPS} steps")
     allowed = prefix if len(earlier) < prefix.bit_count() else ~0
@@ -231,8 +221,7 @@ def _find_shelling(
                 memo[key] = _find_shelling(fl, up, g, key[1], memo, steps) is not None
             if not memo[key]:
                 continue
-        rest = _find_shelling(fl, up, face, prefix, memo, steps, used_mask | bit, earlier + (g.mask,), dead)
+        rest = _find_shelling(fl, up, face, prefix, memo, steps, used_mask | bit, earlier + (g.mask,))
         if rest is not None:
             return (cand,) + rest
-    dead.add(used_mask)
     return None

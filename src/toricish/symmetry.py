@@ -8,33 +8,31 @@ polyhedra" (LMS J. Comput. Math. 17, 2014).  Such maps are Q-linear, not
 in general lattice automorphisms.  Generators of the group come from a
 backtracking search along a point-stabiliser chain, pruned by Gram
 colours (_ray_automorphisms); face_orbits turns them into orbits of face
-ids.  Everything is computed in integers.
+ids.  Everything is computed in integers, the Gram matrix through
+linalg's column-Hermite solver.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from typing import Sequence
 
 from .cones import Cone
-from .linalg import dot
+from .linalg import _solve_coordinates, coordinate_solver, dot
 
 
 def _projector_gram(rays: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
-    """G = R adj(R^T R) R^T, R the rays as rows: det(R^T R) times the
-    projector onto the column space of R.  adj(R^T R) is read off
-    fraction-free Gauss-Jordan elimination of [R^T R | I], with exact
-    divisions and, as R^T R is positive definite, no zero pivot."""
-    a = [[dot(u, v) for v in zip(*rays)] + [int(i == j) for j in range(rank)] for i, u in enumerate(zip(*rays))]
-    prev = 1
-    for k in range(rank):
-        piv = a[k][k]
-        for i in range(rank):
-            if i != k:
-                a[i] = [(piv * x - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
-        prev = piv
-    ra = [[dot(r, row[rank:]) for row in a] for r in rays]  # adj is symmetric
-    return [[sum(map(operator.mul, x, r)) for r in rays] for x in ra]
+    """G = R adj(A) R^T, R the rays as rows and A = R^T R: det(A) times the
+    projector onto the column space of R.  Row i of adj(A) = det(A) A^-1
+    solves x A = det(A) e_i, read off the column-Hermite reduction of A
+    (coordinate_solver), with det(A) the product of its pivots up to sign,
+    and positive as A is positive definite; each division is exact."""
+    a = [[dot(u, v) for v in zip(*rays)] for u in zip(*rays)]
+    solver = coordinate_solver(a, rank)
+    det = abs(math.prod(h[0] for h in solver[0]))
+    adj = _solve_coordinates(solver, [[det * (i == j) for j in range(rank)] for i in range(rank)])
+    ra = [[dot(r, row) for row in adj] for r in rays]  # adj is symmetric
+    return [[dot(x, r) for r in rays] for x in ra]
 
 
 def _ray_automorphisms(gram: list[list[int]]) -> list[tuple[int, ...]]:

@@ -55,6 +55,15 @@ def pyramid_tower_cone():
 
 
 @pytest.fixture(scope="session")
+def tower_prism_cone(pyramid_tower_cone):
+    """Seven-dimensional cone over the prism over the double pyramid over
+    the cube (334 faces): in neither class and above dimension 6, so no
+    multiplicity route applies to its top face."""
+    vertices = [r[:-1] for r in pyramid_tower_cone.rays]  # the rays are (v, 1)
+    return cone_over_polytope([v + (t,) for t in (0, 1) for v in vertices])
+
+
+@pytest.fixture(scope="session")
 def oct_prism_cone():
     """Five-dimensional cone over octahedron x segment: neither class."""
     oct_v = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]

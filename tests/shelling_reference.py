@@ -16,7 +16,15 @@ from fractions import Fraction
 
 from toricish.cones import Cone, Face, FaceLattice
 from toricish.linalg import dot
-from toricish.shelling import Shelling, StepCertificate, _facet_normal
+from toricish.shelling import Shelling, StepCertificate
+
+
+def _facet_normal(cone: Cone, facet: Face) -> tuple[int, ...]:
+    """The facet normal that vanishes on every ray of the facet."""
+    for h in cone.facet_normals:
+        if all(dot(h, cone.rays[i]) == 0 for i in facet.rays):
+            return h
+    raise ValueError("face is not a facet")
 
 
 def _candidate_direction(cone: Cone, t: int) -> tuple[Fraction, ...] | None:

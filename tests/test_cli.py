@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,12 @@ class TestGpolyCmd:
         res = invoke(runner, "gpoly", DATA / "octahedron.json")
         assert res.output == (GOLDEN / "octahedron_gpoly.json").read_text()
 
+    def test_rank_zero_is_one(self, runner, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text('{"lattice_rank": 0, "rays": []}')
+        data = json.loads(invoke(runner, "gpoly", path).output)
+        assert data["coefficients"] == [1]
+
 
 class TestHodgeCmd:
     def test_binomial_golden(self, runner):
@@ -193,6 +200,13 @@ class TestShellingCmd:
         assert data["verified"] is True
         assert len(data["order"]) == 4
 
+    def test_rank_zero_exits_3(self, runner, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text('{"lattice_rank": 0, "rays": []}')
+        res = runner.invoke(cli, ["shelling", str(path)])
+        assert res.exit_code == 3
+        assert "dimension at least 1" in res.output
+
 
 class TestVerifyCmd:
     def test_file_all_suites(self, runner):
@@ -216,6 +230,14 @@ class TestVerifyCmd:
                 "name": name, "ok": True, "failures": [], "skipped": "needs dimension at least 1"
             }
         assert suite == "all" or set(checks) == {suite}
+
+    def test_closed_forms_skipped_above_dimension_six_outside_both_classes(self, runner, tmp_path, tower_prism_cone):
+        path = tmp_path / "tower_prism.json"
+        path.write_text(json.dumps({"lattice_rank": 7, "rays": [list(r) for r in tower_prism_cone.rays]}))
+        res = invoke(runner, "verify", path, "--suite", "closed_forms")
+        assert res.exit_code == 0
+        [check] = json.loads(res.output)["results"][0]["checks"]
+        assert check == {"name": "closed_forms", "ok": True, "failures": [], "skipped": "no closed form applies"}
 
     def test_random_mode_deterministic(self, runner):
         args = ["verify", "--random", "3", "3", "--seed", "7", "--suite", "d2"]
@@ -429,6 +451,29 @@ class TestInputValidation:
         res = self._run(runner, tmp_path, json.dumps(payload))
         assert res.exit_code == 3
         assert "lattice_rank" in res.output
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"lattice_rank": 2, "rays": [[0, 0]]}', "not full-dimensional"),
+            ('{"lattice_rank": 2, "polytope_vertices": []}', "empty vertex list"),
+        ],
+        ids=["zero-ray", "no-vertices"],
+    )
+    def test_no_generator(self, runner, tmp_path, text, message):
+        res = self._run(runner, tmp_path, text)
+        assert res.exit_code == 3
+        assert message in res.output
+
+    def test_coordinates_above_every_certified_prime(self, runner, tmp_path):
+        # 1,500-digit coordinates: no Mersenne prime tried bounds the minors
+        rng = random.Random(5)
+        rays = [[rng.randrange(10**1500) for _ in range(3)] + [1] for _ in range(6)]
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": 4, "rays": rays}))
+        res = runner.invoke(cli, ["ext", str(path)])
+        assert res.exit_code == 3
+        assert "error: Hadamard bound exceeds every Mersenne prime tried" in res.output
 
     def test_integral_float_coordinate_is_rejected(self, runner, tmp_path):
         # 1.0 names the same integer, but the file format asks for integers

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,17 @@ class TestDualDescription:
     def test_not_full_dimensional(self):
         with pytest.raises(ValueError, match="full-dimensional"):
             dual_description([(1, 0, 0), (0, 1, 0)], 3)
+
+    def test_too_few_generators_fail_before_the_lineality_basis(self):
+        # the rank x rank lineality basis alone would take about 60 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="full-dimensional"):
+                Cone.from_rays([(0,) * 1999 + (1,)], 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "build",

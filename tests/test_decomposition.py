@@ -114,6 +114,11 @@ class TestClosedForms:
 
 
 class TestDispatch:
+    def test_no_route_above_dimension_six_outside_both_classes(self, tower_prism_cone):
+        assert (tower_prism_cone.rank, len(tower_prism_cone.face_lattice().faces)) == (7, 334)
+        with pytest.raises(ValueError, match="multiplicities undetermined"):
+            ic_multiplicities(tower_prism_cone)
+
     def test_closed_form_vs_cohomology_simplicial(self, simplicial_class_corpus):
         for cone in simplicial_class_corpus:
             # the dispatch itself raises on any disagreement

@@ -134,6 +134,19 @@ def ray_group(cone):
     return gens, closure(gens, len(cone.rays))
 
 
+def test_projector_gram_is_det_times_the_rational_projector(named_corpus):
+    """G = det(A) R A^-1 R^T for A = R^T R, in Fractions: row i of A^-1
+    solves x A = e_i, and det(A) is a Laplace expansion."""
+    cones = named_corpus + [c for d in (3, 4, 5, 6) for c in sample_cones(1, d, 4)]
+    for cone in cones:
+        rays, n = cone.rays, cone.rank
+        a = [[sum(r[i] * r[j] for r in rays) for j in range(n)] for i in range(n)]
+        inv = [_solve(a, [int(i == j) for j in range(n)]) for i in range(n)]
+        det = _det(a)
+        expected = [[det * sum(u[i] * inv[i][j] * v[j] for i in range(n) for j in range(n)) for v in rays] for u in rays]
+        assert _projector_gram(rays, n) == expected, cone
+
+
 def _small_cones(named_corpus):
     samples = [c for s in (1, 2) for c in sample_cones(s, 4, 30) if len(c.rays) <= 7]
     return [c for c in named_corpus if len(c.rays) <= 8] + samples + [NON_UNIMODULAR]
