@@ -46,6 +46,7 @@ from .ishida import (
     verify_link_exactness,
     verify_surjectivity,
 )
+from .linalg import NoCertifiedPrime
 from .sampling import sample_cones
 from .shelling import shelling
 
@@ -164,7 +165,7 @@ def cone_command(*params, table=None, file_required=True):
                     options["label"], meta = meta.get("name") or file, {}
                 payload = _payload(name, meta, body(cone, **options))
                 emit(payload, fmt, output, table)
-            except (ValueError, RuntimeError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+            except (ValueError, RuntimeError, NoCertifiedPrime, OSError, json.JSONDecodeError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(3)
             if payload.get("ok") is False:

@@ -174,8 +174,6 @@ class Cone:
         prim = sorted({primitive_vector(v) for v in vectors if any(v)})
         if rank == 0:
             return cls(0, (), ())
-        if not prim:
-            raise ValueError("cone not full-dimensional; quotient out lineality/span first")
         normals = dual_description(prim, rank)
         # A generator is extreme iff no other one vanishes on a strict
         # superset of its facet normals.

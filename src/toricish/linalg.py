@@ -52,6 +52,10 @@ def primitive_vector(vec) -> tuple[int, ...]:
 MERSENNE_EXPONENTS = (127, 521, 1279, 4423, 9941, 19937, 44497)
 
 
+class NoCertifiedPrime(ArithmeticError):
+    """No Mersenne prime tried lies above the Hadamard bound of a matrix."""
+
+
 def _certified_prime(rows: list[dict[int, int]]) -> int:
     """First Mersenne prime p = 2^e - 1 above a bound H of every minor of
     the nonzero integer rows, compared as H^2 < p^2.  H^2 is the product of
@@ -71,7 +75,7 @@ def _certified_prime(rows: list[dict[int, int]]) -> int:
         p = (1 << e) - 1
         if bound < p * p:
             return p
-    raise ArithmeticError("Hadamard bound exceeds every Mersenne prime tried")
+    raise NoCertifiedPrime("Hadamard bound exceeds every Mersenne prime tried")
 
 
 def _rank_mod(rows: list[dict[int, int]], p: int) -> int:

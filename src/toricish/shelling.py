@@ -21,13 +21,14 @@ facet's own facets, depth first and recursively.  Whether a face's facets
 have a shelling starting with a given set is a function of the face and the
 set alone, so each certification keeps one outcome memo, (face index,
 prefix) -> bool, shared by all its sub-searches and dropped when it
-returns: shelling() and is_shelling() each certify afresh.  Sets of faces
-and of rays are bitmasks over their indices, as in the face lattice.  The
-facets of a candidate already covered by a partial order are found by the
-diamond property, from each facet's parents, not by testing them against
-every earlier face.  One certification makes at most MAX_SEARCH_STEPS
-extensions of a partial order and raises RuntimeError beyond that, so a
-search cannot run without bound.
+returns: shelling() and is_shelling() each certify afresh.  It also marks
+the partial orders found dead.  Sets of faces and of rays are bitmasks
+over their indices, as in the face lattice.  The facets of a candidate
+already covered by a partial order are found by the diamond property,
+from each facet's parents, not by testing them against every earlier
+face.  One certification makes at most MAX_SEARCH_STEPS extensions of a
+partial order and raises RuntimeError beyond that, so a search cannot
+run without bound.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
     bool, and the count of extension steps against MAX_SEARCH_STEPS both
     live for this one call, as does `up`, each face's parents as a bitmask.
     """
-    memo: dict[tuple[int, int], bool] = {}
+    memo: dict[tuple[int, ...], bool] = {}
     steps = itertools.count(1)
     up = [mask_of(ids) for ids in fl.parents]
     used_mask, earlier = 0, ()
@@ -186,7 +187,7 @@ def _intersections_covered(fl: FaceLattice, face: int, earlier: tuple[int, ...],
 
 
 def _find_shelling(
-    fl: FaceLattice, up: list[int], face: Face, prefix: int, memo: dict[tuple[int, int], bool],
+    fl: FaceLattice, up: list[int], face: Face, prefix: int, memo: dict[tuple[int, ...], bool],
     steps: Iterator[int], used_mask: int = 0, earlier: tuple[int, ...] = (),
 ) -> tuple[int, ...] | None:
     """A shelling order of face's facet poset whose initial segment is
@@ -196,14 +197,18 @@ def _find_shelling(
     one.  Depth first: `used_mask` is the partial order so far as a set,
     which the result extends, and `earlier` its ray masks in order.  Whether
     an inner sub-search succeeds is looked up in, or stored to, memo, the
-    outcome memo of the certification.  Each extension draws one step from
-    steps and raises RuntimeError once MAX_SEARCH_STEPS is exceeded.
+    outcome memo of the certification.  So is each partial order found dead,
+    as (face index, prefix, used_mask) -> False, so that no order of a dead
+    set is walked again.  Each extension draws one step from steps and
+    raises RuntimeError once MAX_SEARCH_STEPS is exceeded.
     """
     facet_ids = fl.children[face.index]
     if face.dim <= 1:
         return tuple(facet_ids)
     if len(earlier) == len(facet_ids):
         return ()
+    if (face.index, prefix, used_mask) in memo:
+        return None
     if next(steps) > MAX_SEARCH_STEPS:
         raise RuntimeError(f"shelling search exceeded {MAX_SEARCH_STEPS} steps")
     allowed = prefix if len(earlier) < prefix.bit_count() else ~0
@@ -224,4 +229,5 @@ def _find_shelling(
         rest = _find_shelling(fl, up, face, prefix, memo, steps, used_mask | bit, earlier + (g.mask,))
         if rest is not None:
             return (cand,) + rest
+    memo[face.index, prefix, used_mask] = False
     return None

@@ -475,6 +475,21 @@ class TestInputValidation:
         assert res.exit_code == 3
         assert "error: Hadamard bound exceeds every Mersenne prime tried" in res.output
 
+    def test_other_arithmetic_errors_are_not_bad_input(self, runner, tmp_path, monkeypatch):
+        # only a missing certified prime is reported as bad input; a bug
+        # raising another ArithmeticError keeps its traceback
+        from toricish import cli as cli_module
+
+        def broken(cone):
+            return 1 // 0
+
+        monkeypatch.setattr(cli_module, "lcdef", broken)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [0, 1]]}))
+        res = runner.invoke(cli, ["lcdef", str(path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, ZeroDivisionError)
+
     def test_integral_float_coordinate_is_rejected(self, runner, tmp_path):
         # 1.0 names the same integer, but the file format asks for integers
         payload = {"lattice_rank": 2, "rays": [[1.0, 0], [0, 1]]}

@@ -153,6 +153,32 @@ def test_search_step_budget(octahedron_cone, monkeypatch, tmp_path):
     assert "shelling search exceeded" in res.output
 
 
+def test_disconnected_prefix_fails_within_the_step_budget(monkeypatch):
+    """Cone over the prism over a 26-gon, facets ordered bottom, the sides
+    over edges 1..23 and 25, top, then the rest.  The top facet meets its
+    predecessors in the path of edges 1..23 plus the separate edge 25, which
+    no shelling of the polygon starts with.  Every order of that prefix
+    fails; the search marks each dead partial order once and answers False
+    in under 1,000 steps, where walking the orders again takes about 2^23."""
+    m = 26
+    polygon = [(i, i * i) for i in range(m)]
+    cone = cone_over_polytope([p + (z,) for z in (0, 1) for p in polygon])
+    fl = cone.face_lattice()
+
+    def facet(points):
+        return next(
+            fl.faces[i].rays for i in fl.by_dim[3] if {cone.rays[j][:3] for j in fl.faces[i].rays} == points
+        )
+
+    bottom, top = (facet({p + (z,) for p in polygon}) for z in (0, 1))
+    sides = [facet({polygon[i] + (z,) for i in (k, (k + 1) % m) for z in (0, 1)}) for k in range(m)]
+    order = [bottom, *sides[:23], sides[24], top, sides[23], sides[25]]
+    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", 1_000)
+    assert is_shelling(cone, order) is False
+    # the prefix before the top facet is fine: the failure is the top's
+    assert is_shelling(cone, order[:25] + order[26:] + order[25:26]) is True
+
+
 @pytest.mark.parametrize(
     "vertices, steps",
     [(cross_vertices(6), 7_648), (cube_vertices(6), 7_096), (simplex_product_vertices((2, 2, 2)), 3_247)],
