@@ -3,10 +3,11 @@
 A Cone is full-dimensional and strongly convex in a lattice of the stated
 rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, walked from whichever
-side is smaller, with no linear algebra.
+side is smaller, with no linear algebra, and refused past MAX_FACES faces.
 Each face computes, on first use, a saturated lattice basis of its
-annihilator; the contractions of the complexes are built on these bases
-and on the pairings of each with the lattice step of a cover pair
+annihilator and, from the same reduction, a coordinate solver that it does
+not keep; the contractions of the complexes are built on these and on the
+pairings of each basis with the lattice step of a cover pair
 (cover_pairings, read off a ray).  Every vector here is an integer vector
 and every computation is in integers: the double description, the lattice
 bases, the pairings.  The cone's linear symmetries are in symmetry.py.
@@ -231,7 +232,14 @@ class Face:
 
     @functools.cached_property
     def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
-        return integer_kernel_basis(self.vectors, self.rank)
+        return integer_kernel_basis(self.vectors, self.rank)[0]
+
+    def perp_solver(self) -> tuple[tuple, tuple, int]:
+        """The coordinate_solver form of perp_lattice, from the reduction that
+        gives the basis, which is kept as perp_lattice; the solver is not."""
+        basis, solver = integer_kernel_basis(self.vectors, self.rank)
+        self.__dict__.setdefault("perp_lattice", basis)
+        return solver
 
 
 class FaceLattice:
@@ -328,15 +336,22 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
     return FaceLattice(cone.rank, faces, by_dim, children, parents, index)
 
 
+# The most faces a face lattice may have: 45 times the largest that a test or
+# benchmark input builds (730), enough for the cone over the 9-cube (19,684)
+# and the rank-15 orthant, whose lattice `faces` walks in 0.5 s and 80 MB.
+MAX_FACES = 2**15
+
+
 def _maximal_intersections(start: int, sets: list[int]) -> dict[int, tuple[int, list[int]]]:
     """Level by level from `start`: each mask T reached maps to its level
     and the maximal masks among T & S other than T, S running over `sets`,
     which make up the next level.  Candidates are tested largest first, so
-    each is checked only against the maximal masks already kept."""
+    each is checked only against the maximal masks already kept.  Raises
+    ValueError once more than MAX_FACES masks, one level each, are reached."""
     found = {}
     level, depth = [start], 0
     while level:
-        below = set()
+        below, room = set(), MAX_FACES - len(found) - len(level)
         for t in level:
             kept = []
             for cand in sorted({t & s for s in sets} - {t}, key=int.bit_count, reverse=True):
@@ -344,6 +359,8 @@ def _maximal_intersections(start: int, sets: list[int]) -> dict[int, tuple[int, 
                     kept.append(cand)
             found[t] = (depth, kept)
             below.update(kept)
+            if len(below) > room:
+                raise ValueError(f"the face lattice has more than MAX_FACES = {MAX_FACES} faces")
         level, depth = below, depth + 1
     return found
 

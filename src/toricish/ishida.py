@@ -9,9 +9,9 @@ is contraction in the first slot by the lattice step of each cover pair,
 given by its pairings with the annihilator's basis (cones.cover_pairings).
 Each cover pair has one linalg.Contraction, which every wedge degree
 shares; the contractions into a face tau are built together
-(contractions), on one coordinate solver of perp(tau) that is then
-dropped.  Each block is written as sparse rows straight into the
-differential.
+(contractions), on the dual functionals and span checks of perp(tau) that
+the reduction giving its basis yields (Face.perp_solver), then dropped.
+Each block is written as sparse rows straight into the differential.
 
 Every other complex is a slice of it, ranked modulo the prime certified
 once per full differential.  The faces containing a face mu form an up-set,
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .cones import Cone, Face, cover_pairings, ids_of, is_simple_in_dim, memoized
-from .linalg import Contraction, RatMatrix, coordinate_solver, interior_product_matrix
+from .linalg import Contraction, RatMatrix, interior_product_matrix
 from .symmetry import face_orbits
 
 
@@ -66,10 +66,10 @@ def contractions(cone: Cone, tid: int) -> tuple[Contraction, ...]:
     """The contractions from perp(mu) onto perp(tau) for the face tau of id
     tid and each facet mu of it, in the order of its children, with their
     wedge powers, for every wedge degree.  The coordinate solver of
-    perp(tau) is built once here and dropped."""
+    perp(tau) is read off the reduction that gives its basis, and dropped."""
     fl = cone.face_lattice()
     tau = fl.faces[tid]
-    solver = coordinate_solver(tau.perp_lattice, cone.rank)
+    solver = tau.perp_solver()
     return tuple(Contraction(fl.faces[m].perp_lattice, solver, cover_pairings(fl.faces[m], tau)) for m in fl.children[tid])
 
 

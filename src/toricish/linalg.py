@@ -4,12 +4,14 @@ of wedge powers.
 Every invariant computed by this package reduces to ranks and kernels of the
 matrices built here, so arithmetic is exact throughout and in integers:
 never floats.  Lattice work (kernels, coordinates in a lattice basis) is
-read off one column-Hermite reduction.  A Contraction holds one functional
-on a lattice, given by its values on the basis (the pairings of a cover
-pair, cones.cover_pairings), and needs no matrix inverse: a source vector
-e on which the functional phi is 1 projects the source onto the target,
-v -> v - phi(v) e, and the target coordinates of the projected basis, with
-their wedge powers as sparse rows, turn the contracted image into target
+read off one column-Hermite reduction, which keeps the inverse of its
+transform too: a kernel basis comes with its dual and span checks.  A
+Contraction holds one functional phi on a lattice, given by its values on
+the basis (the pairings of a cover pair, cones.cover_pairings), and needs
+no matrix inverse: a source vector e on which phi is g projects the source
+onto the target, v -> v - (phi(v) / g) e, so the target's dual on the
+source basis and on e gives the coordinates of the projected basis, whose
+wedge powers as sparse rows turn the contracted image into target
 coordinates.  Each block (interior_product_matrix) is written as sparse
 rows, which the complexes offset straight into their differentials.
 Matrices are stored as sparse rows throughout (RatMatrix); ranks are
@@ -169,16 +171,18 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
+def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[list[int]], int]:
     """Column-style Hermite reduction with a unimodular transform.
 
-    Returns (cols, r): column j of rows . u stacked on column j of u, for a
-    unimodular u.  The first r columns of rows . u are in column echelon form
+    Returns (cols, inv, r): column j of rows . u stacked on column j of u,
+    for a unimodular u, and the rows of u^-1, kept by the inverse row
+    operations.  The first r columns of rows . u are in column echelon form
     and the others are zero; for independent rows (r == len(rows)), entry i
     of column i is the pivot of row i, and entry i of column j > i is zero.
     """
     m = len(rows)
     cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    inv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     col = 0
     for row in range(m):
         while True:
@@ -190,50 +194,44 @@ def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[lis
                 if j2 != j1:
                     q = cols[j2][row] // cols[j1][row]
                     cols[j2] = [x - q * y for x, y in zip(cols[j2], cols[j1])]
+                    inv[j1] = [x + q * y for x, y in zip(inv[j1], inv[j2])]
         nz = [j for j in range(col, ncols) if cols[j][row]]
         if nz:
             cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
+            inv[col], inv[nz[0]] = inv[nz[0]], inv[col]
             col += 1
-    return cols, col
+    return cols, inv, col
 
 
-def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Z-basis of {x in Z^ncols : r . x == 0 for every row r}.
+def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple, tuple]:
+    """Z-basis of {x in Z^ncols : r . x == 0 for every row r} and its
+    coordinate_solver form (dual, checks, 1), from one reduction: the basis
+    is the columns r.. of the transform u, so it is saturated (det 1), the
+    dual is rows r.. of u^-1 (dual . basis == I) and the checks, which
+    vanish exactly on the span of the basis, are rows ..r of u^-1."""
+    cols, inv, r = _column_echelon(rows, ncols)
+    basis = tuple(tuple(c[len(rows):]) for c in cols[r:])
+    return basis, (tuple(map(tuple, inv[r:])), tuple(map(tuple, inv[:r])), 1)
 
-    The trailing columns of the column-Hermite transform; the result is a
-    basis of the full integer kernel, i.e. the returned lattice is saturated.
+
+def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple, int]:
+    """(dual, checks, det) of p independent basis rows: v lies in their span
+    when every check pairs to zero with it, and then v == x . basis for
+    x_j = dual_j . v / det, exact when v lies in the lattice they generate.
+    From basis . u == [h | 0]: the checks are the columns p.. of u, and the
+    dual is u[:, :p] times det h^-1, det = |det h|, by forward substitution.
     """
-    cols, r = _column_echelon(rows, ncols)
-    return tuple(tuple(c[len(rows):]) for c in cols[r:])
-
-
-def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple]:
-    """(h, u) from the column-Hermite reduction basis . u == [h | 0] of p
-    independent basis rows: h[j] holds entries j..p-1 of the lower
-    triangular column j of h, pivot first, and u the columns of u."""
-    cols, p = _column_echelon(basis, ambient)
+    cols, _, p = _column_echelon(basis, ambient)
     if p != len(basis):
         raise ValueError("basis rows are linearly dependent")
-    return tuple(tuple(c[j:p]) for j, c in enumerate(cols[:p])), tuple(tuple(c[p:]) for c in cols)
-
-
-def _solve_coordinates(solver: tuple[tuple, tuple], vectors: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Coordinates x with x . basis == v for each v: y = v . u, then
-    x . h == y[:p], which needs y[p:] == 0 and an exact division."""
-    h, u = solver
-    p = len(h)
-    out = []
-    for v in vectors:
-        y = [dot(v, c) for c in u]
-        if any(y[p:]):
-            raise ValueError("vector outside the span of the basis")
-        x = [0] * p
-        for j in reversed(range(p)):
-            x[j], rem = divmod(y[j] - sum(x[i] * h[j][i - j] for i in range(j + 1, p)), h[j][0])
-            if rem:
-                raise ValueError("vector not in the lattice generated by the basis")
-        out.append(tuple(x))
-    return tuple(out)
+    det = abs(math.prod(cols[j][j] for j in range(p)))
+    scaled = [[0] * p for _ in range(p)]  # det h^-1; h[i][k] is cols[k][i]
+    for c in range(p):
+        for i in range(c, p):
+            scaled[i][c] = (det * (i == c) - sum(cols[k][i] * scaled[k][c] for k in range(c, i))) // cols[i][i]
+    u = [c[p:] for c in cols]
+    dual = tuple(tuple(sum(u[k][a] * scaled[k][j] for k in range(p)) for a in range(ambient)) for j in range(p))
+    return dual, tuple(map(tuple, u[p:])), det
 
 
 @lru_cache(maxsize=None)
@@ -289,44 +287,47 @@ class Contraction:
     With e in V pairing to g, the gcd of the pairings up to sign, the map
     v -> v - (phi(v) / g) e takes V onto W and fixes W.  Row i of the
     integer p x (p - 1) matrix B holds the target coordinates of the image
-    of the i-th basis vector.  `powers` holds wedge^0 B, wedge^1 B = B, ...
-    as sparse rows, extended on demand (wedge) and shared by every degree.
+    of the i-th basis vector, by linearity the solver's values on v_i minus
+    phi(v_i) / g times those on e.  `powers` holds wedge^0 B, wedge^1 B = B,
+    ... as sparse rows, extended on demand (wedge) and shared by every degree.
 
     ValueError unless phi is nonzero and W is all of ker phi, of rank
-    p - 1 and saturated in V: an image outside the span of W means that phi
-    does not vanish on W, one outside the lattice W that W is not saturated.
+    p - 1 and saturated in V: an image that a check does not vanish on means
+    that phi does not vanish on W, one outside the lattice W that W is not
+    saturated.
     """
 
     __slots__ = ("pairings", "powers")
 
-    def __init__(self, source_vectors: Sequence[Sequence[int]], target_solver: tuple[tuple, tuple], pairings: Sequence[int]):
-        p = len(source_vectors)
+    def __init__(self, source_vectors: Sequence[Sequence[int]], target_solver: tuple[tuple, tuple, int], pairings: Sequence[int]):
+        dual, checks, det = target_solver
+        p, q = len(source_vectors), len(dual)
         if len(pairings) != p:
             raise ValueError("need one pairing per source basis vector")
-        if len(target_solver[0]) != p - 1:
+        if q != p - 1:
             raise ValueError("target rank must be one below the source rank")
         if not any(pairings):
             raise ValueError("the functional is zero")
+        values = [[dot(f, v) for f in dual + checks] for v in source_vectors]
         # e: a basis vector where a pairing is +-1, else a Bezout combination
         i0 = next((i for i, x in enumerate(pairings) if x == 1 or x == -1), None)
         if i0 is None:
-            cols, _ = _column_echelon([pairings], p)
+            cols, _, _ = _column_echelon([pairings], p)
             g, e = cols[0][0], cols[0][1:]  # pairings . e == g
+            ev = [sum(c * x for c, x in zip(e, col) if c) for col in zip(*values)]
         else:
-            g, e = 1, [0] * p
-            e[i0] = pairings[i0]
-        ev = [sum(c * x for c, x in zip(e, col) if c) for col in zip(*source_vectors)]
-        projected = [[x - f // g * y for x, y in zip(v, ev)] for v, f in zip(source_vectors, pairings)]
-        try:
-            b = _solve_coordinates(target_solver, projected)
-        except ValueError as exc:
-            raise ValueError(
-                "functional must annihilate the target subspace"
-                if "span" in str(exc)
-                else "target lattice is not saturated in the source lattice"
-            ) from None
+            g, ev = pairings[i0], values[i0]
+        b = []
+        for vals, f in zip(values, pairings):
+            image = [x - f // g * y for x, y in zip(vals, ev)] if f else vals
+            if any(image[q:]):
+                raise ValueError("functional must annihilate the target subspace")
+            coords = [divmod(x, det) for x in image[:q]]
+            if any(r for _, r in coords):
+                raise ValueError("target lattice is not saturated in the source lattice")
+            b.append(tuple((c, x) for c, (x, _) in enumerate(coords) if x))
         self.pairings = tuple(pairings)
-        self.powers = [(((0, 1),),), tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in b)]
+        self.powers = [(((0, 1),),), tuple(b)]
 
     def wedge(self, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """wedge^j B, rows and columns indexed by j-subsets."""

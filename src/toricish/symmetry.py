@@ -14,23 +14,20 @@ linalg's column-Hermite solver.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .cones import Cone
-from .linalg import _solve_coordinates, coordinate_solver, dot
+from .linalg import coordinate_solver, dot
 
 
 def _projector_gram(rays: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
     """G = R adj(A) R^T, R the rays as rows and A = R^T R: det(A) times the
-    projector onto the column space of R.  Row i of adj(A) = det(A) A^-1
-    solves x A = det(A) e_i, read off the column-Hermite reduction of A
-    (coordinate_solver), with det(A) the product of its pivots up to sign,
-    and positive as A is positive definite; each division is exact."""
+    projector onto the column space of R.  The dual rows of
+    coordinate_solver(A) pair with the rows of A to det times the identity,
+    with det = |det A| = det(A) as A is positive definite: they form
+    det(A) A^-1 = adj(A)."""
     a = [[dot(u, v) for v in zip(*rays)] for u in zip(*rays)]
-    solver = coordinate_solver(a, rank)
-    det = abs(math.prod(h[0] for h in solver[0]))
-    adj = _solve_coordinates(solver, [[det * (i == j) for j in range(rank)] for i in range(rank)])
+    adj = coordinate_solver(a, rank)[0]
     ra = [[dot(r, row) for row in adj] for r in rays]  # adj is symmetric
     return [[dot(x, r) for r in rays] for x in ra]
 

@@ -14,6 +14,10 @@ each face cone's intrinsic cohomology being that of its own complex
 reindexed_class_complex cuts the quotient complex over the faces of F out
 of the cone's complex as a complex of its own, rows and columns re-indexed:
 the oracle for ishida.class_complex, which keeps whole rows instead.
+
+lattice_coordinates solves for coordinates in a lattice basis by
+back-substitution: the oracle for the dual functionals of
+linalg.coordinate_solver and of each face's perp solver, which need none.
 """
 
 from __future__ import annotations
@@ -30,25 +34,43 @@ from toricish.cones import (
 )
 from toricish.decomposition import ic_multiplicities
 from toricish.ishida import IshidaComplex, cohomology_dims, ishida_complex
-from toricish.linalg import RatMatrix, _solve_coordinates, coordinate_solver, integer_kernel_basis
+from toricish.linalg import RatMatrix, _column_echelon, integer_kernel_basis
 
 
 def span_lattice(face: Face) -> tuple[tuple[int, ...], ...]:
     """A Z-basis of N intersected with the linear span of the face: the
     integer kernel of its perp lattice, so it is saturated."""
-    return integer_kernel_basis(face.perp_lattice, face.rank)
+    return integer_kernel_basis(face.perp_lattice, face.rank)[0]
 
 
 def lattice_coordinates(
     basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], ambient: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Integer coordinates of each vector in a lattice basis given as rows.
+    """Integer coordinates of each vector in a lattice basis given as rows,
+    by back-substitution: the oracle of linalg.coordinate_solver's dual.
 
-    One column-Hermite reduction of the basis, then a triangular solve per
-    vector.  Raises ValueError when the basis rows are dependent or a vector
-    lies outside their span or outside the lattice they generate.
+    One column-Hermite reduction basis . u == [h | 0], then per vector
+    y = v . u, which needs y[p:] == 0, and x . h == y[:p] solved from the
+    last coordinate up, each step an exact division.  Raises ValueError when
+    the basis rows are dependent or a vector lies outside their span or
+    outside the lattice they generate.
     """
-    return _solve_coordinates(coordinate_solver(basis, ambient), vectors)
+    cols, _, p = _column_echelon(basis, ambient)
+    if p != len(basis):
+        raise ValueError("basis rows are linearly dependent")
+    u = [c[p:] for c in cols]
+    out = []
+    for v in vectors:
+        y = [sum(a * b for a, b in zip(v, c)) for c in u]
+        if any(y[p:]):
+            raise ValueError("vector outside the span of the basis")
+        x = [0] * p
+        for j in reversed(range(p)):
+            x[j], rem = divmod(y[j] - sum(x[i] * cols[j][i] for i in range(j + 1, p)), cols[j][j])
+            if rem:
+                raise ValueError("vector not in the lattice generated by the basis")
+        out.append(tuple(x))
+    return tuple(out)
 
 
 def face_cone(cone: Cone, face: Face) -> Cone:

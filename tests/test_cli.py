@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from toricish.cli import cli
 from toricish.combinatorics import g_polynomial
-from toricish.cones import Cone, FaceLattice
+from toricish.cones import MAX_FACES, Cone, FaceLattice
 from toricish.decomposition import decomposition_report
 from toricish.ishida import ext_table
 from toricish.sampling import sample_cones
@@ -474,6 +474,13 @@ class TestInputValidation:
         res = runner.invoke(cli, ["ext", str(path)])
         assert res.exit_code == 3
         assert "error: Hadamard bound exceeds every Mersenne prime tried" in res.output
+
+    def test_face_lattice_above_the_limit(self, runner, tmp_path):
+        # the rank-40 orthant has 2^40 faces: the walk stops at the limit
+        rays = [[int(i == j) for j in range(40)] for i in range(40)]
+        res = self._run(runner, tmp_path, json.dumps({"lattice_rank": 40, "rays": rays}))
+        assert res.exit_code == 3
+        assert f"error: the face lattice has more than MAX_FACES = {MAX_FACES} faces" in res.output
 
     def test_other_arithmetic_errors_are_not_bad_input(self, runner, tmp_path, monkeypatch):
         # only a missing certified prime is reported as bad input; a bug

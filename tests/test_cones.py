@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ambient_reference import _det, _integer_rows, dense_matrix, kernel_basis, normal_step_vector
 from face_reference import face_cone, lattice_coordinates, span_lattice
 from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
+from toricish import cones
 from toricish.cones import (
     Cone,
     cone_over_polytope,
@@ -256,6 +257,17 @@ class TestFaceLattice:
                 assert fl.down_sets()[f.index] == sum(2**g for g in below)
                 assert fl.face_by_rays(f.rays) is f
                 assert fl.face_by_rays(reversed(f.rays)) is f
+
+    @pytest.mark.parametrize("name", ["cube_cone", "octahedron_cone"])
+    def test_face_count_limit(self, request, monkeypatch, name):
+        # 28 faces each, walked from the facets of the cube cone and from
+        # the rays of the octahedron cone: the limit admits 28, not 29
+        rays = request.getfixturevalue(name).rays
+        monkeypatch.setattr(cones, "MAX_FACES", 28)
+        assert len(Cone.from_rays(rays).face_lattice().faces) == 28
+        monkeypatch.setattr(cones, "MAX_FACES", 27)
+        with pytest.raises(ValueError, match="more than MAX_FACES = 27 faces"):
+            Cone.from_rays(rays).face_lattice()
 
     def test_bases_computed_on_first_use(self, cube_cone):
         # Fresh cones: the session fixture's faces may have built theirs.

@@ -27,6 +27,7 @@ from toricish.linalg import (
     interior_product_matrix,
     primitive_vector,
 )
+from toricish.sampling import sample_cones
 
 
 class TestRank:
@@ -222,20 +223,82 @@ class TestPrimitive:
 
 class TestIntegerKernel:
     def test_saturated(self):
-        (v,) = integer_kernel_basis([(2, 4)], 2)
+        (v,), _ = integer_kernel_basis([(2, 4)], 2)
         assert sorted(map(abs, v)) == [1, 2]
 
     def test_empty_rows(self):
-        basis = integer_kernel_basis([], 3)
+        basis, _ = integer_kernel_basis([], 3)
         assert len(basis) == 3
 
     def test_annihilation(self):
         rows = [(1, 2, 3, 4), (0, 1, 1, 0)]
-        basis = integer_kernel_basis(rows, 4)
+        basis, _ = integer_kernel_basis(rows, 4)
         assert len(basis) == 2
         for v in basis:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
+
+
+def _assert_perp_solvers(cones):
+    """Each face's perp solver, from the reduction that gives its basis:
+    the dual is dual to the basis, the checks vanish on a vector exactly
+    when the back-substitution oracle finds it in the span, and the dual
+    gives the oracle's coordinates of every perp vector of a face above."""
+    for cone in cones:
+        n = cone.rank
+        fl = cone.face_lattice()
+        for face in fl.faces:
+            basis = face.perp_lattice
+            dual, checks, det = face.perp_solver()
+            assert det == 1 and len(dual) == len(basis) and len(checks) == face.dim
+            assert [[dot(d, b) for b in basis] for d in dual] == [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+            assert not checks or dense_matrix(checks, ncols=n).rank() == face.dim
+            probes = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+            probes += [tuple(map(sum, zip(b, p))) for b, p in zip(basis, probes)]
+            for v in probes:
+                try:
+                    lattice_coordinates(basis, [v], n)
+                except ValueError as exc:
+                    assert "outside the span" in str(exc)
+                    assert any(dot(c, v) for c in checks)
+                else:
+                    assert not any(dot(c, v) for c in checks)
+            above = [v for g in fl.parents[face.index] for v in fl.faces[g].perp_lattice]
+            assert tuple(tuple(dot(d, v) for d in dual) for v in above) == lattice_coordinates(basis, above, n)
+
+
+def test_perp_solvers_of_the_full_corpus(full_corpus):
+    _assert_perp_solvers(full_corpus)
+
+
+def test_perp_solvers_of_sampled_cones():
+    _assert_perp_solvers([c for dim in (3, 4, 5, 6) for c in sample_cones(11, dim, 3)])
+
+
+@given(st.lists(st.tuples(st_small, st_small, st_small, st_small), min_size=1, max_size=3), st.lists(st_small, min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_coordinate_solver_matches_back_substitution(basis, coeffs):
+    """coordinate_solver's dual, divided by det, gives the oracle's
+    coordinates, and its checks and remainders reject what the oracle
+    rejects: vectors outside the span or outside the lattice."""
+    if dense_matrix(basis, ncols=4).rank() != len(basis):
+        with pytest.raises(ValueError, match="dependent"):
+            coordinate_solver(basis, 4)
+        return
+    dual, checks, det = coordinate_solver(basis, 4)
+    assert det > 0 and len(dual) == len(basis) and len(checks) == 4 - len(basis)
+    inside = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(4))
+    for v in [inside, *(tuple(int(i == k) for i in range(4)) for k in range(4))]:
+        try:
+            (want,) = lattice_coordinates(basis, [v], 4)
+        except ValueError:
+            want = None
+        got = [divmod(dot(d, v), det) for d in dual]
+        if any(dot(c, v) for c in checks) or any(r for _, r in got):
+            assert want is None
+        else:
+            assert tuple(x for x, _ in got) == want
+    assert lattice_coordinates(basis, [inside], 4) == (tuple(coeffs[: len(basis)]),)
 
 
 def _contraction(source, target, pairings):
@@ -305,7 +368,7 @@ class TestInteriorProduct:
         # alternating-sum definition by hand.
         if dense_matrix(u).rank() != 3:
             return
-        kern = integer_kernel_basis(u[1:], 4)
+        kern, _ = integer_kernel_basis(u[1:], 4)
         step = next((v for v in kern if sum(a * b for a, b in zip(v, u[0]))), None)
         if step is None:
             return
