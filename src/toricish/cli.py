@@ -341,19 +341,6 @@ def shelling_cmd(cone):
     }
 
 
-def _link_report(cone: Cone) -> dict:
-    """Link exactness at every positive-dimensional face whose quotient is
-    simplicial."""
-    fl = cone.face_lattice()
-    failures = [
-        failure
-        for face in fl.faces
-        if face.dim and fl.quotient_is_simplicial(face)
-        for failure in verify_link_exactness(cone, face)["failures"]
-    ]
-    return check_report("link_exactness", failures)
-
-
 def _shelling_report(cone: Cone) -> dict:
     shelling(cone)  # raises unless its certification accepts the order
     return check_report("shelling")
@@ -380,7 +367,7 @@ CHECKS = (
     ("ish_n", "verify_dualizing_exactness", False),
     ("surjectivity", "verify_surjectivity", True),
     ("codim", "verify_codim_vanishing", False),
-    ("link", "_link_report", False),
+    ("link", "verify_link_exactness", False),
     ("shelling", "_shelling_report", True),
     ("inequalities", "facet_inequalities_report", False),
     ("closed_forms", "_closed_forms_report", False),

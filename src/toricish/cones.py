@@ -12,6 +12,9 @@ pairings of each basis with the lattice step of a cover pair
 and every computation is in integers: the double description, the lattice
 bases, the pairings.  The cone's linear symmetries are in symmetry.py.
 
+The closed-form classes, cones over simplicial and over simple polytopes,
+are defined once, per face (face_class); is_cone_over_* read the top face.
+
 A set of rays or of faces is an int bitmask over their indices.  Neither a
 face nor a face lattice refers back to its cone: a face carries its ray
 vectors and the lattice rank, which is all its perp basis needs.
@@ -113,6 +116,9 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
         minus = [i for i, v in enumerate(vals) if v < 0]
         kept = [(rays[i][0], rays[i][1]) for i in plus]
         kept += [(rays[i][0], rays[i][1] | 1 << idx) for i in zero]
+        # Adjacent rays span a 2-face of the pointed part, of dimension rank -
+        # len(lineality): they share that minus 2 zero generators at least.
+        least_common = rank - len(lineality) - 2
         for ip in plus:
             rp, zp = rays[ip]
             vp = vals[ip]
@@ -120,6 +126,8 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
                 rm, zm = rays[im]
                 vm = vals[im]
                 common = zp & zm
+                if common.bit_count() < least_common:
+                    continue
                 adjacent = not any(
                     k != ip and k != im and common & ~rays[k][1] == 0 for k in range(len(rays))
                 )
@@ -393,16 +401,33 @@ def is_simple_in_dim(cone: Cone, c: int) -> bool:
     return all(fl.quotient_is_simplicial(fl.faces[i]) for i in fl.by_dim[c])
 
 
+@memoized
+def face_class(cone: Cone, face: Face) -> tuple[tuple[int, ...], bool, bool]:
+    """(f-vector, cone over a simplicial polytope, cone over a simple
+    polytope) of the face, read off the faces it contains.  It is in the
+    first class when each proper face has as many rays as its dimension,
+    and in the second when each ray lies on dim(face) - 1 of its 2-faces.
+    The top face contains every face, so no down-set is built for it."""
+    fl = cone.face_lattice()
+    ids = range(len(fl.faces)) if face.dim == fl.rank else ids_of(fl.down_sets()[face.index] | 1 << face.index)
+    inside = [fl.faces[i] for i in ids]
+    dims = [g.dim for g in inside]
+    f = tuple(map(dims.count, range(face.dim + 1)))
+    over_simplicial = all(len(g.rays) == g.dim for g in inside if g.dim < face.dim)
+    over_simple = all(
+        sum(fl.faces[p].mask & ~face.mask == 0 for p in fl.parents[g.index]) == face.dim - 1 for g in inside if g.dim == 1
+    )
+    return f, over_simplicial, over_simple
+
+
 def is_cone_over_simple(cone: Cone) -> bool:
-    """Cross-section is a simple polytope: simple in dimension 1."""
-    if cone.rank == 0:
-        return True
-    return is_simple_in_dim(cone, 1)
+    """Cross-section is a simple polytope (face_class of the top face)."""
+    return face_class(cone, cone.face_lattice().top)[2]
 
 
 def is_cone_over_simplicial(cone: Cone) -> bool:
-    """Cross-section is a simplicial polytope: every proper face simplicial."""
-    return all(len(f.rays) == f.dim for f in cone.face_lattice().faces if f.dim < cone.rank)
+    """Cross-section is a simplicial polytope (face_class of the top face)."""
+    return face_class(cone, cone.face_lattice().top)[1]
 
 
 def cover_pairings(mu: Face, tau: Face) -> tuple[int, ...]:

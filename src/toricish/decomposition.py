@@ -7,9 +7,9 @@ the summands IC(-j) supported on the subvariety of lambda appearing in
 cohomological degree -l and weight d - 2j; the admissible index range is
 j >= 1 and l + 1 <= d - 2j.  The numbers depend on the face alone.  Every
 route takes the cone and one of its faces (the top face by default), reads
-the face's class predicates and f-vector off its down-set (face_class, with
-FaceLattice.down_sets) and its cohomology off its row of the core table
-(ishida.core_table); results are memoized per face in the cone's memo dict.
+the face's class predicates and f-vector off its down-set (cones.face_class)
+and its cohomology off its row of the core table (ishida.core_table);
+results are memoized per face in the cone's memo dict.
 
 Three computation routes exist: the general one, valid up to dimension six,
 reads the numbers off the cohomology of the wedge complexes (with two
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, Face, ids_of, memoized
+from .cones import Cone, Face, face_class, memoized
 from .combinatorics import h_tilde_vector, h_vector
 from .ishida import core_table, lcdef
 
@@ -54,23 +54,6 @@ class ICMultiplicities:
     @property
     def nonzero(self) -> dict:
         return {k: v for k, v in self.entries.items() if v}
-
-
-@memoized
-def face_class(cone: Cone, face: Face) -> tuple[tuple[int, ...], bool, bool]:
-    """(f-vector, cone over a simplicial polytope, cone over a simple
-    polytope) of the face, read off its down-set.  It is in the first class
-    when each proper face has as many rays as its dimension, and in the
-    second when each ray lies on dim(face) - 1 of its 2-faces."""
-    fl = cone.face_lattice()
-    members = fl.down_sets()[face.index] | 1 << face.index
-    inside = [fl.faces[i] for i in ids_of(members)]
-    f = tuple(sum(g.dim == d for g in inside) for d in range(face.dim + 1))
-    over_simplicial = all(len(g.rays) == g.dim for g in inside if g.dim < face.dim)
-    over_simple = all(
-        sum(members >> p & 1 for p in fl.parents[g.index]) == face.dim - 1 for g in inside if g.dim == 1
-    )
-    return f, over_simplicial, over_simple
 
 
 def multiplicities_simplicial_class(cone: Cone, face: Face | None = None) -> ICMultiplicities:

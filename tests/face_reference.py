@@ -5,8 +5,9 @@ lattice of its span (`face_cone`): the span lattice N intersect <F> is the
 kernel of the perp lattice (`span_lattice`), and the rays of F are written
 in that basis (`lattice_coordinates`) before a double description of their
 own.  The package never builds these cones: it reads the class predicates
-and the f-vector of F off its down-set, and the intrinsic cohomology of F
-off the down-set slices of the cone's own complexes (ishida.core_table).
+and the f-vector of F off its down-set (cones.face_class), and the
+intrinsic cohomology of F off the down-set slices of the cone's own
+complexes (ishida.core_table).
 The functions here compute the same numbers from the face cones instead,
 each face cone's intrinsic cohomology being that of its own complex
 (degree_zero_cohomology).
@@ -25,16 +26,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from toricish.cones import (
-    Cone,
-    Face,
-    is_cone_over_simple,
-    is_cone_over_simplicial,
-    is_simplicial,
-)
+from toricish.cones import Cone, Face, is_simplicial
 from toricish.decomposition import ic_multiplicities
 from toricish.ishida import IshidaComplex, cohomology_dims, ishida_complex
-from toricish.linalg import RatMatrix, _column_echelon, integer_kernel_basis
+from toricish.linalg import RatMatrix, _column_echelon, dot, integer_kernel_basis
 
 
 def span_lattice(face: Face) -> tuple[tuple[int, ...], ...]:
@@ -98,9 +93,15 @@ def intrinsic_rows(cone: Cone, face: Face) -> tuple[tuple[int, ...], ...]:
 
 
 def intrinsic_class(cone: Cone, face: Face) -> tuple:
-    """(f-vector, over simplicial, over simple, simplicial) of the face cone."""
+    """(f-vector, over simplicial, over simple, simplicial) of the face cone,
+    the classes read off its own rays and facet normals: its cross-section
+    is a simplicial polytope when every facet holds rank - 1 rays, and a
+    simple one when every ray lies on rank - 1 facets."""
     inner = face_cone(cone, face)
-    return inner.f_vector, is_cone_over_simplicial(inner), is_cone_over_simple(inner), is_simplicial(inner)
+    on = [[dot(h, r) == 0 for r in inner.rays] for h in inner.facet_normals]
+    over_simplicial = all(sum(row) == inner.rank - 1 for row in on)
+    over_simple = all(sum(col) == inner.rank - 1 for col in zip(*on))
+    return inner.f_vector, over_simplicial, over_simple, is_simplicial(inner)
 
 
 def intrinsic_multiplicities(cone: Cone, face: Face):

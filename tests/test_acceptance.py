@@ -11,7 +11,6 @@ from paper_reference import (
     euler_h1_prediction,
     ext_dims_simplicial_class,
     hodge_deligne_from_table,
-    quotient_cone,
 )
 from toricish.cli import cli
 from toricish.combinatorics import (
@@ -20,7 +19,7 @@ from toricish.combinatorics import (
     hodge_deligne_coefficients,
     hodge_du_bois_table,
 )
-from toricish.cones import is_simple_in_dim, is_simplicial
+from toricish.cones import is_simple_in_dim
 from toricish.decomposition import (
     admissible_pairs,
     ic_multiplicities,
@@ -98,15 +97,14 @@ def test_criterion_3_depth_property_suites(full_corpus):
     and link complexes of simplicial quotients are exact."""
     failures = []
     for cone in full_corpus:
-        for check in (verify_d_squared, verify_dualizing_exactness, verify_surjectivity, verify_codim_vanishing):
+        for check in (
+            verify_d_squared,
+            verify_dualizing_exactness,
+            verify_surjectivity,
+            verify_codim_vanishing,
+            verify_link_exactness,
+        ):
             rep = check(cone)
-            if not rep["ok"]:
-                failures.append((cone, rep))
-        fl = cone.face_lattice()
-        for face in fl.faces:
-            if face.dim == 0 or not is_simplicial(quotient_cone(cone, face)):
-                continue
-            rep = verify_link_exactness(cone, face)
             if not rep["ok"]:
                 failures.append((cone, rep))
     assert not failures, failures

@@ -17,8 +17,8 @@ from face_reference import (
     reindexed_class_complex,
 )
 from paper_reference import dual
-from toricish.cones import Cone
-from toricish.decomposition import face_class, ic_multiplicities, multiplicities_from_cohomology
+from toricish.cones import Cone, face_class
+from toricish.decomposition import ic_multiplicities, multiplicities_from_cohomology
 from toricish.ishida import class_complex, cohomology_dims, core_table, graded_class_cohomology, ishida_complex
 from toricish.linalg import _certified_prime
 from toricish.sampling import sample_cones

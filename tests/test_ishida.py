@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ambient_reference import assemble_over_up_set, dense, dense_matrix, normal_step_vector
 from face_reference import degree_zero_cohomology, face_cone, span_lattice
 from paper_reference import dual, quotient_cone
+from toricish import ishida
 from toricish.cones import Cone, Face, is_simplicial
 from toricish.ishida import (
     IshidaComplex,
@@ -314,13 +315,29 @@ class TestVerifiers:
 
     def test_link_exactness_corpus(self, full_corpus):
         for cone in full_corpus:
-            fl = cone.face_lattice()
-            for face in fl.faces:
-                if face.dim == 0:
-                    continue
-                if not is_simplicial(quotient_cone(cone, face)):
-                    continue
-                assert verify_link_exactness(cone, face)["ok"], (cone, face.rays)
+            assert verify_link_exactness(cone)["ok"], cone
+
+    def test_link_walk_covers_simplicial_quotients(self, full_corpus, monkeypatch):
+        """verify_link_exactness ranks exactly the link complexes of the
+        positive-dimensional faces whose quotient cone is simplicial, each at
+        every degree above the face's dimension, and each once."""
+        calls = []
+
+        def recording(cone, mu, degree):
+            calls.append((mu.index, degree))
+            return link_complex_cohomology(cone, mu, degree)
+
+        monkeypatch.setattr(ishida, "link_complex_cohomology", recording)
+        for cone in full_corpus:
+            calls.clear()
+            verify_link_exactness(cone)
+            want = [
+                (face.index, l)
+                for face in cone.face_lattice().faces
+                if face.dim > 0 and is_simplicial(quotient_cone(cone, face))
+                for l in range(face.dim + 1, cone.rank + 1)
+            ]
+            assert sorted(calls) == want, cone
 
     def test_link_exactness_facet_two_term(self, quadric_cone):
         fl = quadric_cone.face_lattice()
@@ -328,15 +345,26 @@ class TestVerifiers:
         dims = link_complex_cohomology(quadric_cone, facet, 3)
         assert dims == (0, 0)
 
-    def test_link_hypothesis_errors(self, octahedron_cone):
-        fl = octahedron_cone.face_lattice()
-        with pytest.raises(ValueError, match="hypothesis"):
-            verify_link_exactness(octahedron_cone, fl.apex)
-        # quotients by rays of the octahedron cone are cones over squares
-        ray = fl.faces[fl.by_dim[1][0]]
-        assert not is_simplicial(quotient_cone(octahedron_cone, ray))
-        with pytest.raises(ValueError, match="hypothesis"):
-            verify_link_exactness(octahedron_cone, ray)
+    def test_checks_fail_on_a_corrupted_core_row(self, monkeypatch):
+        """The dualizing and surjectivity checks read the core table: one
+        extra class in the top cohomology of the top face's row at the top
+        degree fails both, at the top face only."""
+        cone = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])  # fresh: nothing memoized
+        top = cone.face_lattice().top
+        table = dict(ishida.core_table(cone))
+        rows = table[top.index]
+        table[top.index] = (*rows[:-1], (*rows[-1][:-1], rows[-1][-1] + 1))
+        monkeypatch.setattr(ishida, "core_table", lambda c: table)
+        assert verify_dualizing_exactness(cone) == {
+            "name": "dualizing_exactness",
+            "ok": False,
+            "failures": [{"face": [0, 1, 2, 3], "dims": [0, 0, 0, 1]}],
+        }
+        assert verify_surjectivity(cone) == {
+            "name": "surjectivity",
+            "ok": False,
+            "failures": [{"k": 0, "face": [0, 1, 2, 3], "top_dim": 1}],
+        }
 
 
 class TestDim5Inequalities:
