@@ -73,19 +73,22 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     g truncates h at half the polytope dimension by first differences.
 
     The faces are walked upwards in lattice order, so every g below a face
-    is known when the face is reached.  The g of the proper faces below a
-    face, its down-set (FaceLattice.down_sets), are summed per dimension, and
+    is known when the face is reached.  A simplicial face (the apex
+    included) is over a simplex, whose g is 1.  For any other face the g
+    of the proper faces below it, its down-set (FaceLattice.down_sets,
+    built when such a face is first reached), are summed per dimension, and
     each sum is multiplied once by (t-1)^k, read off a table of signed
     binomials built once per call.
     """
     n = fl.rank
     t_minus_one = [[(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)] for k in range(n)]
-    below = fl.down_sets()
+    below = None
     g: dict[int, list[int]] = {}
     for face in fl.faces:
-        if face.dim == 0:
+        if len(face.rays) == face.dim:
             g[face.index] = [1]
             continue
+        below = below or fl.down_sets()
         # a d-face's g has at most d + 1 coefficients, so each product below
         # has at most face.dim
         sums = [[0] * (d + 1) for d in range(face.dim)]

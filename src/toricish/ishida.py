@@ -8,26 +8,27 @@ namely the (l - i)-th wedge power of the annihilator of mu; the differential
 is contraction in the first slot by the lattice step of each cover pair,
 given by its pairings with the annihilator's basis (cones.cover_pairings).
 Each cover pair has one linalg.Contraction, which every wedge degree
-shares; the contractions into a face tau are built together
-(contractions), on the dual functionals and span checks of perp(tau) that
-the reduction giving its basis yields (Face.perp_solver), then dropped.
-Each block is written as sparse rows straight into the differential.
+shares and which keeps its blocks; the contractions into a face tau are
+built together (contractions), on the dual functionals and span checks of
+perp(tau) that the reduction giving its basis yields (Face.perp_solver).
 
-Every other complex is a slice of it, ranked modulo the prime certified
-once per full differential.  The faces containing a face mu form an up-set,
-so their blocks form a subcomplex (link_complex, re-indexed); the faces of
-a face F form a down-set, so theirs form a quotient complex (class_complex,
-the kept rows whole), whose cohomology is that of the graded piece of the
-sheaf complex for the lattice points in the relative interior class of F.
-The face-intrinsic cohomology of F (core_table) is solved for from those,
-for one face per orbit of the cone's linear automorphisms, and copied to
-the rest of the orbit.  The cohomology of every face class at every degree
-is assembled from it once, in ext_table, which graded_class_cohomology and
-the checks read.
+Every complex is assembled the same way (_assemble), over a set of faces,
+from those blocks, as sparse rows with the columns re-indexed, and ranked
+modulo a prime certified for its own differentials.  The whole complex
+(ishida_complex) takes every face; the faces containing a face mu form an
+up-set, so their blocks form a subcomplex (link_complex); the faces of a
+face F form a down-set, so theirs form a quotient complex (class_complex),
+whose cohomology is that of the graded piece of the sheaf complex for the
+lattice points in the relative interior class of F.  The face-intrinsic
+cohomology of F (core_table) is read off its base when F is a pyramid, and
+otherwise solved for from its class complexes, for one face per orbit of
+the cone's linear automorphisms, and copied to the rest of the orbit.  The
+cohomology of every face class at every degree is assembled from it once,
+in ext_table, which graded_class_cohomology and the checks read.
 
 All functions are pure.  The cone's memo dict holds the memoized results
-(cones.memoized) and nothing else, the contractions included; slices are
-built, ranked and dropped, never memoized.
+(cones.memoized) and nothing else, the contractions included; complexes
+are built, ranked and dropped, never memoized.
 """
 
 from __future__ import annotations
@@ -35,20 +36,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Face, cover_pairings, ids_of, is_simple_in_dim, memoized
-from .linalg import Contraction, RatMatrix, interior_product_matrix
+from .cones import Cone, Face, cover_pairings, is_simple_in_dim, memoized
+from .linalg import Contraction, RatMatrix
 from .symmetry import face_orbits
 
 
 @dataclass(frozen=True)
 class IshidaComplex:
     """The complex of one cone for one wedge degree l over the faces that
-    contain a face mu (the apex for the degree-zero complex).
+    contain a face mu (the apex for the degree-zero complex), or over the
+    faces of a face.
 
     term_faces[s] lists the face ids of dimension dim(mu) + s, whose blocks
     are wedge powers of degree l - dim(mu) - s; differentials[s] maps slot s
-    to slot s+1.  In a class_complex it keeps the full complex's columns,
-    so its width may exceed term_dims[s].
+    to slot s+1, with term_dims[s] columns.
     """
 
     degree: int
@@ -75,32 +76,38 @@ def contractions(cone: Cone, tid: int) -> tuple[Contraction, ...]:
     return tuple(Contraction(fl.faces[m].perp_lattice, solver, cover_pairings(fl.faces[m], tau)) for m in fl.children[tid])
 
 
-@memoized
-def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
-    """The degree-zero complex at wedge degree `degree`, over every face of
-    dimension at most `degree`."""
-    if not 0 <= degree <= cone.rank:
-        raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
+def _assemble(cone: Cone, degree: int, term_faces) -> IshidaComplex:
+    """The complex at wedge degree `degree` over the faces term_faces[s] of
+    dimension d + s, d that of term_faces[0][0], each slot's faces in index
+    order: per face tau, the blocks of its cover pairs mu < tau with mu in
+    the slot below, offset to mu's place there."""
     fl = cone.face_lattice()
-    term_faces = fl.by_dim[: degree + 1]
-    widths = [math.comb(cone.rank - d, degree - d) for d in range(degree + 1)]
+    lo = fl.faces[term_faces[0][0]].dim
+    widths = [math.comb(cone.rank - d, degree - d) for d in range(lo, lo + len(term_faces))]
     term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
     diffs = []
-    for s in range(degree):
-        # the faces of one dimension have consecutive ids
-        w, first = widths[s], term_faces[s][0]
+    for s in range(len(term_faces) - 1):
+        offset = {fid: j * widths[s] for j, fid in enumerate(term_faces[s])}
         rows = []
         for tid in term_faces[s + 1]:
             block_rows = [[] for _ in range(widths[s + 1])]
             # Children come in index order, so every row stays sorted.
             for mid, c in zip(fl.children[tid], contractions(cone, tid)):
-                block = interior_product_matrix(c, degree - s)
-                c0 = (mid - first) * w
-                for row, brow in zip(block_rows, block.rows):
-                    row.extend((c0 + j, x) for j, x in brow)
+                c0 = offset.get(mid)
+                if c0 is not None:
+                    for row, brow in zip(block_rows, c.block(degree - lo - s).rows):
+                        row.extend((c0 + j, x) for j, x in brow)
             rows.extend(map(tuple, block_rows))
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
     return IshidaComplex(degree, term_faces, term_dims, tuple(diffs))
+
+
+def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
+    """The degree-zero complex at wedge degree `degree`, over every face of
+    dimension at most `degree`."""
+    if not 0 <= degree <= cone.rank:
+        raise ValueError(f"wedge degree must lie in 0..{cone.rank}")
+    return _assemble(cone, degree, cone.face_lattice().by_dim[: degree + 1])
 
 
 def cohomology_dims(cx: IshidaComplex) -> tuple[int, ...]:
@@ -114,13 +121,30 @@ def core_table(cone: Cone) -> dict:
     """h^i of the face-intrinsic complexes, for every face and every degree.
 
     Maps face id -> tuple over m = 0..dim(face) of cohomology tuples.  The
-    slice of a face F at degree m (class_complex) has the cohomology
+    class complex of a face F at degree m has the cohomology
     sum_j C(n - dim F, j) core[F][m - j], whose term j = 0 is core[F][m]:
-    it is solved for degree by degree.  The top face's slice is the whole
-    complex.
+    it is solved for degree by degree.  The top face's class complex is the
+    whole complex.
 
-    Only the least face of each orbit (symmetry.face_orbits) is sliced; the
-    rest of its orbit gets its rows.  The rows are Q-dimensions, and a
+    A pyramid F, with a facet G that holds all of F's rays but one, r, is
+    not computed: core[F] = core[G] + ((0,) * (dim F + 1),).  Over Q, in
+    the dual of span F, let r* vanish on G and take 1 on r.  A face lam of
+    G has annihilator P + Q r*, P the part that vanishes on r, and the face
+    lam + r has P.  Taking the volume form of lam + r to be that of lam
+    wedged with r rescales the lattice ones per face, a coboundary (as
+    below); then the step of lam + r < nu + r is that of lam < nu, which
+    kills r*, and the step of lam < lam + r is r.  So in C_F(m) the blocks
+    of the faces containing r, an up-set, form C_G(m - 1) shifted one slot.
+    The block of lam is wedge^k P + r* ^ wedge^(k-1) P, k = m - dim lam,
+    and contraction by r maps its r*-part isomorphically onto the block of
+    lam + r and kills the rest.  The r*-parts and the up-set form a
+    subcomplex, the cone of an isomorphism, so acyclic, and the quotient by
+    it is C_G(m).  Hence h(C_F(m)) = h(C_G(m)) for m <= dim G, and
+    C_F(dim F) is acyclic, as C_G(dim G + 1) has no terms.  A simplicial
+    face is an iterated pyramid over the apex: its rows are (1,), 0, 0, ...
+
+    Only the least face of each orbit (symmetry.face_orbits) is computed;
+    the rest of its orbit gets its rows.  The rows are Q-dimensions, and a
     Q-linear automorphism A of the cone carries each face's intrinsic
     complex isomorphically onto its image's: A^-T takes perp(mu) onto
     perp(A mu) with its wedge powers, and the lattice step of a cover pair
@@ -130,17 +154,21 @@ def core_table(cone: Cone) -> dict:
     turns one complex into the other.
     """
     n = cone.rank
+    fl = cone.face_lattice()
     orbit = face_orbits(cone)
     table = {}
-    for face in cone.face_lattice().faces:
+    for face in fl.faces:
         if orbit[face.index] != face.index:
             table[face.index] = table[orbit[face.index]]
             continue
+        base = next((g for g in fl.children[face.index] if len(fl.faces[g].rays) == len(face.rays) - 1), None)
+        if base is not None:
+            table[face.index] = table[base] + ((0,) * (face.dim + 1),)
+            continue
         nd, rows = n - face.dim, []
         for m in range(face.dim + 1):
-            cx = class_complex(cone, face, m) if nd else ishida_complex(cone, m)
             # rows holds the degrees below m, so this sums the terms j >= 1
-            h = [a - b for a, b in zip(cohomology_dims(cx), _face_class_dims(nd, rows, m))]
+            h = [a - b for a, b in zip(cohomology_dims(class_complex(cone, face, m)), _face_class_dims(nd, rows, m))]
             if min(h) < 0:
                 raise RuntimeError(f"negative intrinsic cohomology {h} at face {list(face.rays)}, degree {m}")
             rows.append(tuple(h))
@@ -306,56 +334,23 @@ def facet_inequalities_report(cone: Cone) -> dict:
 def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
     """The subcomplex of ishida_complex(cone, degree) over the faces
     containing mu (an up-set), from the block of mu (slot 0) up to the
-    faces of dimension `degree`: their rows and columns, re-indexed, ranked
-    modulo the primes of the full differentials."""
+    faces of dimension `degree`."""
     if not mu.dim <= degree <= cone.rank:
         raise ValueError("degree out of range for the face")
-    full = ishida_complex(cone, degree)
-    faces = cone.face_lattice().faces
-    term_faces, kept = [], []
-    for d in range(mu.dim, degree + 1):
-        width = math.comb(cone.rank - d, degree - d)
-        ids, idx = [], []
-        for j, fid in enumerate(full.term_faces[d]):
-            if mu.mask & ~faces[fid].mask == 0:
-                ids.append(fid)
-                idx.extend(range(j * width, (j + 1) * width))
-        term_faces.append(tuple(ids))
-        kept.append(idx)
-    diffs = []
-    for s in range(len(kept) - 1):
-        new_col = {c: i for i, c in enumerate(kept[s])}
-        d = full.differentials[mu.dim + s]
-        sliced = tuple(tuple((new_col[c], x) for c, x in d.rows[r] if c in new_col) for r in kept[s + 1])
-        diffs.append(RatMatrix.from_sparse(sliced, len(kept[s]), d.certified_prime()))
-    return IshidaComplex(degree, tuple(term_faces), tuple(map(len, kept)), tuple(diffs))
+    fl = cone.face_lattice()
+    term_faces = tuple(tuple(i for i in fl.by_dim[d] if mu.mask & ~fl.faces[i].mask == 0) for d in range(mu.dim, degree + 1))
+    return _assemble(cone, degree, term_faces)
 
 
 def class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:
     """The quotient complex of ishida_complex(cone, degree) over the faces
-    of `face`, `face` included: slot s keeps the blocks of its
-    s-dimensional faces, and is empty above dim(face).  Its cohomology is
-    graded_class_cohomology(cone, degree, face).
-
-    The faces of `face` form a down-set, so a kept row has entries in kept
-    columns only: differentials[s] is the kept rows of the full one, whole,
-    with the full column indices and width, and the full one's prime.
-    """
-    full = ishida_complex(cone, degree)
+    of `face`, `face` included: slot s holds the blocks of its s-dimensional
+    faces, and is empty above dim(face).  The faces of `face` form a
+    down-set, so every block into a kept face comes from a kept one.  Its
+    cohomology is graded_class_cohomology(cone, degree, face)."""
     fl = cone.face_lattice()
-    term_faces = [[] for _ in full.term_faces]
-    for fid in ids_of(fl.down_sets()[face.index] | 1 << face.index):
-        if fl.faces[fid].dim <= degree:
-            term_faces[fl.faces[fid].dim].append(fid)
-    widths = [math.comb(cone.rank - d, degree - d) for d in range(degree + 1)]
-    diffs = []
-    for s, d in enumerate(full.differentials):
-        # the faces of one dimension have consecutive ids
-        w, first = widths[s + 1], full.term_faces[s + 1][0]
-        rows = tuple(row for fid in term_faces[s + 1] for row in d.rows[(fid - first) * w:(fid - first + 1) * w])
-        diffs.append(RatMatrix.from_sparse(rows, d.ncols, d.certified_prime()))
-    term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
-    return IshidaComplex(degree, tuple(map(tuple, term_faces)), term_dims, tuple(diffs))
+    term_faces = tuple(tuple(i for i in fl.by_dim[d] if fl.faces[i].mask & ~face.mask == 0) for d in range(degree + 1))
+    return _assemble(cone, degree, term_faces)
 
 
 def link_complex_cohomology(cone: Cone, mu: Face, degree: int) -> tuple[int, ...]:

@@ -13,17 +13,15 @@ onto the target, v -> v - (phi(v) / g) e, so the target's dual on the
 source basis and on e gives the coordinates of the projected basis, whose
 wedge powers as sparse rows turn the contracted image into target
 coordinates.  Each block (interior_product_matrix) is written as sparse
-rows, which the complexes offset straight into their differentials.
-Matrices are stored as sparse rows throughout (RatMatrix); ranks are
-eliminated modulo a Mersenne prime that a Hadamard bound proves large
-enough to give the rank over Q (RatMatrix.rank).  That prime is certified
-once per matrix and also certifies every slice of it, which is how the
-slices of a differential are ranked.  Input is integer only:
+rows, built once per source degree and kept by its Contraction, which the
+complexes offset straight into their differentials.  Matrices are stored
+as sparse rows throughout (RatMatrix); ranks are eliminated modulo a
+Mersenne prime that a Hadamard bound of the matrix's own rows proves large
+enough to give the rank over Q (RatMatrix.rank).  Input is integer only:
 primitive_vector rejects any other entry, as cli.load_cone_file does for a
 cone file, so no rational ever enters.
 All functions are pure and all returned objects immutable, apart from the
-prime a RatMatrix keeps once found and the wedge powers a Contraction
-extends on demand.
+wedge powers and blocks a Contraction builds on demand.
 """
 
 from __future__ import annotations
@@ -128,16 +126,14 @@ class RatMatrix:
     the rank over Q, and equals it when p lies above a Hadamard bound of
     every minor (_certified_prime), as no nonzero minor then vanishes mod p.
     Each entry, a 1 x 1 minor, then also lies below p, as _rank_mod needs.
-    The prime is kept once found (certified_prime), and from_sparse can
-    hand a slice of a matrix the prime of that matrix.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_prime")
+    __slots__ = ("rows", "nrows", "ncols")
 
     @classmethod
-    def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int, prime=None) -> "RatMatrix":
+    def from_sparse(cls, rows: tuple[tuple[tuple[int, int], ...], ...], ncols: int) -> "RatMatrix":
         m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols, m._prime = rows, len(rows), ncols, prime
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
         return m
 
     def is_zero(self) -> bool:
@@ -155,17 +151,9 @@ class RatMatrix:
             out.append(tuple((c, acc[c]) for c in sorted(acc) if acc[c]))
         return RatMatrix.from_sparse(tuple(out), other.ncols)
 
-    def certified_prime(self) -> int:
-        """The prime rank() eliminates modulo, found on first use.  A slice
-        (a subset of the rows, of the columns, or both) has no larger
-        Hadamard bound, so the prime certifies the rank of any slice too."""
-        if self._prime is None:
-            self._prime = _certified_prime([dict(r) for r in self.rows if r])
-        return self._prime
-
     def rank(self) -> int:
         rows = [dict(r) for r in self.rows if r]
-        return _rank_mod(rows, self.certified_prime()) if rows else 0
+        return _rank_mod(rows, _certified_prime(rows)) if rows else 0
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
@@ -289,7 +277,8 @@ class Contraction:
     integer p x (p - 1) matrix B holds the target coordinates of the image
     of the i-th basis vector, by linearity the solver's values on v_i minus
     phi(v_i) / g times those on e.  `powers` holds wedge^0 B, wedge^1 B = B,
-    ... as sparse rows, extended on demand (wedge) and shared by every degree.
+    ... as sparse rows, extended on demand (wedge) and shared by every degree,
+    and `blocks` the contraction matrix from each source degree k (block).
 
     ValueError unless phi is nonzero and W is all of ker phi, of rank
     p - 1 and saturated in V: an image that a check does not vanish on means
@@ -297,7 +286,7 @@ class Contraction:
     saturated.
     """
 
-    __slots__ = ("pairings", "powers")
+    __slots__ = ("pairings", "powers", "blocks")
 
     def __init__(self, source_vectors: Sequence[Sequence[int]], target_solver: tuple[tuple, tuple, int], pairings: Sequence[int]):
         dual, checks, det = target_solver
@@ -328,6 +317,7 @@ class Contraction:
             b.append(tuple((c, x) for c, (x, _) in enumerate(coords) if x))
         self.pairings = tuple(pairings)
         self.powers = [(((0, 1),),), tuple(b)]
+        self.blocks = {}
 
     def wedge(self, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """wedge^j B, rows and columns indexed by j-subsets."""
@@ -335,6 +325,12 @@ class Contraction:
         while len(powers) <= j:
             powers.append(_wedge_rows(powers[1], powers[-1], p, len(powers)))
         return powers[j]
+
+    def block(self, k: int) -> "RatMatrix":
+        """interior_product_matrix(self, k), built on first use and kept."""
+        if k not in self.blocks:
+            self.blocks[k] = interior_product_matrix(self, k)
+        return self.blocks[k]
 
 
 def interior_product_matrix(contraction: Contraction, k: int) -> RatMatrix:

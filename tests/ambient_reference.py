@@ -21,8 +21,8 @@ lattice of the larger face (face_reference.span_lattice) and Bezout
 coefficients: the oracle for cones.cover_pairings, which reads the step's
 pairings off a ray.  assemble_over_up_set builds the complex over the
 faces containing a face on its own, one Contraction per cover pair from
-those steps: the oracle for ishida.link_complex, which slices it out of
-ishida_complex.
+those steps: the oracle for ishida.link_complex, which assembles it from
+the blocks each cover pair's linalg.Contraction keeps.
 """
 
 from __future__ import annotations

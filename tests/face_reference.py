@@ -6,15 +6,17 @@ kernel of the perp lattice (`span_lattice`), and the rays of F are written
 in that basis (`lattice_coordinates`) before a double description of their
 own.  The package never builds these cones: it reads the class predicates
 and the f-vector of F off its down-set (cones.face_class), and the
-intrinsic cohomology of F off the down-set slices of the cone's own
-complexes (ishida.core_table).
+intrinsic cohomology of F off its base facet when F is a pyramid, and
+otherwise off the cone's own complexes over the faces of F
+(ishida.core_table).
 The functions here compute the same numbers from the face cones instead,
 each face cone's intrinsic cohomology being that of its own complex
 (degree_zero_cohomology).
 
 reindexed_class_complex cuts the quotient complex over the faces of F out
-of the cone's complex as a complex of its own, rows and columns re-indexed:
-the oracle for ishida.class_complex, which keeps whole rows instead.
+of the cone's whole complex, rows and columns re-indexed: the oracle for
+ishida.class_complex, which assembles it from the blocks of those faces
+alone.
 
 lattice_coordinates solves for coordinates in a lattice basis by
 back-substitution: the oracle for the dual functionals of
@@ -109,30 +111,29 @@ def intrinsic_multiplicities(cone: Cone, face: Face):
     return ic_multiplicities(face_cone(cone, face))
 
 
-def kept_indices(cone: Cone, face: Face, degree: int) -> list[list[int]]:
-    """Per slot of ishida_complex(cone, degree), the indices of the terms
-    that belong to the faces of `face` (`face` included), chosen by ray set."""
-    full = ishida_complex(cone, degree)
+def kept_indices(cone: Cone, face: Face, full: IshidaComplex) -> list[list[int]]:
+    """Per slot of full, the cone's complex at one degree, the indices of
+    the terms that belong to the faces of `face` (`face` included), chosen
+    by ray set."""
     faces = cone.face_lattice().faces
     kept = []
     for d, ids in enumerate(full.term_faces):
-        width = math.comb(cone.rank - d, degree - d)
+        width = math.comb(cone.rank - d, full.degree - d)
         kept.append([
             j * width + a for j, fid in enumerate(ids) if set(faces[fid].rays) <= set(face.rays) for a in range(width)
         ])
     return kept
 
 
-def reindexed_class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:
-    """The rows and columns of ishida_complex(cone, degree) that belong to
-    the faces of `face`, re-indexed into a complex of their own."""
-    full = ishida_complex(cone, degree)
+def reindexed_class_complex(cone: Cone, face: Face, full: IshidaComplex) -> IshidaComplex:
+    """The rows and columns of full, the cone's complex at one degree, that
+    belong to the faces of `face`, re-indexed into a complex of their own."""
     faces = cone.face_lattice().faces
-    kept = kept_indices(cone, face, degree)
+    kept = kept_indices(cone, face, full)
     term_faces = tuple(tuple(fid for fid in ids if set(faces[fid].rays) <= set(face.rays)) for ids in full.term_faces)
     diffs = []
     for s, d in enumerate(full.differentials):
         new_col = {c: i for i, c in enumerate(kept[s])}
         rows = tuple(tuple((new_col[c], x) for c, x in d.rows[r] if c in new_col) for r in kept[s + 1])
         diffs.append(RatMatrix.from_sparse(rows, len(kept[s])))
-    return IshidaComplex(degree, term_faces, tuple(map(len, kept)), tuple(diffs))
+    return IshidaComplex(full.degree, term_faces, tuple(map(len, kept)), tuple(diffs))

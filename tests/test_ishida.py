@@ -69,20 +69,25 @@ def _contraction(cone, mid, tid):
 
 
 def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
-    """After ext_table, a fresh cone's memo holds, per face with facets, one
-    Contraction per cover pair into it, in the order of its children, and
-    otherwise only memoized results, all keyed (name, *args).  No face keeps
-    a coordinate solver."""
+    """After ext_table, a fresh cone's memo holds, per face with facets that
+    some class complex reaches, one Contraction per cover pair into it, in
+    the order of its children, each keeping the blocks built from it, and
+    otherwise only the core and Ext tables, keyed (name,).  No complex is
+    kept, and no face keeps a coordinate solver."""
     for cone in named_corpus:
         cone = Cone.from_rays(cone.rays, cone.rank)
         ext_table(cone)
         fl = cone.face_lattice()
-        targets = {("contractions", tid) for tid, ids in enumerate(fl.children) if ids}
-        degrees = {("ishida_complex", l) for l in range(cone.rank + 1)}
-        assert set(cone.memo) == targets | degrees | {("core_table",), ("ext_table",)}
+        targets = {key for key in cone.memo if key[0] == "contractions"}
+        assert set(cone.memo) - targets == {("core_table",), ("ext_table",)}
+        assert {tid for _, tid in targets} <= {tid for tid, ids in enumerate(fl.children) if ids}
         for _, tid in targets:
             got = cone.memo[("contractions", tid)]
             assert len(got) == len(fl.children[tid]) and all(isinstance(c, Contraction) for c in got)
+            dim = fl.faces[tid].dim
+            for c in got:
+                assert set(c.blocks) <= set(range(1, cone.rank - dim + 2))
+                assert all(c.blocks[k].rows == interior_product_matrix(c, k).rows for k in c.blocks)
         kept = {f.name for f in dataclasses.fields(Face)} | {"perp_lattice"}
         assert all(set(vars(face)) <= kept for face in fl.faces)
 
