@@ -17,7 +17,6 @@ from .cones import (
     Face,
     FaceLattice,
     cone_over_polytope,
-    cover_pairings,
     dual_description,
     is_cone_over_simple,
     is_cone_over_simplicial,
@@ -51,7 +50,6 @@ from .ishida import (
 from .linalg import (
     Contraction,
     RatMatrix,
-    integer_kernel_basis,
     interior_product_matrix,
     primitive_vector,
 )

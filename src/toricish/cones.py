@@ -4,20 +4,23 @@ A Cone is full-dimensional and strongly convex in a lattice of the stated
 rank, presented by its primitive extreme ray generators.  Its face lattice
 is read off the incidence of rays and facets alone, walked from whichever
 side is smaller, with no linear algebra, and refused past MAX_FACES faces.
-Each face computes, on first use, a saturated lattice basis of its
-annihilator and, from the same reduction, a coordinate solver that it does
-not keep; the contractions of the complexes are built on these and on the
-pairings of each basis with the lattice step of a cover pair
-(cover_pairings, read off a ray).  Every vector here is an integer vector
-and every computation is in integers: the double description, the lattice
-bases, the pairings.  The cone's linear symmetries are in symmetry.py.
+Each face computes, on first use, the free-coordinate frame of its
+annihilator (Face.perp_frame), from one integer Gauss-Jordan pass over its
+rays: the non-pivot columns free(F) and one integer kernel vector per free
+column, so that restriction to free(F) identifies perp(F) with Q^free(F).
+Spans grow along the face lattice, so the pivots do too: for mu < tau,
+pivots(mu) is contained in pivots(tau), and free(tau) is free(mu) without
+one column.  The contractions of the complexes are built on these frames
+(ishida.contractions).  Every vector here is an integer vector and every
+computation is in integers: the double description, the frames.  The
+cone's linear symmetries are in symmetry.py.
 
 The closed-form classes, cones over simplicial and over simple polytopes,
 are defined once, per face (face_class); is_cone_over_* read the top face.
 
 A set of rays or of faces is an int bitmask over their indices.  Neither a
 face nor a face lattice refers back to its cone: a face carries its ray
-vectors and the lattice rank, which is all its perp basis needs.
+vectors and the lattice rank, which is all its frame needs.
 
 Cones and face lattices are immutable after construction, apart from the
 memo dict each cone carries and what each face or lattice computes on first
@@ -33,7 +36,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .linalg import dot, integer_kernel_basis, primitive_vector
+from .linalg import dot, free_kernel, primitive_vector
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -226,9 +229,9 @@ class Face:
 
     Equality and hashing cover index, dim and rays; mask is the ray set as a
     bitmask, vectors the ray generators and rank the lattice rank.
-    perp_lattice is computed on first use and kept: a Z-basis of the
-    annihilator M intersect face^perp, saturated, so pairing with it is an
-    exact coordinate system for the quotient lattice N / (N intersect <face>).
+    perp_frame is computed on first use and kept: linalg.free_kernel of the
+    rays, (free columns, kernel vectors), which identifies perp(F) with
+    Q^free(F) by restriction to the free columns.
     """
 
     index: int
@@ -239,15 +242,8 @@ class Face:
     rank: int = field(compare=False, repr=False)
 
     @functools.cached_property
-    def perp_lattice(self) -> tuple[tuple[int, ...], ...]:
-        return integer_kernel_basis(self.vectors, self.rank)[0]
-
-    def perp_solver(self) -> tuple[tuple, tuple, int]:
-        """The coordinate_solver form of perp_lattice, from the reduction that
-        gives the basis, which is kept as perp_lattice; the solver is not."""
-        basis, solver = integer_kernel_basis(self.vectors, self.rank)
-        self.__dict__.setdefault("perp_lattice", basis)
-        return solver
+    def perp_frame(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        return free_kernel(self.vectors, self.rank)
 
 
 class FaceLattice:
@@ -428,23 +424,6 @@ def is_cone_over_simple(cone: Cone) -> bool:
 def is_cone_over_simplicial(cone: Cone) -> bool:
     """Cross-section is a simplicial polytope (face_class of the top face)."""
     return face_class(cone, cone.face_lattice().top)[1]
-
-
-def cover_pairings(mu: Face, tau: Face) -> tuple[int, ...]:
-    """Values <v, step> over the basis v of perp(mu) for the lattice step of
-    the cover pair mu < tau: an integer vector in the span of tau whose class
-    generates the image ray of tau in N / (N intersect <mu>), oriented to
-    pair nonnegatively with the dual face of mu.
-
-    They are read off any ray r of tau outside mu.  The pairing with perp(mu)
-    is an exact coordinate system for that quotient, as perp(mu) is
-    saturated, so the values <v, r> are g times those of the generator, with
-    g their gcd and the same sign.
-    """
-    if tau.dim != mu.dim + 1 or mu.mask & ~tau.mask:
-        raise ValueError("faces do not form a cover pair")
-    ray = next(v for i, v in zip(tau.rays, tau.vectors) if not mu.mask >> i & 1)
-    return primitive_vector([dot(v, ray) for v in mu.perp_lattice])
 
 
 def cone_over_polytope(vertices: Sequence[Sequence[int]]) -> Cone:

@@ -5,26 +5,52 @@ differentials, depth, and the local cohomological defect.
 For a full-dimensional cone of rank n and 0 <= l <= n, the degree-zero
 complex has, in cohomological degree i, one block per i-dimensional face mu,
 namely the (l - i)-th wedge power of the annihilator of mu; the differential
-is contraction in the first slot by the lattice step of each cover pair,
-given by its pairings with the annihilator's basis (cones.cover_pairings).
-Each cover pair has one linalg.Contraction, which every wedge degree
-shares and which keeps its blocks; the contractions into a face tau are
-built together (contractions), on the dual functionals and span checks of
-perp(tau) that the reduction giving its basis yields (Face.perp_solver).
+is contraction in the first slot by the lattice step u of each cover pair
+mu < tau.  Its cohomology over Q does not change under a Q-linear
+isomorphism of each perp(F), so the blocks are written in each face's free
+coordinates (cones.Face.perp_frame), which need no lattice basis:
 
-Every complex is assembled the same way (_assemble), over a set of faces,
-from those blocks, as sparse rows with the columns re-indexed, and ranked
-modulo a prime certified for its own differentials.  The whole complex
-(ishida_complex) takes every face; the faces containing a face mu form an
-up-set, so their blocks form a subcomplex (link_complex); the faces of a
-face F form a down-set, so theirs form a quotient complex (class_complex),
-whose cohomology is that of the graded piece of the sheaf complex for the
-lattice points in the relative interior class of F.  The face-intrinsic
-cohomology of F (core_table) is read off its base when F is a pyramid, and
-otherwise solved for from its class complexes, for one face per orbit of
-the cone's linear automorphisms, and copied to the rest of the orbit.  The
-cohomology of every face class at every degree is assembled from it once,
-in ext_table, which graded_class_cohomology and the checks read.
+* The contraction lands in perp(tau).  perp(tau) is the kernel of phi =
+  <., u> on perp(mu), so perp(mu) = Q e + perp(tau) for any e with
+  phi(e) != 0, and contraction by phi sends e ^ w to phi(e) w and kills
+  wedge^k perp(tau): it maps wedge^k perp(mu) into wedge^(k-1) perp(tau).
+* Pivots grow along the face lattice.  A column is a pivot of F when some
+  vector of span F has its first nonzero entry there; span mu in span tau
+  gives pivots(mu) in pivots(tau), one fewer, so free(tau) = free(mu) minus
+  one column q0.  Restricting perp(tau) to free(tau) is restricting it to
+  free(mu) and dropping q0.  A ray r of tau outside mu, reduced modulo
+  span mu, has free entries a_s / D, a_s = <K_s, r> for mu's kernel vectors
+  K_s; it leads at q0, the first free column where a_s != 0.  So the block
+  is the contraction by e_s -> a_s, a positive multiple of phi, onto the
+  target subsets that avoid q0 (linalg.interior_product_matrix).
+* The normalisation is a coboundary.  r is c u plus a vector of span mu,
+  c > 0, so a_s = c D phi(e_s); the block is read as a_s / |a_q0| =
+  phi(e_s) / |phi(e_q0)|.  By Cramer's rule, |phi(e_q0)| = |w_tau(b, u)| /
+  |w_mu(b)| for any basis b of span mu, w_F the volume form of span F in
+  its pivot coordinates.  For b a basis of N meet span mu, (b, u) is one of
+  N meet span tau, so |phi(e_q0)| = V_tau / V_mu, V_F = |w_F / w^lat_F|
+  the ratio to the lattice volume form.  So each block is V_mu / V_tau
+  times the contraction by u, and dividing the terms of each face F by V_F
+  turns the lattice complex into this one, over any set of faces.
+
+Each cover pair has one linalg.Contraction, built on mu's frame and one ray
+(contractions), which every wedge degree shares and which keeps its blocks.
+A block is a_s, an integer matrix, divided by |a_q0|: every complex is
+assembled the same way (_assemble), over a set of faces, from those blocks,
+as sparse rows with the columns re-indexed, each differential multiplied by
+one integer, the lcm of its pairs' denominators.  That keeps its rank and
+keeps d^2 = 0; a scale per pair or per row would not keep the latter.  Each
+complex is ranked modulo a prime certified for its own differentials.  The
+whole complex (ishida_complex) takes every face; the faces containing a face
+mu form an up-set, so their blocks form a subcomplex (link_complex); the
+faces of a face F form a down-set, so theirs form a quotient complex
+(class_complex), whose cohomology is that of the graded piece of the sheaf
+complex for the lattice points in the relative interior class of F.  The
+face-intrinsic cohomology of F (core_table) is read off its base when F is a
+pyramid, and otherwise solved for from its class complexes, for one face per
+orbit of the cone's linear automorphisms, and copied to the rest of the
+orbit.  The cohomology of every face class at every degree is assembled from
+it once, in ext_table, which graded_class_cohomology and the checks read.
 
 All functions are pure.  The cone's memo dict holds the memoized results
 (cones.memoized) and nothing else, the contractions included; complexes
@@ -36,8 +62,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import Cone, Face, cover_pairings, is_simple_in_dim, memoized
-from .linalg import Contraction, RatMatrix
+from .cones import Cone, Face, is_simple_in_dim, memoized
+from .linalg import Contraction, RatMatrix, dot
 from .symmetry import face_orbits
 
 
@@ -67,20 +93,25 @@ class IshidaComplex:
 @memoized
 def contractions(cone: Cone, tid: int) -> tuple[Contraction, ...]:
     """The contractions from perp(mu) onto perp(tau) for the face tau of id
-    tid and each facet mu of it, in the order of its children, with their
-    wedge powers, for every wedge degree.  The coordinate solver of
-    perp(tau) is read off the reduction that gives its basis, and dropped."""
+    tid and each facet mu of it, in the order of its children, for every
+    wedge degree: the pairings of mu's kernel vectors with a ray of tau
+    outside mu."""
     fl = cone.face_lattice()
     tau = fl.faces[tid]
-    solver = tau.perp_solver()
-    return tuple(Contraction(fl.faces[m].perp_lattice, solver, cover_pairings(fl.faces[m], tau)) for m in fl.children[tid])
+    out = []
+    for mid in fl.children[tid]:
+        mu = fl.faces[mid]
+        ray = next(v for i, v in zip(tau.rays, tau.vectors) if not mu.mask >> i & 1)
+        out.append(Contraction([dot(k, ray) for k in mu.perp_frame[1]]))
+    return tuple(out)
 
 
 def _assemble(cone: Cone, degree: int, term_faces) -> IshidaComplex:
     """The complex at wedge degree `degree` over the faces term_faces[s] of
     dimension d + s, d that of term_faces[0][0], each slot's faces in index
     order: per face tau, the blocks of its cover pairs mu < tau with mu in
-    the slot below, offset to mu's place there."""
+    the slot below, offset to mu's place there, each differential times the
+    lcm of its pairs' denominators."""
     fl = cone.face_lattice()
     lo = fl.faces[term_faces[0][0]].dim
     widths = [math.comb(cone.rank - d, degree - d) for d in range(lo, lo + len(term_faces))]
@@ -88,15 +119,19 @@ def _assemble(cone: Cone, degree: int, term_faces) -> IshidaComplex:
     diffs = []
     for s in range(len(term_faces) - 1):
         offset = {fid: j * widths[s] for j, fid in enumerate(term_faces[s])}
+        # Children come in index order, so every row stays sorted.
+        pairs = [
+            [(offset[mid], c) for mid, c in zip(fl.children[tid], contractions(cone, tid)) if mid in offset]
+            for tid in term_faces[s + 1]
+        ]
+        scale = math.lcm(*(c.denominator for ps in pairs for _, c in ps))
         rows = []
-        for tid in term_faces[s + 1]:
+        for ps in pairs:
             block_rows = [[] for _ in range(widths[s + 1])]
-            # Children come in index order, so every row stays sorted.
-            for mid, c in zip(fl.children[tid], contractions(cone, tid)):
-                c0 = offset.get(mid)
-                if c0 is not None:
-                    for row, brow in zip(block_rows, c.block(degree - lo - s).rows):
-                        row.extend((c0 + j, x) for j, x in brow)
+            for c0, c in ps:
+                f = scale // c.denominator
+                for row, brow in zip(block_rows, c.block(degree - lo - s).rows, strict=True):
+                    row.extend([(c0 + j, x) for j, x in brow] if f == 1 else [(c0 + j, f * x) for j, x in brow])
             rows.extend(map(tuple, block_rows))
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
     return IshidaComplex(degree, term_faces, term_dims, tuple(diffs))

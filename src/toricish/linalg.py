@@ -1,27 +1,31 @@
 """Exact linear algebra over Q and Z, done in integers, plus contractions
-of wedge powers.
+of wedge powers in free coordinates.
 
-Every invariant computed by this package reduces to ranks and kernels of the
-matrices built here, so arithmetic is exact throughout and in integers:
-never floats.  Lattice work (kernels, coordinates in a lattice basis) is
-read off one column-Hermite reduction, which keeps the inverse of its
-transform too: a kernel basis comes with its dual and span checks.  A
-Contraction holds one functional phi on a lattice, given by its values on
-the basis (the pairings of a cover pair, cones.cover_pairings), and needs
-no matrix inverse: a source vector e on which phi is g projects the source
-onto the target, v -> v - (phi(v) / g) e, so the target's dual on the
-source basis and on e gives the coordinates of the projected basis, whose
-wedge powers as sparse rows turn the contracted image into target
-coordinates.  Each block (interior_product_matrix) is written as sparse
-rows, built once per source degree and kept by its Contraction, which the
-complexes offset straight into their differentials.  Matrices are stored
-as sparse rows throughout (RatMatrix); ranks are eliminated modulo a
-Mersenne prime that a Hadamard bound of the matrix's own rows proves large
-enough to give the rank over Q (RatMatrix.rank).  Input is integer only:
-primitive_vector rejects any other entry, as cli.load_cone_file does for a
-cone file, so no rational ever enters.
+Every invariant computed by this package reduces to ranks of the matrices
+built here, so arithmetic is exact throughout and in integers: never
+floats.  A face's annihilator is read off one integer Gauss-Jordan pass over
+its rays (free_kernel): the non-pivot columns, and one integer kernel vector
+per free column, so that restriction to the free columns identifies the
+annihilator with Q^free.  Three facts make the contractions of the complexes
+cheap in that frame (the proofs are in ishida): contraction by the step of a
+cover pair mu < tau maps wedge^k perp(mu) into wedge^(k-1) perp(tau); the
+pivots of mu are pivots of tau, so free(tau) is free(mu) without one column
+q0; and normalising the contraction to phi(e_q0) = +-1 differs from the
+lattice step by a coboundary.  So a Contraction is only its pairings, q0 and
+the blocks it keeps, and each block (interior_product_matrix) is the
+interior product by the pairings onto the target subsets that avoid q0,
+written as integer sparse rows, with no lattice basis, solver or wedge power
+of a change of basis.  A block's entries stand for themselves divided by
+the denominator |phi(e_q0)|; the complexes scale each differential by one
+integer that clears the denominators of its blocks.  Matrices are stored as sparse rows throughout
+(RatMatrix); ranks are eliminated modulo a Mersenne prime that a Hadamard
+bound of the matrix's own rows proves large enough to give the rank over Q
+(RatMatrix.rank).  Input is integer only: primitive_vector rejects any
+other entry, as cli.load_cone_file does for a cone file, so no rational
+ever enters.  coordinate_solver, on a column-Hermite reduction, gives
+coordinates in a lattice basis (symmetry.py).
 All functions are pure and all returned objects immutable, apart from the
-wedge powers and blocks a Contraction builds on demand.
+blocks a Contraction builds on demand.
 """
 
 from __future__ import annotations
@@ -121,11 +125,15 @@ class RatMatrix:
     column order, with no zero integer value.  from_sparse, the only
     constructor, takes rows already in that form and trusts them.
 
-    rank() is the rank over Q: sparse elimination of the integer rows
-    modulo a Mersenne prime p (_rank_mod).  The rank modulo p never exceeds
-    the rank over Q, and equals it when p lies above a Hadamard bound of
-    every minor (_certified_prime), as no nonzero minor then vanishes mod p.
-    Each entry, a 1 x 1 minor, then also lies below p, as _rank_mod needs.
+    rank() is the rank over Q: sparse elimination of the integer rows, each
+    divided by the gcd of its entries, modulo a Mersenne prime p
+    (_rank_mod).  Dividing a row by a nonzero scalar keeps the rank; it
+    undoes the common factor that one scale per differential puts into the
+    rows of a face whose pairs have small denominators (ishida._assemble).
+    The rank modulo p never exceeds the rank over Q, and equals it when p
+    lies above a Hadamard bound of every minor of the rows eliminated
+    (_certified_prime), as no nonzero minor then vanishes mod p.  Each
+    entry, a 1 x 1 minor, then also lies below p, as _rank_mod needs.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -152,25 +160,28 @@ class RatMatrix:
         return RatMatrix.from_sparse(tuple(out), other.ncols)
 
     def rank(self) -> int:
-        rows = [dict(r) for r in self.rows if r]
+        rows = []
+        for r in self.rows:
+            if r:
+                g = math.gcd(*(x for _, x in r))
+                rows.append(dict(r) if g == 1 else {j: x // g for j, x in r})
         return _rank_mod(rows, _certified_prime(rows)) if rows else 0
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[list[int]], int]:
+def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
     """Column-style Hermite reduction with a unimodular transform.
 
-    Returns (cols, inv, r): column j of rows . u stacked on column j of u,
-    for a unimodular u, and the rows of u^-1, kept by the inverse row
-    operations.  The first r columns of rows . u are in column echelon form
-    and the others are zero; for independent rows (r == len(rows)), entry i
-    of column i is the pivot of row i, and entry i of column j > i is zero.
+    Returns (cols, r): column j of rows . u stacked on column j of u, for a
+    unimodular u.  The first r columns of rows . u are in column echelon
+    form and the others are zero; for independent rows (r == len(rows)),
+    entry i of column i is the pivot of row i, and entry i of column j > i
+    is zero.
     """
     m = len(rows)
     cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
-    inv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     col = 0
     for row in range(m):
         while True:
@@ -182,24 +193,11 @@ def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[lis
                 if j2 != j1:
                     q = cols[j2][row] // cols[j1][row]
                     cols[j2] = [x - q * y for x, y in zip(cols[j2], cols[j1])]
-                    inv[j1] = [x + q * y for x, y in zip(inv[j1], inv[j2])]
         nz = [j for j in range(col, ncols) if cols[j][row]]
         if nz:
             cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
-            inv[col], inv[nz[0]] = inv[nz[0]], inv[col]
             col += 1
-    return cols, inv, col
-
-
-def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple, tuple]:
-    """Z-basis of {x in Z^ncols : r . x == 0 for every row r} and its
-    coordinate_solver form (dual, checks, 1), from one reduction: the basis
-    is the columns r.. of the transform u, so it is saturated (det 1), the
-    dual is rows r.. of u^-1 (dual . basis == I) and the checks, which
-    vanish exactly on the span of the basis, are rows ..r of u^-1."""
-    cols, inv, r = _column_echelon(rows, ncols)
-    basis = tuple(tuple(c[len(rows):]) for c in cols[r:])
-    return basis, (tuple(map(tuple, inv[r:])), tuple(map(tuple, inv[:r])), 1)
+    return cols, col
 
 
 def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple, int]:
@@ -209,7 +207,7 @@ def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tup
     From basis . u == [h | 0]: the checks are the columns p.. of u, and the
     dual is u[:, :p] times det h^-1, det = |det h|, by forward substitution.
     """
-    cols, _, p = _column_echelon(basis, ambient)
+    cols, p = _column_echelon(basis, ambient)
     if p != len(basis):
         raise ValueError("basis rows are linearly dependent")
     det = abs(math.prod(cols[j][j] for j in range(p)))
@@ -222,109 +220,95 @@ def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tup
     return dual, tuple(map(tuple, u[p:])), det
 
 
-@lru_cache(maxsize=None)
-def _laplace(m: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per k-subset S of range(m), in lexicographic order, the terms of an
-    expansion along S: (S[q], (-1)^q, index of S minus S[q] among the
-    (k-1)-subsets) for each position q."""
-    index = {s: i for i, s in enumerate(itertools.combinations(range(m), k - 1))}
-    return tuple(
-        tuple((x, -1 if q % 2 else 1, index[s[:q] + s[q + 1:]]) for q, x in enumerate(s))
-        for s in itertools.combinations(range(m), k)
+def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(free, kernel) of integer rows, from one integer Gauss-Jordan pass.
+
+    free lists, ascending, the columns that are not pivots of the rows'
+    reduced echelon form: a column is a pivot when some vector of their span
+    has its first nonzero entry there.  kernel[j] is the integer vector that
+    is D > 0 at free[j] and 0 at the other free columns, and annihilates
+    every row; D is the same for every j.  So restriction to the free
+    columns maps the annihilator of the rows onto Q^free, kernel[j] to D
+    times the j-th unit vector.
+
+    Each row is reduced by the pivot rows so far, each step a positive
+    multiple of it minus a multiple of a pivot row, so no fraction arises.
+    What is left of it vanishes on every pivot, so it leads in a column that
+    is no pivot yet; made primitive and positive there, it is eliminated
+    from the other pivot rows the same way.
+    """
+    pivots: dict[int, list[int]] = {}  # pivot column -> row, > 0 there, 0 at the other pivots
+    for row in rows:
+        row = list(row)
+        for c, prow in pivots.items():
+            if x := row[c]:
+                row = [prow[c] * y - x * z for y, z in zip(row, prow)]
+        lead = next((j for j, y in enumerate(row) if y), None)
+        if lead is None:
+            continue
+        g = math.gcd(*row) if row[lead] > 0 else -math.gcd(*row)
+        row = [y // g for y in row]
+        for c, prow in pivots.items():
+            if x := prow[lead]:
+                prow = [row[lead] * y - x * z for y, z in zip(prow, row)]
+                g = math.gcd(*prow)
+                pivots[c] = [y // g for y in prow]
+        pivots[lead] = row
+    d = math.lcm(*(prow[c] for c, prow in pivots.items()))
+    free = tuple(j for j in range(ncols) if j not in pivots)
+    kernel = tuple(
+        tuple(d if j == s else -(d // pivots[j][j]) * pivots[j][s] if j in pivots else 0 for j in range(ncols))
+        for s in free
     )
+    return free, kernel
 
 
 @lru_cache(maxsize=None)
-def _insertions(m: int, k: int) -> tuple[dict[int, tuple[int, int]], ...]:
-    """_laplace(m, k) inverted: per (k-1)-subset index, x -> ((-1)^q, index
-    of the k-subset that holds x at position q), for each x not in it."""
-    out = tuple({} for _ in range(math.comb(m, k - 1)))
-    for i, terms in enumerate(_laplace(m, k)):
-        for x, sign, rest in terms:
-            out[rest][x] = (sign, i)
-    return out
-
-
-def _wedge_rows(b, prev, p: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sparse rows of the j-th wedge power of the p x (p - 1) integer matrix
-    with sparse rows b, from `prev`, its (j-1)-th power: the j x j minors,
-    rows and columns indexed by lexicographically ordered j-subsets.  Each
-    minor is a Laplace expansion along its first row."""
-    insert = _insertions(p - 1, j)
+def _contraction_terms(p: int, k: int, q0: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per (k-1)-subset T of range(p) without q0, in lexicographic order,
+    the terms (x, (-1)^q, index of T + {x} among the lexicographically
+    ordered k-subsets) for each x not in T, at position q in T + {x}.  The
+    terms come by ascending x, which orders their indices too."""
+    index = {s: i for i, s in enumerate(itertools.combinations(range(p), k))}
     out = []
-    for terms in _laplace(p, j):
-        first, _, rest = terms[0]
-        acc: dict[int, int] = {}
-        for c, x in b[first]:
-            for d, y in prev[rest]:
-                hit = insert[d].get(c)
-                if hit:
-                    sign, col = hit
-                    acc[col] = acc.get(col, 0) + sign * x * y
-        out.append(tuple((c, v) for c, v in acc.items() if v))
+    for t in itertools.combinations([x for x in range(p) if x != q0], k - 1):
+        terms = []
+        for x in range(p):
+            if x not in t:
+                q = sum(y < x for y in t)
+                terms.append((x, -1 if q % 2 else 1, index[tuple(sorted(t + (x,)))]))
+        out.append(tuple(terms))
     return tuple(out)
 
 
 class Contraction:
-    """Contraction by a nonzero functional phi on a lattice V onto the part
-    W of V that phi annihilates, at every wedge degree.  V is given by its
-    basis (source_vectors), W by the coordinate_solver of its basis, phi by
-    its values `pairings` on the basis of V.  In the complexes, V = perp(mu),
-    W = perp(tau) and phi is the lattice step of a cover pair mu < tau.
+    """Contraction by a nonzero functional phi on Q^p onto its kernel W, at
+    every wedge degree, in coordinates.  phi is given by its values
+    `pairings` on the unit vectors, kept in lowest terms: only the ratios
+    matter, as the block is read as phi / |phi(e_q0)|.  q0 is the first
+    coordinate where phi is nonzero; dropping it maps W isomorphically onto
+    Q^(p-1), since e_q0 lies outside W.  denominator is |phi(e_q0)|: the
+    block divided by it is the contraction by phi normalised to phi(e_q0) =
+    +-1.  `blocks` holds the matrix from each source degree k, built on
+    first use (block).
 
-    With e in V pairing to g, the gcd of the pairings up to sign, the map
-    v -> v - (phi(v) / g) e takes V onto W and fixes W.  Row i of the
-    integer p x (p - 1) matrix B holds the target coordinates of the image
-    of the i-th basis vector, by linearity the solver's values on v_i minus
-    phi(v_i) / g times those on e.  `powers` holds wedge^0 B, wedge^1 B = B,
-    ... as sparse rows, extended on demand (wedge) and shared by every degree,
-    and `blocks` the contraction matrix from each source degree k (block).
-
-    ValueError unless phi is nonzero and W is all of ker phi, of rank
-    p - 1 and saturated in V: an image that a check does not vanish on means
-    that phi does not vanish on W, one outside the lattice W that W is not
-    saturated.
+    In the complexes, Q^p is perp(mu) and Q^(p-1) is perp(tau) for a cover
+    pair mu < tau, each identified with Q^free by restriction to its free
+    columns (free_kernel), phi the pairings of mu's kernel vectors with a
+    ray of tau outside mu, and q0 the one free column of mu that is a pivot
+    of tau (see ishida).
     """
 
-    __slots__ = ("pairings", "powers", "blocks")
+    __slots__ = ("pairings", "q0", "denominator", "blocks")
 
-    def __init__(self, source_vectors: Sequence[Sequence[int]], target_solver: tuple[tuple, tuple, int], pairings: Sequence[int]):
-        dual, checks, det = target_solver
-        p, q = len(source_vectors), len(dual)
-        if len(pairings) != p:
-            raise ValueError("need one pairing per source basis vector")
-        if q != p - 1:
-            raise ValueError("target rank must be one below the source rank")
-        if not any(pairings):
+    def __init__(self, pairings: Sequence[int]):
+        g = math.gcd(*pairings)
+        if not g:
             raise ValueError("the functional is zero")
-        values = [[dot(f, v) for f in dual + checks] for v in source_vectors]
-        # e: a basis vector where a pairing is +-1, else a Bezout combination
-        i0 = next((i for i, x in enumerate(pairings) if x == 1 or x == -1), None)
-        if i0 is None:
-            cols, _, _ = _column_echelon([pairings], p)
-            g, e = cols[0][0], cols[0][1:]  # pairings . e == g
-            ev = [sum(c * x for c, x in zip(e, col) if c) for col in zip(*values)]
-        else:
-            g, ev = pairings[i0], values[i0]
-        b = []
-        for vals, f in zip(values, pairings):
-            image = [x - f // g * y for x, y in zip(vals, ev)] if f else vals
-            if any(image[q:]):
-                raise ValueError("functional must annihilate the target subspace")
-            coords = [divmod(x, det) for x in image[:q]]
-            if any(r for _, r in coords):
-                raise ValueError("target lattice is not saturated in the source lattice")
-            b.append(tuple((c, x) for c, (x, _) in enumerate(coords) if x))
-        self.pairings = tuple(pairings)
-        self.powers = [(((0, 1),),), tuple(b)]
+        self.pairings = tuple(x // g for x in pairings)
+        self.q0 = next(i for i, x in enumerate(self.pairings) if x)
+        self.denominator = abs(self.pairings[self.q0])
         self.blocks = {}
-
-    def wedge(self, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """wedge^j B, rows and columns indexed by j-subsets."""
-        powers, p = self.powers, len(self.pairings)
-        while len(powers) <= j:
-            powers.append(_wedge_rows(powers[1], powers[-1], p, len(powers)))
-        return powers[j]
 
     def block(self, k: int) -> "RatMatrix":
         """interior_product_matrix(self, k), built on first use and kept."""
@@ -334,31 +318,23 @@ class Contraction:
 
 
 def interior_product_matrix(contraction: Contraction, k: int) -> RatMatrix:
-    """Matrix of the contraction from wedge degree k >= 1 of V to degree
-    k - 1 of W, as an integer matrix in sparse rows.  Its C(p, k) columns
-    and C(p - 1, k - 1) rows are indexed by the lexicographically ordered
-    subsets of the basis indices, with the standard sign convention
-    (sorting transpositions contribute -1 each).
+    """Matrix of the contraction by phi from wedge degree k >= 1 of Q^p to
+    degree k - 1 of its kernel W, written in Q^(p-1) by dropping q0, as an
+    integer matrix in sparse rows, times the denominator.  Its C(p, k)
+    columns are the lexicographically ordered k-subsets of range(p), its
+    C(p - 1, k - 1) rows the (k - 1)-subsets without q0, with the standard
+    sign convention (sorting transpositions contribute -1 each).
 
-    B fixes W, so its wedge powers turn the contracted image into target
-    coordinates: column S is sum_pos (-1)^pos pairings[S[pos]] (row S minus
-    S[pos] of wedge^(k-1) B).
+    The contraction sends e_S to sum_pos (-1)^pos phi(e_S[pos]) e_(S minus
+    S[pos]), which lies in wedge^(k-1) W; dropping q0 keeps the terms whose
+    subset avoids q0, and is injective on wedge^(k-1) W.  So row T holds
+    +-pairings[x] at the column of T + {x}, for each x not in T.
     """
     if k < 1:
         raise ValueError("contraction needs a source degree of at least 1")
-    pairings = contraction.pairings
-    p = len(pairings)
-    wedge = contraction.wedge(k - 1)
-    rows = [[] for _ in range(math.comb(p - 1, k - 1))]
-    for j, terms in enumerate(_laplace(p, k)):
-        acc: dict[int, int] = {}
-        for i, sign, rest in terms:
-            c = pairings[i]
-            if c:
-                c *= sign
-                for slot, y in wedge[rest]:
-                    acc[slot] = acc.get(slot, 0) + c * y
-        for slot, x in acc.items():
-            if x:
-                rows[slot].append((j, x))
-    return RatMatrix.from_sparse(tuple(map(tuple, rows)), math.comb(p, k))
+    a = contraction.pairings
+    rows = tuple(
+        tuple((col, sign * a[x]) for x, sign, col in terms if a[x])
+        for terms in _contraction_terms(len(a), k, contraction.q0)
+    )
+    return RatMatrix.from_sparse(rows, math.comb(len(a), k))

@@ -3,26 +3,20 @@
 The contraction blocks are built in ambient coordinates, the original, slow
 route: every wedge is expanded into the standard wedge basis of Q^ambient
 with Fraction determinants, and each contracted image is solved against the
-target wedges by exact Gaussian elimination.  It makes no use of lattices or
-projections, which makes it an independent oracle for
-toricish.linalg.interior_product_matrix.  Its bases are AmbientBasis
+target wedges by exact Gaussian elimination (ambient_contraction).  It makes
+no use of lattices or projections, which makes it an independent oracle
+both for toricish.linalg.interior_product_matrix, whose bases are each
+face's free coordinates (rational vectors here), and for the lattice route
+of lattice_reference, whose bases are integral.  Its bases are AmbientBasis
 records of its own; the wedge coordinates and target solver of each basis
 and degree are kept in a bounded cache, as every block reuses them.
 dense_matrix, the dense constructor of a RatMatrix, takes integers only,
-so each block and differential is checked to be integral on the way
-(integral).
+so a lattice block is checked to be integral on the way (integral), and
+normalised reads a package block as the Fractions it stands for.
 
 bareiss_rank (fraction-free elimination over Z) is the oracle for
 RatMatrix.rank, which eliminates modulo a prime; kernel_basis is a rational
 kernel by Gauss-Jordan elimination.
-
-normal_step_vector builds the lattice step of a cover pair from the span
-lattice of the larger face (face_reference.span_lattice) and Bezout
-coefficients: the oracle for cones.cover_pairings, which reads the step's
-pairings off a ray.  assemble_over_up_set builds the complex over the
-faces containing a face on its own, one Contraction per cover pair from
-those steps: the oracle for ishida.link_complex, which assembles it from
-the blocks each cover pair's linalg.Contraction keeps.
 """
 
 from __future__ import annotations
@@ -34,9 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from face_reference import span_lattice
-from toricish.ishida import IshidaComplex
-from toricish.linalg import Contraction, RatMatrix, coordinate_solver, dot, interior_product_matrix, primitive_vector
+from toricish.linalg import Contraction, RatMatrix, dot, interior_product_matrix
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -229,9 +221,10 @@ def _wedge_solver(basis: AmbientBasis) -> ColumnSolver:
     return ColumnSolver(list(_wedges(basis).values()), math.comb(basis.ambient, basis.degree))
 
 
-def ambient_interior_product_matrix(source: AmbientBasis, target: AmbientBasis, step) -> RatMatrix:
-    """The contraction block of interior_product_matrix, computed in ambient
-    wedge coordinates, in Fractions; every entry is checked to be an integer."""
+def ambient_contraction(source: AmbientBasis, target: AmbientBasis, step) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the contraction by `step` from the source wedges to the
+    target wedges, computed in ambient wedge coordinates, in Fractions: the
+    bases and the step may be rational."""
     if source.degree != target.degree + 1:
         raise ValueError("target degree must be one below the source degree")
     for u in target.vectors:
@@ -254,8 +247,13 @@ def ambient_interior_product_matrix(source: AmbientBasis, target: AmbientBasis, 
         if coeffs is None:
             raise ValueError("target subspace does not contain image")
         columns.append(coeffs)
-    rows = [tuple(col[i] for col in columns) for i in range(target.dim)]
-    return dense_matrix(integral(rows), ncols=source.dim)
+    return tuple(tuple(col[i] for col in columns) for i in range(target.dim))
+
+
+def ambient_interior_product_matrix(source: AmbientBasis, target: AmbientBasis, step) -> RatMatrix:
+    """ambient_contraction in integral bases, as a RatMatrix; every entry is
+    checked to be an integer."""
+    return dense_matrix(integral(ambient_contraction(source, target, step)), ncols=source.dim)
 
 
 def dense_matrix(rows: Sequence[Sequence[int]], ncols: int | None = None) -> RatMatrix:
@@ -287,73 +285,7 @@ def dense(m: RatMatrix) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _bezout(values: Sequence[int]) -> tuple[int, list[int]]:
-    """(g, c) with g = gcd(values) >= 0 and sum c_i values_i == g."""
-    g, coeffs = 0, []
-    for v in values:
-        # extended Euclid on (g, v): x g + y v == d
-        r0, r1, x0, x1, y0, y1 = g, v, 1, 0, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
-        if r0 < 0:
-            r0, x0, y0 = -r0, -x0, -y0
-        g, coeffs = r0, [x0 * c for c in coeffs] + [y0]
-    return g, coeffs
-
-
-def normal_step_vector(mu, tau) -> tuple[int, ...]:
-    """Integer vector in the span of tau whose class generates the image ray
-    of tau in N / (N intersect <mu>), oriented to pair nonnegatively with the
-    dual face of mu.
-
-    The span lattice of tau projects (by pairing with perp(mu)) onto
-    multiples c_i g0 of one primitive vector g0; Bezout coefficients of the
-    c_i combine the span basis into a preimage of g0.  Any two valid outputs
-    differ by an element of <mu> intersect N.
-    """
-    if tau.dim != mu.dim + 1 or not set(mu.rays) <= set(tau.rays):
-        raise ValueError("faces do not form a cover pair")
-    if mu.dim == 0:
-        return tau.vectors[0]
-    proj = mu.perp_lattice
-    images = [tuple(dot(u, b) for u in proj) for b in span_lattice(tau)]
-    g0 = primitive_vector(next(v for v in images if any(v)))
-    j0 = next(j for j, x in enumerate(g0) if x)
-    factors = [v[j0] // g0[j0] for v in images]
-    if any(tuple(c * x for x in g0) != v for c, v in zip(factors, images)):
-        raise ValueError("projected span is not one-dimensional")
-    g, coeffs = _bezout(factors)
-    if g != 1:
-        raise ValueError("projected span lattice is not generated by its primitive vector")
-    ray = next(v for i, v in zip(tau.rays, tau.vectors) if i not in mu.rays)
-    sign = -1 if dot(proj[j0], ray) * g0[j0] < 0 else 1
-    return tuple(sign * dot(coeffs, col) for col in zip(*span_lattice(tau)))
-
-
-def assemble_over_up_set(cone, mu, degree: int) -> IshidaComplex:
-    """The complex over the faces containing mu, from the block of mu (slot
-    0) up to the faces of dimension `degree`, assembled on its own: dense
-    rows, one block per cover pair from interior_product_matrix, on a
-    Contraction of its own with the pairings of normal_step_vector."""
-    n = cone.rank
-    fl = cone.face_lattice()
-    dims = range(mu.dim, degree + 1)
-    term_faces = [tuple(fid for fid in fl.by_dim[d] if set(mu.rays) <= set(fl.faces[fid].rays)) for d in dims]
-    widths = [math.comb(n - d, degree - d) for d in dims]
-    term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
-    diffs = []
-    for s in range(len(term_faces) - 1):
-        rows = [[0] * term_dims[s] for _ in range(term_dims[s + 1])]
-        for t, tid in enumerate(term_faces[s + 1]):
-            for mid in fl.children[tid]:
-                if mid not in term_faces[s]:
-                    continue
-                lo, hi = fl.faces[mid], fl.faces[tid]
-                step = normal_step_vector(lo, hi)
-                c = Contraction(lo.perp_lattice, coordinate_solver(hi.perp_lattice, cone.rank), [dot(v, step) for v in lo.perp_lattice])
-                r0, c0 = t * widths[s + 1], term_faces[s].index(mid) * widths[s]
-                for a, brow in enumerate(dense(interior_product_matrix(c, degree - lo.dim))):
-                    rows[r0 + a][c0:c0 + len(brow)] = brow
-        diffs.append(dense_matrix(integral(rows), ncols=term_dims[s]))
-    return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs))
+def normalised(c: Contraction, k: int) -> list[list[Fraction]]:
+    """interior_product_matrix(c, k) divided by c's denominator: the
+    contraction by phi / |phi(e_q0)|, as dense Fraction rows."""
+    return [[Fraction(x, c.denominator) for x in row] for row in dense(interior_product_matrix(c, k))]

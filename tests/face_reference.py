@@ -2,9 +2,9 @@
 
 Each face F of a cone is rebuilt as a full-dimensional cone in the saturated
 lattice of its span (`face_cone`): the span lattice N intersect <F> is the
-kernel of the perp lattice (`span_lattice`), and the rays of F are written
-in that basis (`lattice_coordinates`) before a double description of their
-own.  The package never builds these cones: it reads the class predicates
+kernel of the perp lattice (lattice_reference.span_lattice), and the rays
+of F are written in that basis (`lattice_coordinates`) before a double
+description of their own.  The package never builds these cones: it reads the class predicates
 and the f-vector of F off its down-set (cones.face_class), and the
 intrinsic cohomology of F off its base facet when F is a pyramid, and
 otherwise off the cone's own complexes over the faces of F
@@ -14,30 +14,30 @@ each face cone's intrinsic cohomology being that of its own complex
 (degree_zero_cohomology).
 
 reindexed_class_complex cuts the quotient complex over the faces of F out
-of the cone's whole complex, rows and columns re-indexed: the oracle for
-ishida.class_complex, which assembles it from the blocks of those faces
-alone.
+of the cone's whole complex, rows and columns re-indexed, and
+reindexed_link_complex the subcomplex over the faces containing a face mu:
+the oracles for ishida.class_complex and ishida.link_complex, which
+assemble them from the blocks of those faces alone.  Each differential
+there is one integer multiple of the blocks, the lcm of its own pairs'
+denominators, so it is the oracle's times one rational
+(differential_ratios).
 
 lattice_coordinates solves for coordinates in a lattice basis by
 back-substitution: the oracle for the dual functionals of
-linalg.coordinate_solver and of each face's perp solver, which need none.
+linalg.coordinate_solver, which need none.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
+from lattice_reference import span_lattice
 from toricish.cones import Cone, Face, is_simplicial
 from toricish.decomposition import ic_multiplicities
 from toricish.ishida import IshidaComplex, cohomology_dims, ishida_complex
-from toricish.linalg import RatMatrix, _column_echelon, dot, integer_kernel_basis
-
-
-def span_lattice(face: Face) -> tuple[tuple[int, ...], ...]:
-    """A Z-basis of N intersected with the linear span of the face: the
-    integer kernel of its perp lattice, so it is saturated."""
-    return integer_kernel_basis(face.perp_lattice, face.rank)[0]
+from toricish.linalg import RatMatrix, _column_echelon, dot
 
 
 def lattice_coordinates(
@@ -52,7 +52,7 @@ def lattice_coordinates(
     the basis rows are dependent or a vector lies outside their span or
     outside the lattice they generate.
     """
-    cols, _, p = _column_echelon(basis, ambient)
+    cols, p = _column_echelon(basis, ambient)
     if p != len(basis):
         raise ValueError("basis rows are linearly dependent")
     u = [c[p:] for c in cols]
@@ -111,29 +111,47 @@ def intrinsic_multiplicities(cone: Cone, face: Face):
     return ic_multiplicities(face_cone(cone, face))
 
 
-def kept_indices(cone: Cone, face: Face, full: IshidaComplex) -> list[list[int]]:
-    """Per slot of full, the cone's complex at one degree, the indices of
-    the terms that belong to the faces of `face` (`face` included), chosen
-    by ray set."""
+def reindexed_subcomplex(cone: Cone, full: IshidaComplex, keep, lo: int = 0) -> IshidaComplex:
+    """The rows and columns of full, the cone's complex at one degree, that
+    belong to the faces `keep` holds (a predicate on faces), from slot lo
+    on, re-indexed into a complex of their own."""
     faces = cone.face_lattice().faces
-    kept = []
+    term_faces, kept = [], []
     for d, ids in enumerate(full.term_faces):
         width = math.comb(cone.rank - d, full.degree - d)
-        kept.append([
-            j * width + a for j, fid in enumerate(ids) if set(faces[fid].rays) <= set(face.rays) for a in range(width)
-        ])
-    return kept
+        term_faces.append(tuple(fid for fid in ids if keep(faces[fid])))
+        kept.append([j * width + a for j, fid in enumerate(ids) if keep(faces[fid]) for a in range(width)])
+    diffs = []
+    for s in range(lo, len(full.differentials)):
+        new_col = {c: i for i, c in enumerate(kept[s])}
+        rows = tuple(tuple((new_col[c], x) for c, x in full.differentials[s].rows[r] if c in new_col) for r in kept[s + 1])
+        diffs.append(RatMatrix.from_sparse(rows, len(kept[s])))
+    return IshidaComplex(full.degree, tuple(term_faces[lo:]), tuple(map(len, kept[lo:])), tuple(diffs))
 
 
 def reindexed_class_complex(cone: Cone, face: Face, full: IshidaComplex) -> IshidaComplex:
-    """The rows and columns of full, the cone's complex at one degree, that
-    belong to the faces of `face`, re-indexed into a complex of their own."""
-    faces = cone.face_lattice().faces
-    kept = kept_indices(cone, face, full)
-    term_faces = tuple(tuple(fid for fid in ids if set(faces[fid].rays) <= set(face.rays)) for ids in full.term_faces)
-    diffs = []
-    for s, d in enumerate(full.differentials):
-        new_col = {c: i for i, c in enumerate(kept[s])}
-        rows = tuple(tuple((new_col[c], x) for c, x in d.rows[r] if c in new_col) for r in kept[s + 1])
-        diffs.append(RatMatrix.from_sparse(rows, len(kept[s])))
-    return IshidaComplex(full.degree, term_faces, tuple(map(len, kept)), tuple(diffs))
+    """The rows and columns of full that belong to the faces of `face`
+    (`face` included), chosen by ray set, re-indexed."""
+    return reindexed_subcomplex(cone, full, lambda g: set(g.rays) <= set(face.rays))
+
+
+def reindexed_link_complex(cone: Cone, mu: Face, full: IshidaComplex) -> IshidaComplex:
+    """The rows and columns of full that belong to the faces containing mu,
+    chosen by ray set, re-indexed, from the slot of mu on."""
+    return reindexed_subcomplex(cone, full, lambda g: set(mu.rays) <= set(g.rays), mu.dim)
+
+
+def differential_ratios(got: IshidaComplex, want: IshidaComplex) -> list[Fraction]:
+    """Per differential, the one rational c with got == c * want entry by
+    entry, after checking that the two complexes have the same faces and
+    shapes and each differential the same nonzero entries; AssertionError
+    when some differential is no single multiple of the other's."""
+    assert (got.term_faces, got.term_dims) == (want.term_faces, want.term_dims)
+    ratios = []
+    for a, b in zip(got.differentials, want.differentials, strict=True):
+        assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+        assert [[j for j, _ in row] for row in a.rows] == [[j for j, _ in row] for row in b.rows]
+        found = {Fraction(x, y) for ra, rb in zip(a.rows, b.rows) for (_, x), (_, y) in zip(ra, rb)}
+        assert len(found) <= 1, found
+        ratios.append(found.pop() if found else Fraction(1))
+    return ratios

@@ -2,7 +2,7 @@
 
 The package computes every invariant without these: the quotient cone by a
 face (`quotient_cone`) is what FaceLattice.quotient_is_simplicial and
-cones.cover_pairings read off the face lattice and perp(mu) instead; the
+ishida.contractions read off the face lattice and each face's frame; the
 dual cone (`dual`) swaps the simple and simplicial classes; and the closed
 forms here (`ext_dims_simplicial_class`, `hodge_deligne_from_table`,
 `euler_h1_prediction`) are the paper's predictions that the tests compare
@@ -19,6 +19,7 @@ import itertools
 import math
 from typing import Sequence
 
+from lattice_reference import perp_lattice
 from toricish.combinatorics import h_vector
 from toricish.cones import Cone, Face, is_cone_over_simple, is_cone_over_simplicial, is_simplicial
 from toricish.linalg import dot
@@ -33,8 +34,9 @@ def dual(cone: Cone) -> Cone:
 def quotient_cone(cone: Cone, face: Face) -> Cone:
     """Image of the cone in N / (N intersect <face>), rays re-primitivized.
 
-    The projection pairs with the face's perp lattice basis, which is an
-    exact coordinate system for the quotient lattice.
+    The projection pairs with the face's perp lattice basis
+    (lattice_reference.perp_lattice), which is an exact coordinate system
+    for the quotient lattice.
     """
     if face.dim == 0:
         return cone
@@ -42,7 +44,7 @@ def quotient_cone(cone: Cone, face: Face) -> Cone:
         return Cone(0, (), ())
     images = []
     for r in cone.rays:
-        w = tuple(dot(u, r) for u in face.perp_lattice)
+        w = tuple(dot(u, r) for u in perp_lattice(face))
         if any(w):
             images.append(w)
     return Cone.from_rays(images, rank=cone.rank - face.dim)

@@ -4,20 +4,21 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import _det, _integer_rows, dense_matrix, kernel_basis, normal_step_vector
-from face_reference import face_cone, lattice_coordinates, span_lattice
+from ambient_reference import _det, _integer_rows, dense_matrix, kernel_basis
+from face_reference import face_cone, lattice_coordinates
+from lattice_reference import normal_step_vector, perp_lattice, span_lattice
 from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
 from toricish import cones
 from toricish.cones import (
     Cone,
     cone_over_polytope,
-    cover_pairings,
     dual_description,
     is_cone_over_simple,
     is_cone_over_simplicial,
     is_simple_in_dim,
     is_simplicial,
 )
+from toricish.ishida import contractions
 from toricish.linalg import dot, primitive_vector
 from toricish.sampling import sample_cones
 
@@ -275,7 +276,7 @@ class TestFaceLattice:
         twin = Cone.from_rays(cube_cone.rays).face_lattice()
         # equal and hashed alike from index, dim and rays alone
         assert set(fl.faces) == set(twin.faces) and len(set(fl.faces)) == len(fl.faces)
-        assert not any("perp_lattice" in vars(f) for f in fl.faces)
+        assert not any("perp_frame" in vars(f) for f in fl.faces)
 
     def test_dual_reverses_f_vector(self, named_corpus):
         for cone in named_corpus:
@@ -301,8 +302,8 @@ class TestFaceLattice:
     def test_span_perp_dimensions(self, named_corpus):
         for cone in named_corpus:
             for face in cone.face_lattice().faces:
-                assert len(span_lattice(face)) + len(face.perp_lattice) == cone.rank
-                for u in face.perp_lattice:
+                assert len(span_lattice(face)) + len(perp_lattice(face)) == cone.rank
+                for u in perp_lattice(face):
                     for i in face.rays:
                         assert dot(u, cone.rays[i]) == 0
 
@@ -337,7 +338,7 @@ class TestQuotient:
         q = quotient_cone(quadric_cone, ray_face)
         images = []
         for r in quadric_cone.rays:
-            w = tuple(dot(u, r) for u in ray_face.perp_lattice)
+            w = tuple(dot(u, r) for u in perp_lattice(ray_face))
             if any(w):
                 images.append(primitive_vector(w))
         assert set(q.rays) <= set(images)
@@ -408,7 +409,7 @@ class TestNormalStep:
                 for lo in ids:
                     mu, tau = fl.faces[lo], fl.faces[hi]
                     n = normal_step_vector(mu, tau)
-                    for u in tau.perp_lattice:
+                    for u in perp_lattice(tau):
                         assert dot(u, n) == 0
                     # sample in the relative interior of the dual face of mu
                     u0 = [0] * cone.rank
@@ -433,20 +434,23 @@ class TestNormalStep:
     def test_non_cover_raises(self, quadric_cone):
         fl = quadric_cone.face_lattice()
         with pytest.raises(ValueError, match="cover"):
-            cover_pairings(fl.apex, fl.top)
+            normal_step_vector(fl.apex, fl.top)
 
     def test_cover_pairings_are_the_step_pairings(self, full_corpus):
-        # Read off a ray, they equal the pairings of perp(mu) with the step
-        # built from the span lattice of tau and Bezout coefficients: every
-        # cover pair of every face cone of the corpus cones and their duals.
+        # Read off a ray, a contraction's pairings are those of mu's kernel
+        # vectors with the step built from the span lattice of tau and
+        # Bezout coefficients, in lowest terms and with the same signs:
+        # every cover pair of every face cone of the corpus cones and their
+        # duals.
         for cone in full_corpus + [dual(c) for c in full_corpus]:
             for face in cone.face_lattice().faces:
-                fl = face_cone(cone, face).face_lattice()
+                fc = face_cone(cone, face)
+                fl = fc.face_lattice()
                 for hi, ids in enumerate(fl.children):
-                    for lo in ids:
+                    for lo, c in zip(ids, contractions(fc, hi)):
                         mu, tau = fl.faces[lo], fl.faces[hi]
                         step = normal_step_vector(mu, tau)
-                        assert cover_pairings(mu, tau) == tuple(dot(v, step) for v in mu.perp_lattice)
+                        assert c.pairings == primitive_vector([dot(k, step) for k in mu.perp_frame[1]])
 
 
 class TestHomogenize:

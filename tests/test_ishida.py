@@ -1,16 +1,19 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import assemble_over_up_set, dense, dense_matrix, normal_step_vector
-from face_reference import degree_zero_cohomology, face_cone, span_lattice
+from ambient_reference import dense, dense_matrix, normalised
+from face_reference import degree_zero_cohomology, differential_ratios, face_cone, reindexed_link_complex
+from lattice_reference import lattice_complex, normal_step_vector, span_lattice
 from paper_reference import dual, quotient_cone
 from toricish import ishida
 from toricish.cones import Cone, Face, is_simplicial
 from toricish.ishida import (
     IshidaComplex,
+    class_complex,
     cohomology_dims,
     contractions,
     ext_table,
@@ -25,7 +28,7 @@ from toricish.ishida import (
     verify_link_exactness,
     verify_surjectivity,
 )
-from toricish.linalg import Contraction, coordinate_solver, dot, interior_product_matrix
+from toricish.linalg import Contraction, dot, interior_product_matrix
 from toricish.sampling import sample_cones
 
 
@@ -73,7 +76,7 @@ def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
     some class complex reaches, one Contraction per cover pair into it, in
     the order of its children, each keeping the blocks built from it, and
     otherwise only the core and Ext tables, keyed (name,).  No complex is
-    kept, and no face keeps a coordinate solver."""
+    kept, and a face keeps nothing but its frame."""
     for cone in named_corpus:
         cone = Cone.from_rays(cone.rays, cone.rank)
         ext_table(cone)
@@ -88,7 +91,7 @@ def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
             for c in got:
                 assert set(c.blocks) <= set(range(1, cone.rank - dim + 2))
                 assert all(c.blocks[k].rows == interior_product_matrix(c, k).rows for k in c.blocks)
-        kept = {f.name for f in dataclasses.fields(Face)} | {"perp_lattice"}
+        kept = {f.name for f in dataclasses.fields(Face)} | {"perp_frame"}
         assert all(set(vars(face)) <= kept for face in fl.faces)
 
 
@@ -99,7 +102,8 @@ class TestDSquared:
 
     def test_diamond_anticommutation(self, octahedron_cone):
         # between a face and a face two dimensions up there are exactly two
-        # intermediate faces, and the two composite contractions cancel
+        # intermediate faces, and the two composite contractions, each block
+        # divided by its denominator, cancel
         cone = octahedron_cone
         fl = cone.face_lattice()
         n = cone.rank
@@ -113,13 +117,13 @@ class TestDSquared:
             assert len(middles) == 2
             total = None
             for lam in middles:
-                first = interior_product_matrix(_contraction(cone, mu.index, lam.index), l - mu.dim)
-                second = interior_product_matrix(_contraction(cone, lam.index, nu.index), l - lam.dim)
-                comp = dense(second.matmul(first))
+                first, second = _contraction(cone, mu.index, lam.index), _contraction(cone, lam.index, nu.index)
+                comp = dense(interior_product_matrix(second, l - lam.dim).matmul(interior_product_matrix(first, l - mu.dim)))
+                comp = [[Fraction(x, first.denominator * second.denominator) for x in row] for row in comp]
                 if total is None:
                     total = comp
                 else:
-                    total = [tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, comp)]
+                    total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, comp)]
             assert not any(any(row) for row in total)
 
     def test_corrupted_differential_fails(self, quadric_cone):
@@ -164,18 +168,78 @@ def test_euler_identity_on_random_cones(dim, seed):
 
 
 def test_link_complexes_are_slices(full_corpus):
-    """link_complex, sliced out of ishida_complex, against the complex over
-    the faces containing mu assembled on its own, entry by entry, for every
-    face of the corpus and every degree from dim(mu) up."""
+    """link_complex, assembled over the faces containing mu alone, against
+    the rows and columns of ishida_complex that belong to them, re-indexed:
+    entry by entry one rational multiple per differential, for every face of
+    the corpus and every degree from dim(mu) up."""
     for cone in full_corpus:
         fl = cone.face_lattice()
-        for mu in fl.faces:
-            for l in range(mu.dim, cone.rank + 1):
-                got, want = link_complex(cone, mu, l), assemble_over_up_set(cone, mu, l)
-                assert (got.term_faces, got.term_dims) == (want.term_faces, want.term_dims)
-                assert [(d.nrows, d.ncols, d.rows) for d in got.differentials] == [
-                    (d.nrows, d.ncols, d.rows) for d in want.differentials
-                ]
+        for l in range(cone.rank + 1):
+            full = ishida_complex(cone, l)
+            for mu in fl.faces:
+                if mu.dim <= l:
+                    differential_ratios(link_complex(cone, mu, l), reindexed_link_complex(cone, mu, full))
+
+
+def _complexes(cone):
+    """Every full, class and link complex of the cone, at every degree."""
+    fl = cone.face_lattice()
+    for l in range(cone.rank + 1):
+        yield ishida_complex(cone, l)
+        for face in fl.faces:
+            yield class_complex(cone, face, l)
+            if face.dim <= l:
+                yield link_complex(cone, face, l)
+
+
+def _assert_one_integer_per_differential(cone):
+    """Each differential of every complex is the assembly of its cover
+    pairs' blocks, each divided by its denominator, times one integer: the
+    lcm of those denominators."""
+    fl = cone.face_lattice()
+    n = cone.rank
+    for cx in _complexes(cone):
+        l, lo = cx.degree, fl.faces[cx.term_faces[0][0]].dim
+        for s, d in enumerate(cx.differentials):
+            k = l - lo - s
+            cw, rw = math.comb(n - lo - s, k), math.comb(n - lo - s - 1, k - 1)
+            want = [[Fraction(0)] * d.ncols for _ in range(d.nrows)]
+            dens = []
+            for i, tid in enumerate(cx.term_faces[s + 1]):
+                for mid, c in zip(fl.children[tid], contractions(cone, tid)):
+                    if mid in cx.term_faces[s]:
+                        j = cx.term_faces[s].index(mid)
+                        dens.append(c.denominator)
+                        for a, row in enumerate(normalised(c, k)):
+                            want[i * rw + a][j * cw:(j + 1) * cw] = row
+            scale = math.lcm(*dens)
+            assert dense(d) == tuple(tuple(scale * x for x in row) for row in want), (cone, cx.term_faces, s)
+
+
+def test_each_differential_is_one_integer_times_the_normalised_blocks(full_corpus):
+    for cone in full_corpus:
+        _assert_one_integer_per_differential(cone)
+
+
+def _assert_same_cohomology_as_the_lattice_route(cone):
+    """Every full, class and link complex has the cohomology of the complex
+    over the same faces with the lattice blocks (lattice_reference)."""
+    for cx in _complexes(cone):
+        assert cohomology_dims(cx) == cohomology_dims(lattice_complex(cone, cx.degree, cx.term_faces)), (cone, cx.term_faces)
+
+
+def test_cohomology_matches_the_lattice_route(full_corpus):
+    for cone in full_corpus:
+        _assert_same_cohomology_as_the_lattice_route(cone)
+
+
+@given(st.integers(3, 5), st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_cohomology_matches_the_lattice_route_on_random_cones(dim, seed):
+    (cone,) = sample_cones(seed, dim, 1)
+    for c in (cone, dual(cone)):
+        _assert_same_cohomology_as_the_lattice_route(c)
+        _assert_one_integer_per_differential(c)
 
 
 class TestCohomology:
@@ -194,28 +258,25 @@ class TestCohomology:
             assert_euler_identity(cone)
 
     def test_lift_independence(self, quadric_cone, octahedron_cone):
-        # rebuild one differential with shifted step vectors: adding any
-        # lattice element of the smaller face's span must not change ranks
+        # rebuild each contraction from the lattice step and from the step
+        # shifted by a lattice element of the smaller face's span: both
+        # give the blocks of the contraction read off a ray
         for cone in (quadric_cone, octahedron_cone):
             fl = cone.face_lattice()
             n = cone.rank
-            l = n - 1
             for hi, ids in enumerate(fl.children):
                 for lo in ids:
                     mu, tau = fl.faces[lo], fl.faces[hi]
-                    if mu.dim == 0 or mu.dim + 1 > l:
+                    if mu.dim == 0:
                         continue
                     step = normal_step_vector(mu, tau)
-                    shift = span_lattice(mu)[0]
-                    shifted = tuple(a + 3 * b for a, b in zip(step, shift))
-                    a, b = (
-                        interior_product_matrix(
-                            Contraction(mu.perp_lattice, coordinate_solver(tau.perp_lattice, cone.rank), [dot(v, w) for v in mu.perp_lattice]),
-                            l - mu.dim,
+                    shifted = tuple(a + 3 * b for a, b in zip(step, span_lattice(mu)[0]))
+                    for k in range(1, n - mu.dim + 1):
+                        a, b = (
+                            interior_product_matrix(Contraction([dot(v, w) for v in mu.perp_frame[1]]), k)
+                            for w in (step, shifted)
                         )
-                        for w in (step, shifted)
-                    )
-                    assert a.rows == b.rows
+                        assert a.rows == b.rows == _contraction(cone, lo, hi).block(k).rows
 
 
 class TestGradedClasses:

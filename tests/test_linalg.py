@@ -7,23 +7,24 @@ from hypothesis import given, settings, strategies as st
 from ambient_reference import (
     AmbientBasis,
     ColumnSolver,
+    ambient_contraction,
     ambient_interior_product_matrix,
     bareiss_rank,
     dense,
     dense_matrix,
     kernel_basis,
-    normal_step_vector,
+    normalised,
     wedge_coordinates,
 )
 from face_reference import lattice_coordinates
+from lattice_reference import integer_kernel_basis, lattice_block, lattice_contraction, normal_step_vector
 from toricish import linalg
-from toricish.ishida import ishida_complex, link_complex
+from toricish.ishida import contractions, ishida_complex, link_complex
 from toricish.linalg import (
     Contraction,
     RatMatrix,
     coordinate_solver,
     dot,
-    integer_kernel_basis,
     interior_product_matrix,
     primitive_vector,
 )
@@ -171,6 +172,15 @@ class TestModularRank:
         assert linalg._certified_prime(_sparse(rows)) == 2**521 - 1
         assert dense_matrix(rows).rank() == 2
 
+    def test_rows_are_divided_by_their_gcd(self):
+        # Scaling a row keeps the rank: rows 2^30000 times a primitive row
+        # certify at the first prime, where their own Hadamard bound,
+        # 2^120000, lies above every prime tried.
+        rows = [(2**30000, 0, 3 * 2**30000), (0, 5 * 2**30000, 2**30000)]
+        assert dense_matrix(rows).rank() == 2
+        with pytest.raises(ArithmeticError):
+            linalg._certified_prime(_sparse(rows))
+
     def test_past_the_last_rung_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (127,))
         rows = NEAR_2_40
@@ -222,57 +232,69 @@ class TestPrimitive:
 
 
 class TestIntegerKernel:
+    """The lattice oracle's integer kernel (lattice_reference)."""
+
     def test_saturated(self):
-        (v,), _ = integer_kernel_basis([(2, 4)], 2)
+        (v,) = integer_kernel_basis([(2, 4)], 2)
         assert sorted(map(abs, v)) == [1, 2]
 
     def test_empty_rows(self):
-        basis, _ = integer_kernel_basis([], 3)
+        basis = integer_kernel_basis([], 3)
         assert len(basis) == 3
 
     def test_annihilation(self):
         rows = [(1, 2, 3, 4), (0, 1, 1, 0)]
-        basis, _ = integer_kernel_basis(rows, 4)
+        basis = integer_kernel_basis(rows, 4)
         assert len(basis) == 2
         for v in basis:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
 
 
-def _assert_perp_solvers(cones):
-    """Each face's perp solver, from the reduction that gives its basis:
-    the dual is dual to the basis, the checks vanish on a vector exactly
-    when the back-substitution oracle finds it in the span, and the dual
-    gives the oracle's coordinates of every perp vector of a face above."""
+def free_basis(face) -> tuple[tuple[Fraction, ...], ...]:
+    """The free-coordinate basis of perp(face): each kernel vector divided
+    by its value D at its free column, so that it restricts to a unit vector
+    on the free columns."""
+    free, kernel = face.perp_frame
+    return tuple(tuple(Fraction(x, k[s]) for x in k) for s, k in zip(free, kernel))
+
+
+def _assert_free_frames(cones):
+    """Each face's frame against the Gauss-Jordan kernel of the rational
+    oracle, whose basis vectors are 1 at one free column and 0 at the
+    others: the same free columns and, divided by D, the same vectors, with
+    one D > 0 for the face.  For every cover pair mu < tau, free(tau) is
+    free(mu) without the column q0 of the pair's contraction, the first
+    free column where the pairings are nonzero."""
     for cone in cones:
         n = cone.rank
         fl = cone.face_lattice()
         for face in fl.faces:
-            basis = face.perp_lattice
-            dual, checks, det = face.perp_solver()
-            assert det == 1 and len(dual) == len(basis) and len(checks) == face.dim
-            assert [[dot(d, b) for b in basis] for d in dual] == [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-            assert not checks or dense_matrix(checks, ncols=n).rank() == face.dim
-            probes = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-            probes += [tuple(map(sum, zip(b, p))) for b, p in zip(basis, probes)]
-            for v in probes:
-                try:
-                    lattice_coordinates(basis, [v], n)
-                except ValueError as exc:
-                    assert "outside the span" in str(exc)
-                    assert any(dot(c, v) for c in checks)
-                else:
-                    assert not any(dot(c, v) for c in checks)
-            above = [v for g in fl.parents[face.index] for v in fl.faces[g].perp_lattice]
-            assert tuple(tuple(dot(d, v) for d in dual) for v in above) == lattice_coordinates(basis, above, n)
+            free, kernel = face.perp_frame
+            assert len(free) == len(kernel) == n - face.dim and free == tuple(sorted(free))
+            assert len({k[s] for s, k in zip(free, kernel)}) <= 1 and all(k[s] > 0 for s, k in zip(free, kernel))
+            assert all(type(x) is int for k in kernel for x in k)
+            assert free_basis(face) == tuple(kernel_basis(face.vectors, n))
+            for mu_id, c in zip(fl.children[face.index], contractions(cone, face.index)):
+                mu_free = fl.faces[mu_id].perp_frame[0]
+                assert not any(c.pairings[: c.q0]) and c.pairings[c.q0]
+                assert free == mu_free[: c.q0] + mu_free[c.q0 + 1:]
 
 
-def test_perp_solvers_of_the_full_corpus(full_corpus):
-    _assert_perp_solvers(full_corpus)
+def test_free_frames_of_the_full_corpus(full_corpus):
+    _assert_free_frames(full_corpus)
 
 
-def test_perp_solvers_of_sampled_cones():
-    _assert_perp_solvers([c for dim in (3, 4, 5, 6) for c in sample_cones(11, dim, 3)])
+def test_free_frames_of_sampled_cones():
+    _assert_free_frames([c for dim in (3, 4, 5, 6) for c in sample_cones(11, dim, 3)])
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_free_kernel_matches_gauss_jordan(rows):
+    """linalg.free_kernel on any integer rows, dependent or zero ones too."""
+    free, kernel = linalg.free_kernel(rows, 5)
+    assert tuple(tuple(Fraction(x, k[s]) for x in k) for s, k in zip(free, kernel)) == tuple(kernel_basis(rows, 5))
 
 
 @given(st.lists(st.tuples(st_small, st_small, st_small, st_small), min_size=1, max_size=3), st.lists(st_small, min_size=3, max_size=3))
@@ -301,78 +323,116 @@ def test_coordinate_solver_matches_back_substitution(basis, coeffs):
     assert lattice_coordinates(basis, [inside], 4) == (tuple(coeffs[: len(basis)]),)
 
 
-def _contraction(source, target, pairings):
-    """The Contraction from the lattice spanned by `source` onto the one
-    spanned by `target`, both in Z^n for n the source vectors' length."""
-    return Contraction(source, coordinate_solver(target, len(source[0])), pairings)
+def _free_block(pairings, k):
+    """The contraction by pairings / |pairings[q0]| from degree k of Q^p,
+    in ambient wedge coordinates: the oracle of normalised(Contraction)."""
+    p = len(pairings)
+    q0 = next(i for i, x in enumerate(pairings) if x)
+    units = tuple(tuple(int(i == j) for j in range(p)) for i in range(p))
+    # ker phi, restricting to the unit vectors of the coordinates but q0
+    kernel = tuple(tuple(Fraction(-pairings[j], pairings[q0]) if i == q0 else int(i == j) for i in range(p)) for j in range(p) if j != q0)
+    step = tuple(Fraction(x, abs(pairings[q0])) for x in pairings)
+    return [list(r) for r in ambient_contraction(AmbientBasis(units, k, p), AmbientBasis(kernel, k - 1, p), step)]
 
 
 class TestInteriorProduct:
+    """The free-coordinate blocks of linalg.Contraction, and the checks of
+    the lattice oracle (lattice_reference.LatticeContraction)."""
+
     def test_degree_one_contraction(self):
-        m = interior_product_matrix(_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 1)
+        m = interior_product_matrix(Contraction((1, 0)), 1)
         assert dense(m) == ((1, 0),)
         assert m.rows == (((0, 1),),)
+        assert dense(lattice_block(lattice_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 1)) == ((1, 0),)
 
     def test_zero_functional_raises(self):
         with pytest.raises(ValueError, match="functional is zero"):
-            _contraction(((1, 0), (0, 1)), ((0, 1),), (0, 0))
+            Contraction((0, 0))
+        with pytest.raises(ValueError, match="functional is zero"):
+            lattice_contraction(((1, 0), (0, 1)), ((0, 1),), (0, 0))
 
     def test_step_must_annihilate_target(self):
         with pytest.raises(ValueError, match="annihilate"):
-            _contraction(((1, 0), (0, 1)), ((1, 0),), (1, 0))
+            lattice_contraction(((1, 0), (0, 1)), ((1, 0),), (1, 0))
 
     def test_image_outside_target_raises(self):
         # source Q^3, target spanned by e3 only: the contraction by e1
         # hits e2 wedges, which are not multiples of e3, as the target's
         # rank is not one below the source's
         with pytest.raises(ValueError, match="one below"):
-            _contraction(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),), (1, 0, 0))
+            lattice_contraction(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),), (1, 0, 0))
 
     def test_source_degree_at_least_one(self):
         with pytest.raises(ValueError, match="at least 1"):
-            interior_product_matrix(_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 0)
+            interior_product_matrix(Contraction((1, 0)), 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            lattice_block(lattice_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 0)
 
     def test_one_pairing_per_source_vector(self):
         with pytest.raises(ValueError, match="one pairing per"):
-            _contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0, 0))
+            lattice_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0, 0))
 
     def test_double_contraction_vanishes(self):
-        # iota_a iota_b + iota_b iota_a = 0: the two paths through the
-        # diamond Q^3 > <e2, e3>, <e1, e3> > <e3> cancel, and neither is zero
-        v, u = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 1),)
+        # iota_a iota_b + iota_b iota_a = 0 in free coordinates: Q^3 loses
+        # column 0 and then 1, or 1 and then 0, on the way to Q^{2}; the
+        # two paths cancel, and neither is zero
         paths = []
-        for a, w in (((1, 0, 0), ((0, 1, 0), (0, 0, 1))), ((0, 1, 0), ((1, 0, 0), (0, 0, 1)))):
-            first = interior_product_matrix(_contraction(v, w, a), 2)
-            second = interior_product_matrix(_contraction(w, u, (1, 0)), 1)
+        for first_pairings in ((1, 0, 0), (0, 1, 0)):
+            first = interior_product_matrix(Contraction(first_pairings), 2)
+            second = interior_product_matrix(Contraction((1, 0)), 1)
             paths.append(dense(second.matmul(first)))
         assert paths == [((1, 0, 0),), ((-1, 0, 0),)]
 
+    def test_q0_is_dropped_from_the_target(self):
+        # phi = (0, 2, 3): q0 = 1, so the rows are the subsets of {0, 2};
+        # iota(e0 ^ e1) = -2 e0, iota(e0 ^ e2) = -3 e0, iota(e1 ^ e2) = 2 e2
+        # - 3 e1, whose e1 term is dropped
+        c = Contraction((0, 2, 3))
+        assert (c.q0, c.denominator) == (1, 2)
+        assert dense(interior_product_matrix(c, 2)) == ((-2, -3, 0), (0, 0, 2))
+        assert normalised(c, 2) == _free_block((0, 2, 3), 2)
+
     def test_pairings_without_a_unit(self):
-        # No pairing is +-1, so the projection is built from a Bezout
-        # combination: iota(e1 ^ e2) = 2 e2 - 3 e1 = -(3, -2), and twice that
-        # for the step (4, 6), whose pairings are not primitive.
+        # No pairing is +-1: the block is read as (2, 3) / 2, and (4, 6) is
+        # kept in lowest terms, so both give the same block.
+        for step in ((2, 3), (4, 6), (-4, -6)):
+            c = Contraction(step)
+            assert c.pairings == tuple(x // math.gcd(*step) for x in step) and c.denominator == 2
+            assert normalised(c, 2) == _free_block(step, 2) == [[Fraction(step[0] // abs(step[0]))]]
+        # The lattice oracle builds the projection from a Bezout combination:
+        # iota(e1 ^ e2) = 2 e2 - 3 e1 = -(3, -2), and twice that for (4, 6).
         src, tgt = ((1, 0), (0, 1)), ((3, -2),)
-        assert dense(interior_product_matrix(_contraction(src, tgt, (2, 3)), 2)) == ((-1,),)
-        assert dense(interior_product_matrix(_contraction(src, tgt, (4, 6)), 2)) == ((-2,),)
+        assert dense(lattice_block(lattice_contraction(src, tgt, (2, 3)), 2)) == ((-1,),)
+        assert dense(lattice_block(lattice_contraction(src, tgt, (4, 6)), 2)) == ((-2,),)
         for step in ((2, 3), (4, 6)):
             _assert_same_block(AmbientBasis(src, 2, 2), AmbientBasis(tgt, 1, 2), step)
         src, tgt = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((3, -2, 0), (0, 0, 1))
         for step in ((2, 3, 0), (-4, -6, 0)):
             _assert_same_block(AmbientBasis(src, 2, 3), AmbientBasis(tgt, 1, 3), step)
 
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_free_contraction(self, pairings, data):
+        # Any nonzero functional on Q^p, at any source degree, against the
+        # ambient contraction onto its kernel in the coordinates but q0.
+        if not any(pairings):
+            return
+        k = data.draw(st.integers(1, len(pairings)))
+        assert normalised(Contraction(pairings), k) == _free_block(pairings, k)
+
     @given(st.lists(st.tuples(st_small, st_small, st_small, st_small), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_random_chain_contraction(self, u):
-        # Random 3-dim subspace of Q^4 and a step vector annihilating a
-        # 2-dim subspace of it: the column blocks must match the
-        # alternating-sum definition by hand.
+        # The lattice oracle on a random 3-dim subspace of Q^4 and a step
+        # vector annihilating a 2-dim subspace of it: the column blocks must
+        # match the alternating-sum definition by hand.
         if dense_matrix(u).rank() != 3:
             return
-        kern, _ = integer_kernel_basis(u[1:], 4)
+        kern = integer_kernel_basis(u[1:], 4)
         step = next((v for v in kern if sum(a * b for a, b in zip(v, u[0]))), None)
         if step is None:
             return
-        a = dense(interior_product_matrix(_contraction(tuple(u), tuple(u[1:]), [dot(v, step) for v in u]), 2))
+        a = dense(lattice_block(lattice_contraction(tuple(u), tuple(u[1:]), [dot(v, step) for v in u]), 2))
         # hand expansion: image of u0 ^ u1 is <u0, step> u1, of u0 ^ u2 is
         # <u0, step> u2, of u1 ^ u2 is zero (step annihilates both factors)
         pairing = sum(x * y for x, y in zip(u[0], step))
@@ -419,13 +479,14 @@ class TestLatticeCoordinates:
 
 
 def test_unsaturated_target_raises():
-    # <2 e2> has index 2 in <e1, e2>: the projection is not integral
+    # <2 e2> has index 2 in <e1, e2>: the lattice oracle's projection is
+    # not integral
     with pytest.raises(ValueError, match="saturated"):
-        _contraction(((1, 0), (0, 1)), ((0, 2),), (1, 0))
+        lattice_contraction(((1, 0), (0, 1)), ((0, 2),), (1, 0))
 
 
 def _assert_same_block(src, tgt, step):
-    """The integer kernel, given the pairings of the step with the source
+    """The lattice oracle, given the pairings of the step with the source
     basis, and the ambient reference, given the step, agree entry for entry,
     or raise the same ValueError."""
     pairings = [dot(v, step) for v in src.vectors]
@@ -433,41 +494,32 @@ def _assert_same_block(src, tgt, step):
         expected = ambient_interior_product_matrix(src, tgt, step)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            interior_product_matrix(_contraction(src.vectors, tgt.vectors, pairings), src.degree)
+            lattice_block(lattice_contraction(src.vectors, tgt.vectors, pairings), src.degree)
         return
-    got = interior_product_matrix(_contraction(src.vectors, tgt.vectors, pairings), src.degree)
+    got = lattice_block(lattice_contraction(src.vectors, tgt.vectors, pairings), src.degree)
     assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
     assert got.rows == expected.rows
     assert all(type(x) is int for row in got.rows for _, x in row)
 
 
 def test_blocks_match_ambient_reference(full_corpus):
-    """Every block of every differential the complexes assemble, one per
-    cover pair and wedge degree, equals the ambient reference built from the
-    pair's step vector, and no entry lies outside the blocks."""
+    """Every block of every cover pair at every source degree, divided by
+    its denominator, equals the ambient contraction from the free basis of
+    perp(mu) to that of perp(tau) (kernel vectors over D) by the lattice
+    step scaled to pair to +-1 with the free basis vector at q0: the
+    volume-normalised step."""
     for cone in full_corpus:
         fl = cone.face_lattice()
         n = cone.rank
-        for l in range(n + 1):
-            cx = ishida_complex(cone, l)
-            for s, d in enumerate(cx.differentials):
-                assert all(type(x) is int for row in d.rows for _, x in row)
-                full = dense(d)
-                cw, rw = math.comb(n - s, l - s), math.comb(n - s - 1, l - s - 1)
-                in_blocks = 0
-                for i, tid in enumerate(cx.term_faces[s + 1]):
-                    for mid in fl.children[tid]:
-                        j = cx.term_faces[s].index(mid)
-                        mu, tau = fl.faces[mid], fl.faces[tid]
-                        want = ambient_interior_product_matrix(
-                            AmbientBasis(mu.perp_lattice, l - s, n),
-                            AmbientBasis(tau.perp_lattice, l - s - 1, n),
-                            normal_step_vector(mu, tau),
-                        )
-                        got = tuple(row[j * cw:(j + 1) * cw] for row in full[i * rw:(i + 1) * rw])
-                        assert got == dense(want), (cone, mu.rays, tau.rays, l)
-                        in_blocks += sum(1 for row in got for x in row if x)
-                assert in_blocks == sum(map(len, d.rows))
+        for tid, ids in enumerate(fl.children):
+            tau = fl.faces[tid]
+            for mid, c in zip(ids, contractions(cone, tid)):
+                mu = fl.faces[mid]
+                src, tgt, u = free_basis(mu), free_basis(tau), normal_step_vector(mu, tau)
+                step = tuple(Fraction(x, abs(dot(src[c.q0], u))) for x in u)
+                for k in range(1, len(src) + 1):
+                    want = ambient_contraction(AmbientBasis(src, k, n), AmbientBasis(tgt, k - 1, n), step)
+                    assert normalised(c, k) == [list(r) for r in want], (cone, mu.rays, tau.rays, k)
 
 
 def _unimodular(n, ops):
