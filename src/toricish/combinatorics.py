@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import FaceLattice, ids_of
+from .cones import FaceLattice
 
 
 def h_vector(f: Sequence[int]) -> tuple[int, ...]:
@@ -74,38 +74,45 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
 
     The faces are walked upwards in lattice order, so every g below a face
     is known when the face is reached.  A simplicial face (the apex
-    included) is over a simplex, whose g is 1.  For any other face the g
-    of the proper faces below it, its down-set (FaceLattice.down_sets,
-    built when such a face is first reached), are summed per dimension, and
-    each sum is multiplied once by (t-1)^k, read off a table of signed
-    binomials built once per call.
+    included) is over a simplex, whose g is 1.  The faces walked so far
+    are kept as one bitmask per class (dim, g).  For any other face, the g
+    below it are summed per dimension d as the sum over the classes (d, g)
+    of g times the popcount of the class within its down-set
+    (FaceLattice.down_sets, built when such a face is first reached).  Each
+    sum is multiplied once by (t-1)^k, read off a table of signed binomials
+    built once per call.
     """
     n = fl.rank
     t_minus_one = [[(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)] for k in range(n)]
     below = None
-    g: dict[int, list[int]] = {}
+    # (dim, g) -> the ids of the faces walked so far with that dim and g
+    classes: dict[tuple[int, tuple[int, ...]], int] = {}
     for face in fl.faces:
         if len(face.rays) == face.dim:
-            g[face.index] = [1]
-            continue
-        below = below or fl.down_sets()
-        # a d-face's g has at most d + 1 coefficients, so each product below
-        # has at most face.dim
-        sums = [[0] * (d + 1) for d in range(face.dim)]
-        for other in ids_of(below[face.index]):
-            total = sums[fl.faces[other].dim]
-            for i, x in enumerate(g[other]):
-                total[i] += x
-        h = [0] * face.dim
-        for d, total in enumerate(sums):
-            for i, x in enumerate(_poly_mul(total, t_minus_one[face.dim - d - 1])):
-                h[i] += x
-        half = (face.dim - 1) // 2
-        coeffs = [h[0]] + [h[i] - h[i - 1] for i in range(1, half + 1)]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        g[face.index] = coeffs
-    return ICStalkPoly(tuple(g[fl.top.index]))
+            g = (1,)
+        else:
+            below = below or fl.down_sets()
+            down = below[face.index]
+            # a d-face's g has at most d + 1 coefficients, so each product
+            # below has at most face.dim
+            sums = [[0] * (d + 1) for d in range(face.dim)]
+            for (d, gamma), members in classes.items():
+                count = (down & members).bit_count()  # 0 unless d < face.dim
+                if count:
+                    total = sums[d]
+                    for i, x in enumerate(gamma):
+                        total[i] += count * x
+            h = [0] * face.dim
+            for d, total in enumerate(sums):
+                for i, x in enumerate(_poly_mul(total, t_minus_one[face.dim - d - 1])):
+                    h[i] += x
+            half = (face.dim - 1) // 2
+            coeffs = [h[0]] + [h[i] - h[i - 1] for i in range(1, half + 1)]
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            g = tuple(coeffs)
+        classes[face.dim, g] = classes.get((face.dim, g), 0) | 1 << face.index
+    return ICStalkPoly(g)  # the top face comes last
 
 
 def hodge_deligne_coefficients(f: Sequence[int]) -> tuple[int, ...]:

@@ -308,21 +308,21 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
     in, and _maximal_intersections walks whichever side of the incidence is
     smaller: down from the top face over the facets' ray sets, giving each
     face its facets, or up from the apex over the rays' facet sets, giving
-    each face the faces it is a facet of.  One level is one dimension.  A
-    facet set is then mapped back to the rays lying on all its facets, and
-    faces are indexed by (dim, sorted rays).
+    each face the faces it is a facet of.  One level is one dimension.  On
+    the ray side, the walk collects each facet set's rays, those lying on
+    all its facets, as the sets that contain it.  Faces are indexed by
+    (dim, sorted rays).
     """
     facet_masks = [mask_of(i for i, r in enumerate(cone.rays) if dot(h, r) == 0) for h in cone.facet_normals]
     if len(facet_masks) <= len(cone.rays):
         found = _maximal_intersections((1 << len(cone.rays)) - 1, facet_masks)
-        dims = {m: cone.rank - level for m, (level, _) in found.items()}
-        covers = [(m, t) for m, (_, kept) in found.items() for t in kept]
+        dims = {m: cone.rank - level for m, (level, _, _) in found.items()}
+        covers = [(m, t) for m, (_, kept, _) in found.items() for t in kept]
     else:
         ray_masks = [mask_of(j for j, f in enumerate(facet_masks) if f >> i & 1) for i in range(len(cone.rays))]
         found = _maximal_intersections((1 << len(facet_masks)) - 1, ray_masks)
-        rays_of = {m: mask_of(i for i, r in enumerate(ray_masks) if m & ~r == 0) for m in found}
-        dims = {rays_of[m]: level for m, (level, _) in found.items()}
-        covers = [(rays_of[t], rays_of[m]) for m, (_, kept) in found.items() for t in kept]
+        dims = {held: level for level, _, held in found.values()}
+        covers = [(found[t][2], held) for _, kept, held in found.values() for t in kept]
 
     order = sorted((d, tuple(ids_of(m)), m) for m, d in dims.items())
     faces = tuple(
@@ -346,22 +346,34 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
 MAX_FACES = 2**15
 
 
-def _maximal_intersections(start: int, sets: list[int]) -> dict[int, tuple[int, list[int]]]:
-    """Level by level from `start`: each mask T reached maps to its level
-    and the maximal masks among T & S other than T, S running over `sets`,
-    which make up the next level.  Candidates are tested largest first, so
-    each is checked only against the maximal masks already kept.  Raises
-    ValueError once more than MAX_FACES masks, one level each, are reached."""
+def _maximal_intersections(start: int, sets: list[int]) -> dict[int, tuple[int, list[int], int]]:
+    """Level by level from `start`: each mask T reached maps to its level,
+    the maximal masks among T & S other than T, S running over `sets`,
+    which make up the next level, and the indices of the sets that contain
+    T, as a mask, collected in the same scan.  Candidates are tested largest
+    first, so each is checked only against the maximal masks already kept.
+    Raises ValueError once more than MAX_FACES masks, one level each, are
+    reached."""
     found = {}
     level, depth = [start], 0
     while level:
         below, room = set(), MAX_FACES - len(found) - len(level)
         for t in level:
+            held, cands = 0, set()
+            for j, s in enumerate(sets):
+                c = t & s
+                if c == t:
+                    held |= 1 << j
+                else:
+                    cands.add(c)
             kept = []
-            for cand in sorted({t & s for s in sets} - {t}, key=int.bit_count, reverse=True):
-                if not any(cand & ~k == 0 for k in kept):
+            for cand in sorted(cands, key=int.bit_count, reverse=True):
+                for k in kept:
+                    if cand & ~k == 0:
+                        break
+                else:
                     kept.append(cand)
-            found[t] = (depth, kept)
+            found[t] = (depth, kept, held)
             below.update(kept)
             if len(below) > room:
                 raise ValueError(f"the face lattice has more than MAX_FACES = {MAX_FACES} faces")

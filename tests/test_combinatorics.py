@@ -3,7 +3,7 @@ import math
 import pytest
 
 from face_reference import degree_zero_cohomology
-from paper_reference import euler_h1_prediction, hodge_deligne_from_table
+from paper_reference import dual, euler_h1_prediction, hodge_deligne_from_table
 from shelling_reference import reference_g_polynomial
 from toricish.combinatorics import (
     ICStalkPoly,
@@ -107,9 +107,12 @@ class TestGPolynomial:
             assert g[0] == 1
             assert 2 * (len(g) - 1) < max(cone.rank, 1)
 
-    def test_matches_reference(self, full_corpus):
-        """The down-set walk agrees with the all-faces reference recursion."""
+    def test_matches_reference(self, full_corpus, simple_class_corpus, simplicial_class_corpus):
+        """The per-class sums agree with the all-faces reference recursion,
+        also on cones over simple and over simplicial polytopes and on the
+        duals of the full corpus."""
         cones = full_corpus + [c for dim in (3, 4, 5) for c in sample_cones(7, dim, 4)]
+        cones += simple_class_corpus + simplicial_class_corpus + [dual(c) for c in full_corpus]
         for cone in cones:
             fl = cone.face_lattice()
             assert g_polynomial(fl).coefficients == reference_g_polynomial(fl), cone

@@ -7,9 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from paper_reference import cross_vertices, cube_vertices, dual, simplex_product_vertices
-from shelling_reference import reference_certify, reference_shelling
+from shelling_reference import _find_shelling as reference_find_shelling, reference_certify, reference_shelling
 from toricish.cli import cli
-from toricish.cones import Cone, cone_over_polytope
+from toricish.cones import Cone, cone_over_polytope, mask_of
 from toricish.sampling import sample_cones
 from toricish.shelling import is_shelling, shelling
 
@@ -142,15 +142,42 @@ def test_is_shelling_matches_reference_on_permuted_orders(named_corpus):
     assert verdicts == {True, False}
 
 
-def test_search_step_budget(octahedron_cone, monkeypatch, tmp_path):
+def test_search_step_budget(cube_cone, monkeypatch, tmp_path):
+    """The facets of the cone over the 3-cube are squares, which take
+    search steps; a triangle, a simplex, would take none."""
     monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", 1)
     with pytest.raises(RuntimeError, match="shelling search exceeded 1 steps"):
-        shelling(octahedron_cone)
-    path = tmp_path / "octahedron.json"
-    path.write_text(json.dumps({"lattice_rank": 4, "rays": [list(r) for r in octahedron_cone.rays]}))
+        shelling(cube_cone)
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"lattice_rank": 4, "rays": [list(r) for r in cube_cone.rays]}))
     res = CliRunner().invoke(cli, ["shelling", str(path)], catch_exceptions=False)
     assert res.exit_code == 3
     assert "shelling search exceeded" in res.output
+
+
+def test_simplex_rule_matches_reference(full_corpus):
+    """On a simplex, _find_shelling answers without a search: the prefix
+    facets in index order, then the rest in index order, drawing no step.
+    For every simplicial face of dimension 3 to 6 in the corpus and every
+    set of its facets as the prefix, that is what the reference search
+    returns."""
+    module = shelling_module()
+    checked = 0
+    for cone in full_corpus:
+        fl = cone.face_lattice()
+        up = [mask_of(ids) for ids in fl.parents]
+        for face in fl.faces:
+            if not (3 <= face.dim <= 6 and len(face.rays) == face.dim):
+                continue
+            facets = fl.children[face.index]
+            for size in range(len(facets) + 1):
+                for prefix in itertools.combinations(facets, size):
+                    steps = itertools.count()
+                    got = module._find_shelling(fl, up, face, mask_of(prefix), {}, steps)
+                    assert got == reference_find_shelling(fl, face, frozenset(prefix), {}), (cone, face, prefix)
+                    assert next(steps) == 0
+                    checked += 1
+    assert checked > 1000
 
 
 def test_disconnected_prefix_fails_within_the_step_budget(monkeypatch):
@@ -181,17 +208,20 @@ def test_disconnected_prefix_fails_within_the_step_budget(monkeypatch):
 
 @pytest.mark.parametrize(
     "vertices, steps",
-    [(cross_vertices(6), 7_648), (cube_vertices(6), 7_096), (simplex_product_vertices((2, 2, 2)), 3_247)],
+    [(cross_vertices(6), 0), (cube_vertices(6), 6_176), (simplex_product_vertices((2, 2, 2)), 2_700)],
     ids=["cross6", "cube6", "simplex2-cubed"],
 )
 def test_search_step_counts_are_pinned(vertices, steps, monkeypatch):
     """The one certification shelling() makes on each of these rank-7 cones
     takes exactly this many extension steps, the counts that the comment on
     MAX_SEARCH_STEPS quotes: that budget passes and one step less raises.
-    A search that reorders its candidates or does more work fails here."""
+    Every facet of the cone over the cross-polytope is a simplex, which
+    takes no step, so it passes with no budget at all.  A search that
+    reorders its candidates or does more work fails here."""
     cone = cone_over_polytope(vertices)
     monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps)
     assert is_shelling(cone, shelling(cone).order)
-    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps - 1)
-    with pytest.raises(RuntimeError, match=f"exceeded {steps - 1} steps"):
-        shelling(cone)
+    if steps:
+        monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps - 1)
+        with pytest.raises(RuntimeError, match=f"exceeded {steps - 1} steps"):
+            shelling(cone)
