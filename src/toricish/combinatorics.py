@@ -77,22 +77,24 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     included) is over a simplex, whose g is 1.  The faces walked so far
     are kept as one bitmask per class (dim, g).  For any other face, the g
     below it are summed per dimension d as the sum over the classes (d, g)
-    of g times the popcount of the class within its down-set
-    (FaceLattice.down_sets, built when such a face is first reached).  Each
+    of g times the popcount of the class within its down-set, read off
+    FaceLattice.walk_down_sets, which starts at the first such face.  Each
     sum is multiplied once by (t-1)^k, read off a table of signed binomials
     built once per call.
     """
     n = fl.rank
     t_minus_one = [[(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)] for k in range(n)]
-    below = None
+    walk = None
     # (dim, g) -> the ids of the faces walked so far with that dim and g
     classes: dict[tuple[int, tuple[int, ...]], int] = {}
     for face in fl.faces:
         if len(face.rays) == face.dim:
             g = (1,)
         else:
-            below = below or fl.down_sets()
-            down = below[face.index]
+            walk = walk or fl.walk_down_sets()
+            for fid, down in walk:
+                if fid == face.index:
+                    break
             # a d-face's g has at most d + 1 coefficients, so each product
             # below has at most face.dim
             sums = [[0] * (d + 1) for d in range(face.dim)]

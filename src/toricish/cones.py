@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import dot, free_kernel, primitive_vector
 
@@ -282,16 +282,25 @@ class FaceLattice:
             return self.faces[self.by_mask[mask_of(ids)]]
         raise ValueError(f"no face with ray set {ids}")
 
+    def walk_down_sets(self) -> Iterator[tuple[int, int]]:
+        """(face id, the ids of the faces strictly below it as a bitmask) in
+        index order: the union of its children and their down-sets.  The
+        children of a face, one dimension lower, come first, and a face's
+        mask is dropped once its last parent has read it."""
+        masks, parents = [0] * len(self.faces), self.parents
+        for fid, ids in enumerate(self.children):
+            down = 0
+            for c in ids:
+                down |= masks[c] | 1 << c
+                if parents[c][-1] == fid:
+                    masks[c] = 0
+            masks[fid] = down
+            yield fid, down
+
     def down_sets(self) -> tuple[int, ...]:
-        """Per face id, the ids of the faces strictly below it as a bitmask:
-        the union of its children and their down-sets, computed on first
-        use.  Faces are walked in index order, so the children of a face,
-        one dimension lower, come first."""
+        """walk_down_sets' masks per face id, collected on first use."""
         if self._down_sets is None:
-            out: list[int] = []
-            for ids in self.children:
-                out.append(functools.reduce(int.__or__, (out[c] | 1 << c for c in ids), 0))
-            self._down_sets = tuple(out)
+            self._down_sets = tuple(down for _, down in self.walk_down_sets())
         return self._down_sets
 
     def quotient_is_simplicial(self, face: Face) -> bool:

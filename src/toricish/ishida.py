@@ -34,13 +34,16 @@ coordinates (cones.Face.perp_frame), which need no lattice basis:
   turns the lattice complex into this one, over any set of faces.
 
 Each cover pair has one linalg.Contraction, built on mu's frame and one ray
-(contractions), which every wedge degree shares and which keeps its blocks.
-A block is a_s, an integer matrix, divided by |a_q0|: every complex is
-assembled the same way (_assemble), over a set of faces, from those blocks,
-as sparse rows with the columns re-indexed, each differential multiplied by
-one integer, the lcm of its pairs' denominators.  That keeps its rank and
-keeps d^2 = 0; a scale per pair or per row would not keep the latter.  Each
-complex is ranked modulo a prime certified for its own differentials.  The
+(contractions), which every wedge degree shares.  A block is a_s, an integer
+matrix, divided by |a_q0|.  _face_rows stores each pair's block once per
+degree, times L_tau / |a_q0|, L_tau the lcm of tau's pairs' denominators,
+with columns labelled by mu's place among all faces of its dimension
+(slot-wide).  Every complex is assembled (_assemble), over a set of faces,
+by concatenating each face's kept stored rows: tau's are L_tau times the
+normalised ones, which keeps the rank.  d^2 = 0 is checked as
+D^(s+1) diag(L / L_tau) D^s = 0, L the slot's lcm: in the rows of nu that
+is L L_nu N^(s+1) N^s, N the normalised blocks.  Each complex is ranked
+modulo a prime certified for its own differentials.  The
 whole complex (ishida_complex) takes every face; the faces containing a face
 mu form an up-set, so their blocks form a subcomplex (link_complex); the
 faces of a face F form a down-set, so theirs form a quotient complex
@@ -53,8 +56,8 @@ orbit.  The cohomology of every face class at every degree is assembled from
 it once, in ext_table, which graded_class_cohomology and the checks read.
 
 All functions are pure.  The cone's memo dict holds the memoized results
-(cones.memoized) and nothing else, the contractions included; complexes
-are built, ranked and dropped, never memoized.
+(cones.memoized) and nothing else, the contractions and stored rows
+included; complexes are built, ranked and dropped, never memoized.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import math
 from dataclasses import dataclass
 
 from .cones import Cone, Face, is_simple_in_dim, memoized
-from .linalg import Contraction, RatMatrix, dot
+from .linalg import Contraction, RatMatrix, dot, interior_product_matrix
 from .symmetry import face_orbits
 
 
@@ -75,16 +78,24 @@ class IshidaComplex:
 
     term_faces[s] lists the face ids of dimension dim(mu) + s, whose blocks
     are wedge powers of degree l - dim(mu) - s; differentials[s] maps slot s
-    to slot s+1, with term_dims[s] columns.
+    to slot s+1, with term_dims[s] columns labelled slot-wide, and the rows
+    of its j-th face are scales[s][j] times the normalised blocks.
     """
 
     degree: int
     term_faces: tuple[tuple[int, ...], ...]
     term_dims: tuple[int, ...]
     differentials: tuple[RatMatrix, ...]
+    scales: tuple[tuple[int, ...], ...]
 
     def d_squared_is_zero(self) -> bool:
-        for a, b in zip(self.differentials, self.differentials[1:]):
+        """d^(s+1) diag(L / L_tau) d^s = 0 for every s (module docstring);
+        column labels must be row positions, as over every face."""
+        for a, b, scales in zip(self.differentials, self.differentials[1:], self.scales):
+            if len(set(scales)) > 1:
+                lcm, w = math.lcm(*scales), a.nrows // len(scales)
+                rows = (tuple((j, lcm // scales[i // w] * x) for j, x in row) for i, row in enumerate(a.rows))
+                a = RatMatrix.from_sparse(tuple(rows), a.ncols)
             if not b.matmul(a).is_zero():
                 return False
         return True
@@ -106,35 +117,45 @@ def contractions(cone: Cone, tid: int) -> tuple[Contraction, ...]:
     return tuple(out)
 
 
+@memoized
+def _face_rows(cone: Cone, tid: int, degree: int) -> tuple[int, tuple]:
+    """(L_tau, pairs) for the face tau of id tid at wedge degree `degree`:
+    per child mu, in children order, (mu's id, the rows of its block times
+    L_tau / denominator, labelled from pos(mu) C(n - dim mu, k) on), pos(mu)
+    the place of mu in by_dim."""
+    fl = cone.face_lattice()
+    cs = contractions(cone, tid)
+    scale, d = math.lcm(*(c.denominator for c in cs)), fl.faces[tid].dim - 1
+    # faces are indexed by dimension first, so by_dim[d] is a range
+    first, width = fl.by_dim[d][0], math.comb(cone.rank - d, degree - d)
+    return scale, tuple(
+        (mid, interior_product_matrix(c, degree - d, (mid - first) * width, scale // c.denominator).rows)
+        for mid, c in zip(fl.children[tid], cs)
+    )
+
+
 def _assemble(cone: Cone, degree: int, term_faces) -> IshidaComplex:
     """The complex at wedge degree `degree` over the faces term_faces[s] of
     dimension d + s, d that of term_faces[0][0], each slot's faces in index
-    order: per face tau, the blocks of its cover pairs mu < tau with mu in
-    the slot below, offset to mu's place there, each differential times the
-    lcm of its pairs' denominators."""
+    order: per face tau, the stored rows (_face_rows) of its pairs mu < tau
+    with mu in the slot below.  From the apex up (d = 0) the faces form a
+    down-set, the whole cone's or a face's, which keeps every pair."""
     fl = cone.face_lattice()
     lo = fl.faces[term_faces[0][0]].dim
-    widths = [math.comb(cone.rank - d, degree - d) for d in range(lo, lo + len(term_faces))]
-    term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
-    diffs = []
+    term_dims = tuple(len(ids) * math.comb(cone.rank - d, degree - d) for d, ids in enumerate(term_faces, lo))
+    diffs, scales = [], []
     for s in range(len(term_faces) - 1):
-        offset = {fid: j * widths[s] for j, fid in enumerate(term_faces[s])}
-        # Children come in index order, so every row stays sorted.
-        pairs = [
-            [(offset[mid], c) for mid, c in zip(fl.children[tid], contractions(cone, tid)) if mid in offset]
-            for tid in term_faces[s + 1]
-        ]
-        scale = math.lcm(*(c.denominator for ps in pairs for _, c in ps))
-        rows = []
-        for ps in pairs:
-            block_rows = [[] for _ in range(widths[s + 1])]
-            for c0, c in ps:
-                f = scale // c.denominator
-                for row, brow in zip(block_rows, c.block(degree - lo - s).rows, strict=True):
-                    row.extend([(c0 + j, x) for j, x in brow] if f == 1 else [(c0 + j, f * x) for j, x in brow])
-            rows.extend(map(tuple, block_rows))
+        below = set(term_faces[s]) if lo else None
+        rows, slot_scales = [], []
+        for tid in term_faces[s + 1]:
+            scale, pairs = _face_rows(cone, tid, degree)
+            slot_scales.append(scale)
+            blocks = [r for _, r in pairs] if below is None else [r for mid, r in pairs if mid in below]
+            # Children come in index order, so every row stays sorted.
+            rows += blocks[0] if len(blocks) == 1 else [sum(parts, ()) for parts in zip(*blocks)]
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
-    return IshidaComplex(degree, term_faces, term_dims, tuple(diffs))
+        scales.append(tuple(slot_scales))
+    return IshidaComplex(degree, term_faces, term_dims, tuple(diffs), tuple(scales))
 
 
 def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:
@@ -372,9 +393,12 @@ def link_complex(cone: Cone, mu: Face, degree: int) -> IshidaComplex:
     faces of dimension `degree`."""
     if not mu.dim <= degree <= cone.rank:
         raise ValueError("degree out of range for the face")
-    fl = cone.face_lattice()
-    term_faces = tuple(tuple(i for i in fl.by_dim[d] if mu.mask & ~fl.faces[i].mask == 0) for d in range(mu.dim, degree + 1))
-    return _assemble(cone, degree, term_faces)
+    parents = cone.face_lattice().parents
+    # the faces containing mu one dimension up are their slot's parents
+    term_faces = [(mu.index,)]
+    for _ in range(mu.dim, degree):
+        term_faces.append(tuple(sorted({p for f in term_faces[-1] for p in parents[f]})))
+    return _assemble(cone, degree, tuple(term_faces))
 
 
 def class_complex(cone: Cone, face: Face, degree: int) -> IshidaComplex:

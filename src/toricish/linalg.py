@@ -11,21 +11,20 @@ cheap in that frame (the proofs are in ishida): contraction by the step of a
 cover pair mu < tau maps wedge^k perp(mu) into wedge^(k-1) perp(tau); the
 pivots of mu are pivots of tau, so free(tau) is free(mu) without one column
 q0; and normalising the contraction to phi(e_q0) = +-1 differs from the
-lattice step by a coboundary.  So a Contraction is only its pairings, q0 and
-the blocks it keeps, and each block (interior_product_matrix) is the
-interior product by the pairings onto the target subsets that avoid q0,
-written as integer sparse rows, with no lattice basis, solver or wedge power
-of a change of basis.  A block's entries stand for themselves divided by
-the denominator |phi(e_q0)|; the complexes scale each differential by one
-integer that clears the denominators of its blocks.  Matrices are stored as sparse rows throughout
+lattice step by a coboundary.  So a Contraction is only its pairings and
+q0, and each block (interior_product_matrix) is the interior product by the
+pairings onto the target subsets that avoid q0, written as integer sparse
+rows, with no lattice basis, solver or wedge power of a change of basis.  A
+block's entries stand for themselves divided by the denominator
+|phi(e_q0)|; a complex scales each face's blocks by one integer that clears
+their denominators.  Matrices are stored as sparse rows throughout
 (RatMatrix); ranks are eliminated modulo a Mersenne prime that a Hadamard
 bound of the matrix's own rows proves large enough to give the rank over Q
 (RatMatrix.rank).  Input is integer only: primitive_vector rejects any
 other entry, as cli.load_cone_file does for a cone file, so no rational
 ever enters.  coordinate_solver, on a column-Hermite reduction, gives
 coordinates in a lattice basis (symmetry.py).
-All functions are pure and all returned objects immutable, apart from the
-blocks a Contraction builds on demand.
+All functions are pure and all returned objects immutable.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _certified_prime(rows: list[dict[int, int]]) -> int:
     all squared row norms or, if that is too big, the smaller product of the
     k largest squared row or column norms, k = min(#rows, #nonzero columns).
     """
-    norms = [sum(x * x for x in r.values()) for r in rows]
+    norms = [sum(map(operator.mul, r.values(), r.values())) for r in rows]
     bound = math.prod(norms)
     if bound >= ((1 << MERSENNE_EXPONENTS[0]) - 1) ** 2:
         cols: dict[int, int] = {}
@@ -123,13 +122,14 @@ class RatMatrix:
 
     `rows` holds, per row, a tuple of (column, value) pairs in increasing
     column order, with no zero integer value.  from_sparse, the only
-    constructor, takes rows already in that form and trusts them.
+    constructor, takes rows already in that form and trusts them.  A
+    complex's differential labels its columns slot-wide (ishida), so a
+    label may exceed ncols; rank reads only which labels occur.
 
     rank() is the rank over Q: sparse elimination of the integer rows, each
     divided by the gcd of its entries, modulo a Mersenne prime p
     (_rank_mod).  Dividing a row by a nonzero scalar keeps the rank; it
-    undoes the common factor that one scale per differential puts into the
-    rows of a face whose pairs have small denominators (ishida._assemble).
+    undoes what a face's scale puts into its rows (ishida._face_rows).
     The rank modulo p never exceeds the rank over Q, and equals it when p
     lies above a Hadamard bound of every minor of the rows eliminated
     (_certified_prime), as no nonzero minor then vanishes mod p.  Each
@@ -160,11 +160,11 @@ class RatMatrix:
         return RatMatrix.from_sparse(tuple(out), other.ncols)
 
     def rank(self) -> int:
-        rows = []
-        for r in self.rows:
-            if r:
-                g = math.gcd(*(x for _, x in r))
-                rows.append(dict(r) if g == 1 else {j: x // g for j, x in r})
+        rows = [dict(r) for r in self.rows if r]
+        for d in rows:
+            if (g := math.gcd(*d.values())) != 1:
+                for j in d:
+                    d[j] //= g
         return _rank_mod(rows, _certified_prime(rows)) if rows else 0
 
     def __repr__(self):
@@ -289,8 +289,7 @@ class Contraction:
     coordinate where phi is nonzero; dropping it maps W isomorphically onto
     Q^(p-1), since e_q0 lies outside W.  denominator is |phi(e_q0)|: the
     block divided by it is the contraction by phi normalised to phi(e_q0) =
-    +-1.  `blocks` holds the matrix from each source degree k, built on
-    first use (block).
+    +-1.
 
     In the complexes, Q^p is perp(mu) and Q^(p-1) is perp(tau) for a cover
     pair mu < tau, each identified with Q^free by restriction to its free
@@ -299,7 +298,7 @@ class Contraction:
     of tau (see ishida).
     """
 
-    __slots__ = ("pairings", "q0", "denominator", "blocks")
+    __slots__ = ("pairings", "q0", "denominator")
 
     def __init__(self, pairings: Sequence[int]):
         g = math.gcd(*pairings)
@@ -308,16 +307,9 @@ class Contraction:
         self.pairings = tuple(x // g for x in pairings)
         self.q0 = next(i for i, x in enumerate(self.pairings) if x)
         self.denominator = abs(self.pairings[self.q0])
-        self.blocks = {}
-
-    def block(self, k: int) -> "RatMatrix":
-        """interior_product_matrix(self, k), built on first use and kept."""
-        if k not in self.blocks:
-            self.blocks[k] = interior_product_matrix(self, k)
-        return self.blocks[k]
 
 
-def interior_product_matrix(contraction: Contraction, k: int) -> RatMatrix:
+def interior_product_matrix(contraction: Contraction, k: int, offset: int, factor: int) -> RatMatrix:
     """Matrix of the contraction by phi from wedge degree k >= 1 of Q^p to
     degree k - 1 of its kernel W, written in Q^(p-1) by dropping q0, as an
     integer matrix in sparse rows, times the denominator.  Its C(p, k)
@@ -328,13 +320,16 @@ def interior_product_matrix(contraction: Contraction, k: int) -> RatMatrix:
     The contraction sends e_S to sum_pos (-1)^pos phi(e_S[pos]) e_(S minus
     S[pos]), which lies in wedge^(k-1) W; dropping q0 keeps the terms whose
     subset avoids q0, and is injective on wedge^(k-1) W.  So row T holds
-    +-pairings[x] at the column of T + {x}, for each x not in T.
+    +-pairings[x] at the column of T + {x}, for each x not in T.  Labels
+    are shifted by offset and entries multiplied by factor; nrows and ncols
+    stay the block's.
     """
     if k < 1:
         raise ValueError("contraction needs a source degree of at least 1")
     a = contraction.pairings
+    b = a if factor == 1 else [factor * x for x in a]
     rows = tuple(
-        tuple((col, sign * a[x]) for x, sign, col in terms if a[x])
+        tuple([(offset + col, sign * b[x]) for x, sign, col in terms if b[x]])
         for terms in _contraction_terms(len(a), k, contraction.q0)
     )
     return RatMatrix.from_sparse(rows, math.comb(len(a), k))

@@ -274,18 +274,33 @@ def dense_matrix(rows: Sequence[Sequence[int]], ncols: int | None = None) -> Rat
     return RatMatrix.from_sparse(tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in rows), ncols)
 
 
-def dense(m: RatMatrix) -> tuple[tuple, ...]:
-    """The sparse rows of m written out in full."""
+def dense(m: RatMatrix, ncols: int | None = None) -> tuple[tuple, ...]:
+    """The sparse rows of m written out in full, ncols (m.ncols by default)
+    entries each."""
     out = []
     for row in m.rows:
-        full = [0] * m.ncols
+        full = [0] * (m.ncols if ncols is None else ncols)
         for j, x in row:
             full[j] = x
         out.append(tuple(full))
     return tuple(out)
 
 
+def own_columns(cone, cx, s: int) -> RatMatrix:
+    """Differential s of the complex cx with its slot-wide column labels,
+    pos(mu) C + a for mu at place pos(mu) of its dimension in by_dim, moved
+    to the complex's own, j C + a for mu the j-th face of slot s; KeyError
+    on an entry in a column of a face outside the slot."""
+    d, ids = cx.differentials[s], cx.term_faces[s]
+    if not ids:
+        return d
+    fl = cone.face_lattice()
+    width, by_dim = d.ncols // len(ids), fl.by_dim[fl.faces[ids[0]].dim]
+    new = {by_dim.index(fid) * width + a: j * width + a for j, fid in enumerate(ids) for a in range(width)}
+    return RatMatrix.from_sparse(tuple(tuple((new[c], x) for c, x in row) for row in d.rows), d.ncols)
+
+
 def normalised(c: Contraction, k: int) -> list[list[Fraction]]:
-    """interior_product_matrix(c, k) divided by c's denominator: the
+    """interior_product_matrix(c, k, 0, 1) divided by c's denominator: the
     contraction by phi / |phi(e_q0)|, as dense Fraction rows."""
-    return [[Fraction(x, c.denominator) for x in row] for row in dense(interior_product_matrix(c, k))]
+    return [[Fraction(x, c.denominator) for x in row] for row in dense(interior_product_matrix(c, k, 0, 1))]

@@ -14,13 +14,14 @@ each face cone's intrinsic cohomology being that of its own complex
 (degree_zero_cohomology).
 
 reindexed_class_complex cuts the quotient complex over the faces of F out
-of the cone's whole complex, rows and columns re-indexed, and
-reindexed_link_complex the subcomplex over the faces containing a face mu:
-the oracles for ishida.class_complex and ishida.link_complex, which
-assemble them from the blocks of those faces alone.  Each differential
-there is one integer multiple of the blocks, the lcm of its own pairs'
-denominators, so it is the oracle's times one rational
-(differential_ratios).
+of the cone's whole complex, and reindexed_link_complex the subcomplex over
+the faces containing a face mu: the oracles for ishida.class_complex and
+ishida.link_complex, which assemble them from the rows stored for those
+faces alone.  Column labels are slot-wide and each face's rows carry one
+scale of their own, so the slices equal the oracles exactly
+(assert_same_complex): a class complex's rows are the whole complex's,
+verbatim, and a link complex's are those rows without their entries in
+other faces' columns.
 
 lattice_coordinates solves for coordinates in a lattice basis by
 back-substitution: the oracle for the dual functionals of
@@ -30,7 +31,6 @@ linalg.coordinate_solver, which need none.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from lattice_reference import span_lattice
@@ -111,47 +111,52 @@ def intrinsic_multiplicities(cone: Cone, face: Face):
     return ic_multiplicities(face_cone(cone, face))
 
 
-def reindexed_subcomplex(cone: Cone, full: IshidaComplex, keep, lo: int = 0) -> IshidaComplex:
-    """The rows and columns of full, the cone's complex at one degree, that
-    belong to the faces `keep` holds (a predicate on faces), from slot lo
-    on, re-indexed into a complex of their own."""
+def reindexed_subcomplex(cone: Cone, full: IshidaComplex, keep, lo: int = 0, drop: bool = True) -> IshidaComplex:
+    """The rows of full, the cone's complex at one degree, that belong to
+    the faces `keep` holds (a predicate on faces), from slot lo on, with
+    their slot-wide column labels and scales; with `drop`, without their
+    entries in the columns of the other faces."""
     faces = cone.face_lattice().faces
-    term_faces, kept = [], []
+    term_faces, kept, widths = [], [], []
     for d, ids in enumerate(full.term_faces):
-        width = math.comb(cone.rank - d, full.degree - d)
+        widths.append(math.comb(cone.rank - d, full.degree - d))
         term_faces.append(tuple(fid for fid in ids if keep(faces[fid])))
-        kept.append([j * width + a for j, fid in enumerate(ids) if keep(faces[fid]) for a in range(width)])
-    diffs = []
+        kept.append([j for j, fid in enumerate(ids) if keep(faces[fid])])
+    diffs, scales = [], []
     for s in range(lo, len(full.differentials)):
-        new_col = {c: i for i, c in enumerate(kept[s])}
-        rows = tuple(tuple((new_col[c], x) for c, x in full.differentials[s].rows[r] if c in new_col) for r in kept[s + 1])
-        diffs.append(RatMatrix.from_sparse(rows, len(kept[s])))
-    return IshidaComplex(full.degree, tuple(term_faces[lo:]), tuple(map(len, kept[lo:])), tuple(diffs))
+        cols = {j * widths[s] + a for j in kept[s] for a in range(widths[s])}
+        rw, rows = widths[s + 1], full.differentials[s].rows
+        kept_rows = [rows[j * rw + a] for j in kept[s + 1] for a in range(rw)]
+        if drop:
+            kept_rows = [tuple((c, x) for c, x in row if c in cols) for row in kept_rows]
+        diffs.append(RatMatrix.from_sparse(tuple(kept_rows), len(cols)))
+        scales.append(tuple(full.scales[s][j] for j in kept[s + 1]))
+    term_dims = tuple(len(k) * w for k, w in zip(kept[lo:], widths[lo:]))
+    return IshidaComplex(full.degree, tuple(term_faces[lo:]), term_dims, tuple(diffs), tuple(scales))
 
 
 def reindexed_class_complex(cone: Cone, face: Face, full: IshidaComplex) -> IshidaComplex:
-    """The rows and columns of full that belong to the faces of `face`
-    (`face` included), chosen by ray set, re-indexed."""
-    return reindexed_subcomplex(cone, full, lambda g: set(g.rays) <= set(face.rays))
+    """The rows of full that belong to the faces of `face` (`face`
+    included), chosen by ray set, verbatim."""
+    return reindexed_subcomplex(cone, full, lambda g: set(g.rays) <= set(face.rays), drop=False)
 
 
 def reindexed_link_complex(cone: Cone, mu: Face, full: IshidaComplex) -> IshidaComplex:
-    """The rows and columns of full that belong to the faces containing mu,
-    chosen by ray set, re-indexed, from the slot of mu on."""
+    """The rows of full that belong to the faces containing mu, chosen by
+    ray set, from the slot of mu on, without their entries in other faces'
+    columns."""
     return reindexed_subcomplex(cone, full, lambda g: set(mu.rays) <= set(g.rays), mu.dim)
 
 
-def differential_ratios(got: IshidaComplex, want: IshidaComplex) -> list[Fraction]:
-    """Per differential, the one rational c with got == c * want entry by
-    entry, after checking that the two complexes have the same faces and
-    shapes and each differential the same nonzero entries; AssertionError
-    when some differential is no single multiple of the other's."""
-    assert (got.term_faces, got.term_dims) == (want.term_faces, want.term_dims)
-    ratios = []
-    for a, b in zip(got.differentials, want.differentials, strict=True):
-        assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
-        assert [[j for j, _ in row] for row in a.rows] == [[j for j, _ in row] for row in b.rows]
-        found = {Fraction(x, y) for ra, rb in zip(a.rows, b.rows) for (_, x), (_, y) in zip(ra, rb)}
-        assert len(found) <= 1, found
-        ratios.append(found.pop() if found else Fraction(1))
-    return ratios
+def assert_same_complex(got: IshidaComplex, want: IshidaComplex) -> None:
+    """The two complexes have the same faces, shapes, scales and rows, entry
+    by entry and label by label."""
+    assert (got.degree, got.term_faces, got.term_dims, got.scales) == (
+        want.degree,
+        want.term_faces,
+        want.term_dims,
+        want.scales,
+    )
+    assert [(d.nrows, d.ncols, d.rows) for d in got.differentials] == [
+        (d.nrows, d.ncols, d.rows) for d in want.differentials
+    ]

@@ -248,4 +248,5 @@ def lattice_complex(cone, degree: int, term_faces) -> IshidaComplex:
                         row.extend((offset[mid] + j, x) for j, x in brow)
             rows.extend(map(tuple, block_rows))
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
-    return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs))
+    scales = tuple((1,) * len(ids) for ids in term_faces[1:])
+    return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs), scales)

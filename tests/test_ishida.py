@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambient_reference import dense, dense_matrix, normalised
-from face_reference import degree_zero_cohomology, differential_ratios, face_cone, reindexed_link_complex
+from face_reference import assert_same_complex, degree_zero_cohomology, face_cone, reindexed_link_complex
 from lattice_reference import lattice_complex, normal_step_vector, span_lattice
 from paper_reference import dual, quotient_cone
 from toricish import ishida
@@ -74,23 +74,32 @@ def _contraction(cone, mid, tid):
 def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
     """After ext_table, a fresh cone's memo holds, per face with facets that
     some class complex reaches, one Contraction per cover pair into it, in
-    the order of its children, each keeping the blocks built from it, and
-    otherwise only the core and Ext tables, keyed (name,).  No complex is
-    kept, and a face keeps nothing but its frame."""
+    the order of its children, keeping only its pairings, q0 and
+    denominator; per such face and degree, its stored rows (_face_rows);
+    and otherwise only the core and Ext tables, keyed (name,).  No complex
+    is kept, and a face keeps nothing but its frame."""
     for cone in named_corpus:
         cone = Cone.from_rays(cone.rays, cone.rank)
         ext_table(cone)
         fl = cone.face_lattice()
         targets = {key for key in cone.memo if key[0] == "contractions"}
-        assert set(cone.memo) - targets == {("core_table",), ("ext_table",)}
+        stored = {key for key in cone.memo if key[0] == "_face_rows"}
+        assert set(cone.memo) - targets - stored == {("core_table",), ("ext_table",)}
         assert {tid for _, tid in targets} <= {tid for tid, ids in enumerate(fl.children) if ids}
+        assert {tid for _, tid, _ in stored} <= {tid for _, tid in targets}
         for _, tid in targets:
             got = cone.memo[("contractions", tid)]
             assert len(got) == len(fl.children[tid]) and all(isinstance(c, Contraction) for c in got)
-            dim = fl.faces[tid].dim
-            for c in got:
-                assert set(c.blocks) <= set(range(1, cone.rank - dim + 2))
-                assert all(c.blocks[k].rows == interior_product_matrix(c, k).rows for k in c.blocks)
+            assert all(set(c.__slots__) == {"pairings", "q0", "denominator"} for c in got)
+        for _, tid, l in stored:
+            scale, pairs = cone.memo[("_face_rows", tid, l)]
+            cs = cone.memo[("contractions", tid)]
+            assert scale == math.lcm(*(c.denominator for c in cs))
+            assert [mid for mid, _ in pairs] == fl.children[tid]
+            for (mid, rows), c in zip(pairs, cs):
+                d = fl.faces[mid].dim
+                offset = fl.by_dim[d].index(mid) * math.comb(cone.rank - d, l - d)
+                assert rows == interior_product_matrix(c, l - d, offset, scale // c.denominator).rows
         kept = {f.name for f in dataclasses.fields(Face)} | {"perp_frame"}
         assert all(set(vars(face)) <= kept for face in fl.faces)
 
@@ -118,13 +127,31 @@ class TestDSquared:
             total = None
             for lam in middles:
                 first, second = _contraction(cone, mu.index, lam.index), _contraction(cone, lam.index, nu.index)
-                comp = dense(interior_product_matrix(second, l - lam.dim).matmul(interior_product_matrix(first, l - mu.dim)))
+                comp = dense(interior_product_matrix(second, l - lam.dim, 0, 1).matmul(interior_product_matrix(first, l - mu.dim, 0, 1)))
                 comp = [[Fraction(x, first.denominator * second.denominator) for x in row] for row in comp]
                 if total is None:
                     total = comp
                 else:
                     total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, comp)]
             assert not any(any(row) for row in total)
+
+    def test_faces_with_different_scales(self, full_corpus):
+        """Full-complex slots whose faces carry different scales L_tau: their
+        rows composed as stored are not zero, and d^2 holds there through
+        the factor L / L_tau that d_squared_is_zero puts on each face's
+        rows."""
+        mixed = uncorrected = 0
+        for cone in full_corpus:
+            slots = []
+            for l in range(cone.rank + 1):
+                cx = ishida_complex(cone, l)
+                slots += [(cx, s) for s, scales in enumerate(cx.scales[:-1]) if len(set(scales)) > 1]
+            for cx, s in slots:
+                uncorrected += not cx.differentials[s + 1].matmul(cx.differentials[s]).is_zero()
+            if slots:
+                assert verify_d_squared(cone)["ok"], cone
+            mixed += len(slots)
+        assert mixed and uncorrected
 
     def test_corrupted_differential_fails(self, quadric_cone):
         # negative control: flipping one entry of a differential must break
@@ -137,8 +164,9 @@ class TestDSquared:
             cx.term_faces,
             cx.term_dims,
             (dense_matrix(rows), *cx.differentials[1:]),
+            cx.scales,
         )
-        assert not bad.d_squared_is_zero()
+        assert cx.d_squared_is_zero() and not bad.d_squared_is_zero()
 
 
 def assert_euler_identity(cone):
@@ -169,16 +197,17 @@ def test_euler_identity_on_random_cones(dim, seed):
 
 def test_link_complexes_are_slices(full_corpus):
     """link_complex, assembled over the faces containing mu alone, against
-    the rows and columns of ishida_complex that belong to them, re-indexed:
-    entry by entry one rational multiple per differential, for every face of
-    the corpus and every degree from dim(mu) up."""
+    the rows of ishida_complex that belong to them without their entries in
+    other faces' columns: equal label by label and entry by entry, with the
+    same scales, for every face of the corpus and every degree from dim(mu)
+    up."""
     for cone in full_corpus:
         fl = cone.face_lattice()
         for l in range(cone.rank + 1):
             full = ishida_complex(cone, l)
             for mu in fl.faces:
                 if mu.dim <= l:
-                    differential_ratios(link_complex(cone, mu, l), reindexed_link_complex(cone, mu, full))
+                    assert_same_complex(link_complex(cone, mu, l), reindexed_link_complex(cone, mu, full))
 
 
 def _complexes(cone):
@@ -192,33 +221,38 @@ def _complexes(cone):
                 yield link_complex(cone, face, l)
 
 
-def _assert_one_integer_per_differential(cone):
-    """Each differential of every complex is the assembly of its cover
-    pairs' blocks, each divided by its denominator, times one integer: the
-    lcm of those denominators."""
+def _assert_one_scale_per_face(cone):
+    """Each differential of every complex holds, in the rows of each face
+    tau of the slot above, its scale L_tau, the lcm of the denominators of
+    all of tau's cover pairs, times the block of each kept pair mu < tau
+    divided by its denominator, at mu's slot-wide columns pos(mu) C on
+    (pos(mu) the place of mu in its by_dim, C the block's width), and
+    nothing else.  Every pair is kept in a full or class complex, and those
+    with mu in the slot below in a link complex."""
     fl = cone.face_lattice()
     n = cone.rank
     for cx in _complexes(cone):
         l, lo = cx.degree, fl.faces[cx.term_faces[0][0]].dim
         for s, d in enumerate(cx.differentials):
-            k = l - lo - s
+            k, slot = l - lo - s, fl.by_dim[lo + s]
             cw, rw = math.comb(n - lo - s, k), math.comb(n - lo - s - 1, k - 1)
-            want = [[Fraction(0)] * d.ncols for _ in range(d.nrows)]
-            dens = []
+            assert (d.nrows, d.ncols) == (len(cx.term_faces[s + 1]) * rw, len(cx.term_faces[s]) * cw)
+            want = [[Fraction(0)] * (len(slot) * cw) for _ in range(d.nrows)]
             for i, tid in enumerate(cx.term_faces[s + 1]):
-                for mid, c in zip(fl.children[tid], contractions(cone, tid)):
+                cs = contractions(cone, tid)
+                scale = math.lcm(*(c.denominator for c in cs))
+                assert cx.scales[s][i] == scale, (cone, cx.term_faces, s)
+                for mid, c in zip(fl.children[tid], cs):
                     if mid in cx.term_faces[s]:
-                        j = cx.term_faces[s].index(mid)
-                        dens.append(c.denominator)
+                        j = slot.index(mid)
                         for a, row in enumerate(normalised(c, k)):
-                            want[i * rw + a][j * cw:(j + 1) * cw] = row
-            scale = math.lcm(*dens)
-            assert dense(d) == tuple(tuple(scale * x for x in row) for row in want), (cone, cx.term_faces, s)
+                            want[i * rw + a][j * cw:(j + 1) * cw] = [scale * x for x in row]
+            assert dense(d, len(slot) * cw) == tuple(map(tuple, want)), (cone, cx.term_faces, s)
 
 
-def test_each_differential_is_one_integer_times_the_normalised_blocks(full_corpus):
+def test_each_face_block_is_its_scale_times_the_normalised_blocks(full_corpus):
     for cone in full_corpus:
-        _assert_one_integer_per_differential(cone)
+        _assert_one_scale_per_face(cone)
 
 
 def _assert_same_cohomology_as_the_lattice_route(cone):
@@ -239,7 +273,7 @@ def test_cohomology_matches_the_lattice_route_on_random_cones(dim, seed):
     (cone,) = sample_cones(seed, dim, 1)
     for c in (cone, dual(cone)):
         _assert_same_cohomology_as_the_lattice_route(c)
-        _assert_one_integer_per_differential(c)
+        _assert_one_scale_per_face(c)
 
 
 class TestCohomology:
@@ -273,10 +307,10 @@ class TestCohomology:
                     shifted = tuple(a + 3 * b for a, b in zip(step, span_lattice(mu)[0]))
                     for k in range(1, n - mu.dim + 1):
                         a, b = (
-                            interior_product_matrix(Contraction([dot(v, w) for v in mu.perp_frame[1]]), k)
+                            interior_product_matrix(Contraction([dot(v, w) for v in mu.perp_frame[1]]), k, 0, 1)
                             for w in (step, shifted)
                         )
-                        assert a.rows == b.rows == _contraction(cone, lo, hi).block(k).rows
+                        assert a.rows == b.rows == interior_product_matrix(_contraction(cone, lo, hi), k, 0, 1).rows
 
 
 class TestGradedClasses:

@@ -14,6 +14,7 @@ from ambient_reference import (
     dense_matrix,
     kernel_basis,
     normalised,
+    own_columns,
     wedge_coordinates,
 )
 from face_reference import lattice_coordinates
@@ -190,7 +191,8 @@ class TestModularRank:
 
 def test_complex_ranks_match_bareiss(full_corpus):
     """Every differential of every Ishida complex, and of the complexes over
-    the faces containing each face (link_complex_cohomology), on the corpus."""
+    the faces containing each face (link_complex_cohomology), on the corpus,
+    against the rank of its dense matrix in the complex's own columns."""
     for cone in full_corpus:
         fl = cone.face_lattice()
         complexes = [ishida_complex(cone, l) for l in range(cone.rank + 1)]
@@ -198,8 +200,8 @@ def test_complex_ranks_match_bareiss(full_corpus):
             link_complex(cone, mu, l) for mu in fl.faces if mu.dim for l in range(mu.dim, cone.rank + 1)
         ]
         for cx in complexes:
-            for d in cx.differentials:
-                assert d.rank() == bareiss_rank(dense(d), d.ncols)
+            for s, d in enumerate(cx.differentials):
+                assert d.rank() == bareiss_rank(dense(own_columns(cone, cx, s)), d.ncols)
 
 
 class TestPrimitive:
@@ -340,7 +342,7 @@ class TestInteriorProduct:
     the lattice oracle (lattice_reference.LatticeContraction)."""
 
     def test_degree_one_contraction(self):
-        m = interior_product_matrix(Contraction((1, 0)), 1)
+        m = interior_product_matrix(Contraction((1, 0)), 1, 0, 1)
         assert dense(m) == ((1, 0),)
         assert m.rows == (((0, 1),),)
         assert dense(lattice_block(lattice_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 1)) == ((1, 0),)
@@ -364,7 +366,7 @@ class TestInteriorProduct:
 
     def test_source_degree_at_least_one(self):
         with pytest.raises(ValueError, match="at least 1"):
-            interior_product_matrix(Contraction((1, 0)), 0)
+            interior_product_matrix(Contraction((1, 0)), 0, 0, 1)
         with pytest.raises(ValueError, match="at least 1"):
             lattice_block(lattice_contraction(((1, 0), (0, 1)), ((0, 1),), (1, 0)), 0)
 
@@ -378,8 +380,8 @@ class TestInteriorProduct:
         # two paths cancel, and neither is zero
         paths = []
         for first_pairings in ((1, 0, 0), (0, 1, 0)):
-            first = interior_product_matrix(Contraction(first_pairings), 2)
-            second = interior_product_matrix(Contraction((1, 0)), 1)
+            first = interior_product_matrix(Contraction(first_pairings), 2, 0, 1)
+            second = interior_product_matrix(Contraction((1, 0)), 1, 0, 1)
             paths.append(dense(second.matmul(first)))
         assert paths == [((1, 0, 0),), ((-1, 0, 0),)]
 
@@ -389,8 +391,18 @@ class TestInteriorProduct:
         # - 3 e1, whose e1 term is dropped
         c = Contraction((0, 2, 3))
         assert (c.q0, c.denominator) == (1, 2)
-        assert dense(interior_product_matrix(c, 2)) == ((-2, -3, 0), (0, 0, 2))
+        assert dense(interior_product_matrix(c, 2, 0, 1)) == ((-2, -3, 0), (0, 0, 2))
         assert normalised(c, 2) == _free_block((0, 2, 3), 2)
+
+    def test_offset_and_factor_shift_labels_and_scale_entries(self):
+        # a block stored for a complex: its columns moved to where the
+        # source face sits in the slot, its entries scaled for the target
+        c = Contraction((0, 2, 3))
+        base = interior_product_matrix(c, 2, 0, 1)
+        moved = interior_product_matrix(c, 2, 6, 5)
+        assert (moved.nrows, moved.ncols) == (base.nrows, base.ncols) == (2, 3)
+        assert moved.rows == tuple(tuple((j + 6, 5 * x) for j, x in row) for row in base.rows)
+        assert moved.rows == (((6, -10), (7, -15)), ((8, 10),))
 
     def test_pairings_without_a_unit(self):
         # No pairing is +-1: the block is read as (2, 3) / 2, and (4, 6) is
