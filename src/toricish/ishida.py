@@ -78,8 +78,10 @@ class IshidaComplex:
 
     term_faces[s] lists the face ids of dimension dim(mu) + s, whose blocks
     are wedge powers of degree l - dim(mu) - s; differentials[s] maps slot s
-    to slot s+1, with term_dims[s] columns labelled slot-wide, and the rows
-    of its j-th face are scales[s][j] times the normalised blocks.
+    to slot s+1, with term_dims[s] columns labelled slot-wide, face f's from
+    (f - starts[s]) C on, C its block's width and starts[s] the least id of
+    its dimension; the rows of its j-th face are scales[s][j] times the
+    normalised blocks.
     """
 
     degree: int
@@ -87,16 +89,20 @@ class IshidaComplex:
     term_dims: tuple[int, ...]
     differentials: tuple[RatMatrix, ...]
     scales: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
 
     def d_squared_is_zero(self) -> bool:
-        """d^(s+1) diag(L / L_tau) d^s = 0 for every s (module docstring);
-        column labels must be row positions, as over every face."""
-        for a, b, scales in zip(self.differentials, self.differentials[1:], self.scales):
-            if len(set(scales)) > 1:
-                lcm, w = math.lcm(*scales), a.nrows // len(scales)
-                rows = (tuple((j, lcm // scales[i // w] * x) for j, x in row) for i, row in enumerate(a.rows))
-                a = RatMatrix.from_sparse(tuple(rows), a.ncols)
-            if not b.matmul(a).is_zero():
+        """d^(s+1) diag(L / L_tau) d^s = 0 for every s (module docstring),
+        the rows of d^s placed at the column labels of d^(s+1) they name."""
+        for s, (a, b, scales) in enumerate(zip(self.differentials, self.differentials[1:], self.scales)):
+            faces, start, lcm = self.term_faces[s + 1], self.starts[s + 1], math.lcm(*scales)
+            w = a.nrows // (len(faces) or 1)
+            by_label = [()] * ((faces[-1] + 1 - start) * w if faces else 0)
+            for i, f in enumerate(faces):
+                m, rows = lcm // scales[i], a.rows[i * w:(i + 1) * w]
+                by_label[(f - start) * w:(f - start + 1) * w] = [tuple((j, m * x) for j, x in r) for r in rows] if m > 1 else rows
+            b = RatMatrix.from_sparse(b.rows, len(by_label))
+            if not b.matmul(RatMatrix.from_sparse(tuple(by_label), a.ncols)).is_zero():
                 return False
         return True
 
@@ -155,7 +161,8 @@ def _assemble(cone: Cone, degree: int, term_faces) -> IshidaComplex:
             rows += blocks[0] if len(blocks) == 1 else [sum(parts, ()) for parts in zip(*blocks)]
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
         scales.append(tuple(slot_scales))
-    return IshidaComplex(degree, term_faces, term_dims, tuple(diffs), tuple(scales))
+    starts = tuple(fl.by_dim[d][0] for d in range(lo, lo + len(term_faces)))
+    return IshidaComplex(degree, term_faces, term_dims, tuple(diffs), tuple(scales), starts)
 
 
 def ishida_complex(cone: Cone, degree: int) -> IshidaComplex:

@@ -22,8 +22,8 @@ their denominators.  Matrices are stored as sparse rows throughout
 bound of the matrix's own rows proves large enough to give the rank over Q
 (RatMatrix.rank).  Input is integer only: primitive_vector rejects any
 other entry, as cli.load_cone_file does for a cone file, so no rational
-ever enters.  coordinate_solver, on a column-Hermite reduction, gives
-coordinates in a lattice basis (symmetry.py).
+ever enters.  The projector Gram matrix of a cone's rays (symmetry) comes
+from the same free_kernel pass as the frames.
 All functions are pure and all returned objects immutable.
 """
 
@@ -169,55 +169,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
-
-
-def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
-    """Column-style Hermite reduction with a unimodular transform.
-
-    Returns (cols, r): column j of rows . u stacked on column j of u, for a
-    unimodular u.  The first r columns of rows . u are in column echelon
-    form and the others are zero; for independent rows (r == len(rows)),
-    entry i of column i is the pivot of row i, and entry i of column j > i
-    is zero.
-    """
-    m = len(rows)
-    cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
-    col = 0
-    for row in range(m):
-        while True:
-            nz = [j for j in range(col, ncols) if cols[j][row]]
-            if len(nz) <= 1:
-                break
-            j1 = min(nz, key=lambda j: abs(cols[j][row]))
-            for j2 in nz:
-                if j2 != j1:
-                    q = cols[j2][row] // cols[j1][row]
-                    cols[j2] = [x - q * y for x, y in zip(cols[j2], cols[j1])]
-        nz = [j for j in range(col, ncols) if cols[j][row]]
-        if nz:
-            cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
-            col += 1
-    return cols, col
-
-
-def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple, int]:
-    """(dual, checks, det) of p independent basis rows: v lies in their span
-    when every check pairs to zero with it, and then v == x . basis for
-    x_j = dual_j . v / det, exact when v lies in the lattice they generate.
-    From basis . u == [h | 0]: the checks are the columns p.. of u, and the
-    dual is u[:, :p] times det h^-1, det = |det h|, by forward substitution.
-    """
-    cols, p = _column_echelon(basis, ambient)
-    if p != len(basis):
-        raise ValueError("basis rows are linearly dependent")
-    det = abs(math.prod(cols[j][j] for j in range(p)))
-    scaled = [[0] * p for _ in range(p)]  # det h^-1; h[i][k] is cols[k][i]
-    for c in range(p):
-        for i in range(c, p):
-            scaled[i][c] = (det * (i == c) - sum(cols[k][i] * scaled[k][c] for k in range(c, i))) // cols[i][i]
-    u = [c[p:] for c in cols]
-    dual = tuple(tuple(sum(u[k][a] * scaled[k][j] for k in range(p)) for a in range(ambient)) for j in range(p))
-    return dual, tuple(map(tuple, u[p:])), det
 
 
 def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

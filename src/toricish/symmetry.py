@@ -8,8 +8,8 @@ polyhedra" (LMS J. Comput. Math. 17, 2014).  Such maps are Q-linear, not
 in general lattice automorphisms.  Generators of the group come from a
 backtracking search along a point-stabiliser chain, pruned by Gram
 colours (_ray_automorphisms); face_orbits turns them into orbits of face
-ids.  Everything is computed in integers, the Gram matrix through
-linalg's column-Hermite solver.
+ids.  Everything is computed in integers, the Gram matrix through the
+Gauss-Jordan pass of linalg.free_kernel that the face frames use.
 """
 
 from __future__ import annotations
@@ -17,18 +17,19 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cones import Cone
-from .linalg import coordinate_solver, dot
+from .linalg import dot, free_kernel
 
 
 def _projector_gram(rays: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
-    """G = R adj(A) R^T, R the rays as rows and A = R^T R: det(A) times the
-    projector onto the column space of R.  The dual rows of
-    coordinate_solver(A) pair with the rows of A to det times the identity,
-    with det = |det A| = det(A) as A is positive definite: they form
-    det(A) A^-1 = adj(A)."""
+    """G = R (D A^-1) R^T, R the rays as rows and A = R^T R: D > 0 times the
+    projector onto the column space of R, so it has the same automorphisms.
+    A is invertible, so free_kernel of [A | -I] has the free columns n..2n-1,
+    and kernel vector t starts with column t of D A^-1, D the lcm of the
+    pivots."""
     a = [[dot(u, v) for v in zip(*rays)] for u in zip(*rays)]
-    adj = coordinate_solver(a, rank)[0]
-    ra = [[dot(r, row) for row in adj] for r in rays]  # adj is symmetric
+    _, kernel = free_kernel([row + [-(i == j) for j in range(rank)] for i, row in enumerate(a)], 2 * rank)
+    inv = [k[:rank] for k in kernel]  # D A^-1 is symmetric
+    ra = [[dot(r, row) for row in inv] for r in rays]
     return [[dot(x, r) for r in rays] for x in ra]
 
 

@@ -25,7 +25,7 @@ other faces' columns.
 
 lattice_coordinates solves for coordinates in a lattice basis by
 back-substitution: the oracle for the dual functionals of
-linalg.coordinate_solver, which need none.
+lattice_reference.coordinate_solver, which need none.
 """
 
 from __future__ import annotations
@@ -33,18 +33,19 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from lattice_reference import span_lattice
+from lattice_reference import _column_echelon, span_lattice
 from toricish.cones import Cone, Face, is_simplicial
 from toricish.decomposition import ic_multiplicities
 from toricish.ishida import IshidaComplex, cohomology_dims, ishida_complex
-from toricish.linalg import RatMatrix, _column_echelon, dot
+from toricish.linalg import RatMatrix, dot
 
 
 def lattice_coordinates(
     basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]], ambient: int
 ) -> tuple[tuple[int, ...], ...]:
     """Integer coordinates of each vector in a lattice basis given as rows,
-    by back-substitution: the oracle of linalg.coordinate_solver's dual.
+    by back-substitution: the oracle of lattice_reference.coordinate_solver's
+    dual.
 
     One column-Hermite reduction basis . u == [h | 0], then per vector
     y = v . u, which needs y[p:] == 0, and x . h == y[:p] solved from the
@@ -132,7 +133,7 @@ def reindexed_subcomplex(cone: Cone, full: IshidaComplex, keep, lo: int = 0, dro
         diffs.append(RatMatrix.from_sparse(tuple(kept_rows), len(cols)))
         scales.append(tuple(full.scales[s][j] for j in kept[s + 1]))
     term_dims = tuple(len(k) * w for k, w in zip(kept[lo:], widths[lo:]))
-    return IshidaComplex(full.degree, tuple(term_faces[lo:]), term_dims, tuple(diffs), tuple(scales))
+    return IshidaComplex(full.degree, tuple(term_faces[lo:]), term_dims, tuple(diffs), tuple(scales), full.starts[lo:])
 
 
 def reindexed_class_complex(cone: Cone, face: Face, full: IshidaComplex) -> IshidaComplex:
@@ -149,13 +150,14 @@ def reindexed_link_complex(cone: Cone, mu: Face, full: IshidaComplex) -> IshidaC
 
 
 def assert_same_complex(got: IshidaComplex, want: IshidaComplex) -> None:
-    """The two complexes have the same faces, shapes, scales and rows, entry
-    by entry and label by label."""
-    assert (got.degree, got.term_faces, got.term_dims, got.scales) == (
+    """The two complexes have the same faces, shapes, scales, label starts
+    and rows, entry by entry and label by label."""
+    assert (got.degree, got.term_faces, got.term_dims, got.scales, got.starts) == (
         want.degree,
         want.term_faces,
         want.term_dims,
         want.scales,
+        want.starts,
     )
     assert [(d.nrows, d.ncols, d.rows) for d in got.differentials] == [
         (d.nrows, d.ncols, d.rows) for d in want.differentials

@@ -14,6 +14,10 @@ wedge powers of B.  lattice_complex assembles a complex over any set of
 faces from these blocks.  Its cohomology is that of the package's complex
 over the same faces, which the tests check: the two differ by a change of
 basis of each perp(F) and a positive scale per face.
+
+The lattice bases come from a column-Hermite reduction with a unimodular
+transform (_column_echelon); coordinate_solver, on the same reduction, gives
+coordinates in a lattice basis.  The package needs neither.
 """
 
 from __future__ import annotations
@@ -24,7 +28,56 @@ from functools import lru_cache
 from typing import Sequence
 
 from toricish.ishida import IshidaComplex
-from toricish.linalg import RatMatrix, _column_echelon, coordinate_solver, dot, primitive_vector
+from toricish.linalg import RatMatrix, dot, primitive_vector
+
+
+def _column_echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], int]:
+    """Column-style Hermite reduction with a unimodular transform.
+
+    Returns (cols, r): column j of rows . u stacked on column j of u, for a
+    unimodular u.  The first r columns of rows . u are in column echelon
+    form and the others are zero; for independent rows (r == len(rows)),
+    entry i of column i is the pivot of row i, and entry i of column j > i
+    is zero.
+    """
+    m = len(rows)
+    cols = [[int(r[j]) for r in rows] + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    col = 0
+    for row in range(m):
+        while True:
+            nz = [j for j in range(col, ncols) if cols[j][row]]
+            if len(nz) <= 1:
+                break
+            j1 = min(nz, key=lambda j: abs(cols[j][row]))
+            for j2 in nz:
+                if j2 != j1:
+                    q = cols[j2][row] // cols[j1][row]
+                    cols[j2] = [x - q * y for x, y in zip(cols[j2], cols[j1])]
+        nz = [j for j in range(col, ncols) if cols[j][row]]
+        if nz:
+            cols[col], cols[nz[0]] = cols[nz[0]], cols[col]
+            col += 1
+    return cols, col
+
+
+def coordinate_solver(basis: Sequence[Sequence[int]], ambient: int) -> tuple[tuple, tuple, int]:
+    """(dual, checks, det) of p independent basis rows: v lies in their span
+    when every check pairs to zero with it, and then v == x . basis for
+    x_j = dual_j . v / det, exact when v lies in the lattice they generate.
+    From basis . u == [h | 0]: the checks are the columns p.. of u, and the
+    dual is u[:, :p] times det h^-1, det = |det h|, by forward substitution.
+    """
+    cols, p = _column_echelon(basis, ambient)
+    if p != len(basis):
+        raise ValueError("basis rows are linearly dependent")
+    det = abs(math.prod(cols[j][j] for j in range(p)))
+    scaled = [[0] * p for _ in range(p)]  # det h^-1; h[i][k] is cols[k][i]
+    for c in range(p):
+        for i in range(c, p):
+            scaled[i][c] = (det * (i == c) - sum(cols[k][i] * scaled[k][c] for k in range(c, i))) // cols[i][i]
+    u = [c[p:] for c in cols]
+    dual = tuple(tuple(sum(u[k][a] * scaled[k][j] for k in range(p)) for a in range(ambient)) for j in range(p))
+    return dual, tuple(map(tuple, u[p:])), det
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
@@ -231,14 +284,16 @@ def _pair_block(cone, mid: int, tid: int, k: int) -> RatMatrix:
 def lattice_complex(cone, degree: int, term_faces) -> IshidaComplex:
     """The complex at wedge degree `degree` over the faces term_faces[s] of
     dimension d + s, on the lattice route: per face tau, the lattice block
-    of each cover pair mu < tau with mu in the slot below."""
+    of each cover pair mu < tau with mu in the slot below, at mu's
+    slot-wide columns."""
     fl = cone.face_lattice()
     lo = fl.faces[term_faces[0][0]].dim
     widths = [math.comb(cone.rank - d, degree - d) for d in range(lo, lo + len(term_faces))]
     term_dims = tuple(len(ids) * w for ids, w in zip(term_faces, widths))
+    starts = tuple(fl.by_dim[d][0] for d in range(lo, lo + len(term_faces)))
     diffs = []
     for s in range(len(term_faces) - 1):
-        offset = {fid: j * widths[s] for j, fid in enumerate(term_faces[s])}
+        offset = {fid: (fid - starts[s]) * widths[s] for fid in term_faces[s]}
         rows = []
         for tid in term_faces[s + 1]:
             block_rows = [[] for _ in range(widths[s + 1])]
@@ -249,4 +304,4 @@ def lattice_complex(cone, degree: int, term_faces) -> IshidaComplex:
             rows.extend(map(tuple, block_rows))
         diffs.append(RatMatrix.from_sparse(tuple(rows), term_dims[s]))
     scales = tuple((1,) * len(ids) for ids in term_faces[1:])
-    return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs), scales)
+    return IshidaComplex(degree, tuple(term_faces), term_dims, tuple(diffs), scales, starts)

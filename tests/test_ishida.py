@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambient_reference import dense, dense_matrix, normalised
+from ambient_reference import dense, dense_matrix
 from face_reference import assert_same_complex, degree_zero_cohomology, face_cone, reindexed_link_complex
 from lattice_reference import lattice_complex, normal_step_vector, span_lattice
 from paper_reference import dual, quotient_cone
@@ -28,7 +28,7 @@ from toricish.ishida import (
     verify_link_exactness,
     verify_surjectivity,
 )
-from toricish.linalg import Contraction, dot, interior_product_matrix
+from toricish.linalg import Contraction, RatMatrix, dot, interior_product_matrix
 from toricish.sampling import sample_cones
 
 
@@ -165,6 +165,7 @@ class TestDSquared:
             cx.term_dims,
             (dense_matrix(rows), *cx.differentials[1:]),
             cx.scales,
+            cx.starts,
         )
         assert cx.d_squared_is_zero() and not bad.d_squared_is_zero()
 
@@ -237,7 +238,7 @@ def _assert_one_scale_per_face(cone):
             k, slot = l - lo - s, fl.by_dim[lo + s]
             cw, rw = math.comb(n - lo - s, k), math.comb(n - lo - s - 1, k - 1)
             assert (d.nrows, d.ncols) == (len(cx.term_faces[s + 1]) * rw, len(cx.term_faces[s]) * cw)
-            want = [[Fraction(0)] * (len(slot) * cw) for _ in range(d.nrows)]
+            want = [[0] * (len(slot) * cw) for _ in range(d.nrows)]
             for i, tid in enumerate(cx.term_faces[s + 1]):
                 cs = contractions(cone, tid)
                 scale = math.lcm(*(c.denominator for c in cs))
@@ -245,14 +246,33 @@ def _assert_one_scale_per_face(cone):
                 for mid, c in zip(fl.children[tid], cs):
                     if mid in cx.term_faces[s]:
                         j = slot.index(mid)
-                        for a, row in enumerate(normalised(c, k)):
-                            want[i * rw + a][j * cw:(j + 1) * cw] = [scale * x for x in row]
+                        # scale * Fraction(x, c.denominator), an integer as
+                        # the scale is the lcm of the denominators
+                        for a, row in enumerate(dense(interior_product_matrix(c, k, 0, 1))):
+                            want[i * rw + a][j * cw:(j + 1) * cw] = [scale // c.denominator * x for x in row]
             assert dense(d, len(slot) * cw) == tuple(map(tuple, want)), (cone, cx.term_faces, s)
 
 
 def test_each_face_block_is_its_scale_times_the_normalised_blocks(full_corpus):
     for cone in full_corpus:
         _assert_one_scale_per_face(cone)
+
+
+def test_d_squared_is_zero_on_every_complex(full_corpus):
+    """d_squared_is_zero holds on every full, class and link complex, whose
+    column labels are slot-wide, and fails once one entry of a differential
+    past d^0 flips its sign: each row of the differential before it is
+    nonzero, so the composite gains a nonzero row."""
+    for cone in full_corpus:
+        for cx in _complexes(cone):
+            assert cx.d_squared_is_zero(), (cone, cx.term_faces)
+            s = max((s for s, d in enumerate(cx.differentials) if s and d.rows), default=None)
+            if s is not None:
+                d = cx.differentials[s]
+                (j, x), *rest = d.rows[0]
+                flipped = RatMatrix.from_sparse((((j, -x), *rest), *d.rows[1:]), d.ncols)
+                bad = dataclasses.replace(cx, differentials=(*cx.differentials[:s], flipped, *cx.differentials[s + 1:]))
+                assert not bad.d_squared_is_zero(), (cone, cx.term_faces)
 
 
 def _assert_same_cohomology_as_the_lattice_route(cone):

@@ -18,13 +18,12 @@ from ambient_reference import (
     wedge_coordinates,
 )
 from face_reference import lattice_coordinates
-from lattice_reference import integer_kernel_basis, lattice_block, lattice_contraction, normal_step_vector
+from lattice_reference import coordinate_solver, integer_kernel_basis, lattice_block, lattice_contraction, normal_step_vector
 from toricish import linalg
 from toricish.ishida import contractions, ishida_complex, link_complex
 from toricish.linalg import (
     Contraction,
     RatMatrix,
-    coordinate_solver,
     dot,
     interior_product_matrix,
     primitive_vector,

@@ -134,16 +134,16 @@ def ray_group(cone):
     return gens, closure(gens, len(cone.rays))
 
 
-def test_projector_gram_is_det_times_the_rational_projector(named_corpus):
-    """G = det(A) R A^-1 R^T for A = R^T R, in Fractions: row i of A^-1
-    solves x A = e_i, and det(A) is a Laplace expansion."""
+def test_projector_gram_is_the_inverse_denominator_lcm_times_the_rational_projector(named_corpus):
+    """G = D R A^-1 R^T for A = R^T R, in Fractions: row i of A^-1 solves
+    x A = e_i, and D is the lcm of the denominators of A^-1."""
     cones = named_corpus + [c for d in (3, 4, 5, 6) for c in sample_cones(1, d, 4)]
     for cone in cones:
         rays, n = cone.rays, cone.rank
         a = [[sum(r[i] * r[j] for r in rays) for j in range(n)] for i in range(n)]
         inv = [_solve(a, [int(i == j) for j in range(n)]) for i in range(n)]
-        det = _det(a)
-        expected = [[det * sum(u[i] * inv[i][j] * v[j] for i in range(n) for j in range(n)) for v in rays] for u in rays]
+        d = math.lcm(*(x.denominator for row in inv for x in row))
+        expected = [[d * sum(u[i] * inv[i][j] * v[j] for i in range(n) for j in range(n)) for v in rays] for u in rays]
         assert _projector_gram(rays, n) == expected, cone
 
 
