@@ -84,14 +84,13 @@ def g_polynomial(fl: FaceLattice) -> ICStalkPoly:
     """
     n = fl.rank
     t_minus_one = [[(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)] for k in range(n)]
-    walk = None
+    walk = fl.walk_down_sets()  # walks nothing until it is read
     # (dim, g) -> the ids of the faces walked so far with that dim and g
     classes: dict[tuple[int, tuple[int, ...]], int] = {}
     for face in fl.faces:
         if len(face.rays) == face.dim:
             g = (1,)
         else:
-            walk = walk or fl.walk_down_sets()
             for fid, down in walk:
                 if fid == face.index:
                     break

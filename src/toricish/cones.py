@@ -11,9 +11,9 @@ column, so that restriction to free(F) identifies perp(F) with Q^free(F).
 Spans grow along the face lattice, so the pivots do too: for mu < tau,
 pivots(mu) is contained in pivots(tau), and free(tau) is free(mu) without
 one column.  The contractions of the complexes are built on these frames
-(ishida.contractions).  Every vector here is an integer vector and every
-computation is in integers: the double description, the frames.  The
-cone's linear symmetries are in symmetry.py.
+(ishida.contractions).  Every vector and computation here is in integers;
+linalg.free_kernel, the one eliminator, gives the frames and the simplex
+that starts the double description.  Linear symmetries are in symmetry.py.
 
 The closed-form classes, cones over simplicial and over simple polytopes,
 are defined once, per face (face_class); is_cone_over_* read the top face.
@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import dot, free_kernel, primitive_vector
+from .linalg import dot, free_kernel, primitive_vector, scaled_inverse
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -56,12 +56,13 @@ def ids_of(mask: int) -> list[int]:
 def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of {h : <h, g> >= 0 for every generator g}.
 
-    Incremental double description in integers: generators are inserted one
-    at a time while the extreme rays of the intersection so far are
-    maintained, with the ambient lineality space tracked separately until it
-    is consumed.  Every new vector is a positive integer combination of two
-    old ones, reduced by its gcd (primitive_vector), so no division is made
-    and the entries stay small.
+    Incremental double description in integers, started from the simplicial
+    cone dual to the first rank independent generators (free_kernel's pivot
+    columns), whose rays are the columns of linalg.scaled_inverse.  The
+    other generators are inserted one at a time, in input order, while the
+    extreme rays of the intersection so far are maintained.  Every new
+    vector is a positive integer combination of two old ones, reduced by its
+    gcd (primitive_vector), so no division is made and the entries stay small.
 
     Raises ValueError when a generator's length is not the rank,
     ValueError("cone not full-dimensional; quotient out lineality/span
@@ -84,30 +85,23 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
             gens.append(p)
     if len(gens) < rank:
         raise ValueError("cone not full-dimensional; quotient out lineality/span first")
-    lineality = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, mask of the generators it vanishes on)
+    rest, _ = free_kernel(list(zip(*gens)), len(gens))
+    base = [j for j in range(len(gens)) if j not in rest]
+    if len(base) < rank:
+        raise ValueError("cone not full-dimensional; quotient out lineality/span first")
+    # (ray, mask of the generators it vanishes on): seed ray i is positive on
+    # base[i] and vanishes on the other base generators.
+    base_mask = mask_of(base)
+    rays = [
+        (primitive_vector(col), base_mask & ~(1 << j))
+        for j, col in zip(base, scaled_inverse([gens[j] for j in base]))
+    ]
+    # Every cone so far is pointed and full-dimensional, so adjacent rays
+    # span a 2-face: they share rank - 2 zero generators at least.
+    least_common = rank - 2
 
-    for idx, g in enumerate(gens):
-        lin_vals = [dot(l, g) for l in lineality]
-        if any(lin_vals):
-            # v0 > 0, so v0 * l - v * l0 is a positive multiple of
-            # l - (v / v0) * l0: the same ray, with the same zero set.
-            j0 = next(j for j, v in enumerate(lin_vals) if v)
-            l0, v0 = lineality[j0], lin_vals[j0]
-            if v0 < 0:
-                l0, v0 = tuple(-x for x in l0), -v0
-            lineality = [
-                primitive_vector([v0 * x - v * y for x, y in zip(l, l0)])
-                for j, (l, v) in enumerate(zip(lineality, lin_vals))
-                if j != j0
-            ]
-            rays = [
-                (primitive_vector([v0 * x - dot(r, g) * y for x, y in zip(r, l0)]), zset | 1 << idx)
-                for r, zset in rays
-            ]
-            rays.append((l0, (1 << idx) - 1))
-            continue
-        vals = [dot(r, g) for r, _ in rays]
+    for idx in rest:
+        vals = [dot(r, gens[idx]) for r, _ in rays]
         if all(v >= 0 for v in vals):
             rays = [
                 (r, zset | 1 << idx if vals[i] == 0 else zset)
@@ -117,11 +111,8 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
         plus = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        kept = [(rays[i][0], rays[i][1]) for i in plus]
+        kept = [rays[i] for i in plus]
         kept += [(rays[i][0], rays[i][1] | 1 << idx) for i in zero]
-        # Adjacent rays span a 2-face of the pointed part, of dimension rank -
-        # len(lineality): they share that minus 2 zero generators at least.
-        least_common = rank - len(lineality) - 2
         for ip in plus:
             rp, zp = rays[ip]
             vp = vals[ip]
@@ -139,9 +130,6 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
                 combo = primitive_vector([vp * x - vm * y for x, y in zip(rm, rp)])
                 kept.append((combo, common | 1 << idx))
         rays = kept
-
-    if lineality:
-        raise ValueError("cone not full-dimensional; quotient out lineality/span first")
 
     # The generated cone holds a line iff its lineality space is nonzero.
     # That space is a face, so it is generated by the generators it contains,
@@ -184,8 +172,6 @@ class Cone:
         if any(len(v) != rank for v in vectors):
             raise ValueError(f"every vector must have length {rank}, the lattice rank")
         prim = sorted({primitive_vector(v) for v in vectors if any(v)})
-        if rank == 0:
-            return cls(0, (), ())
         normals = dual_description(prim, rank)
         # A generator is extreme iff no other one vanishes on a strict
         # superset of its facet normals.

@@ -22,8 +22,9 @@ their denominators.  Matrices are stored as sparse rows throughout
 bound of the matrix's own rows proves large enough to give the rank over Q
 (RatMatrix.rank).  Input is integer only: primitive_vector rejects any
 other entry, as cli.load_cone_file does for a cone file, so no rational
-ever enters.  The projector Gram matrix of a cone's rays (symmetry) comes
-from the same free_kernel pass as the frames.
+ever enters.  free_kernel is the one eliminator: it gives the frames, and
+through scaled_inverse the rays' Gram matrix and the double description's
+start.
 All functions are pure and all returned objects immutable.
 """
 
@@ -128,8 +129,9 @@ class RatMatrix:
 
     rank() is the rank over Q: sparse elimination of the integer rows, each
     divided by the gcd of its entries, modulo a Mersenne prime p
-    (_rank_mod).  Dividing a row by a nonzero scalar keeps the rank; it
-    undoes what a face's scale puts into its rows (ishida._face_rows).
+    (_rank_mod), shortest rows first to keep the fill-in low.  Dividing a
+    row by a nonzero scalar keeps the rank; it undoes what a face's scale
+    puts into its rows (ishida._face_rows).
     The rank modulo p never exceeds the rank over Q, and equals it when p
     lies above a Hadamard bound of every minor of the rows eliminated
     (_certified_prime), as no nonzero minor then vanishes mod p.  Each
@@ -165,6 +167,7 @@ class RatMatrix:
             if (g := math.gcd(*d.values())) != 1:
                 for j in d:
                     d[j] //= g
+        rows.sort(key=len)
         return _rank_mod(rows, _certified_prime(rows)) if rows else 0
 
     def __repr__(self):
@@ -207,11 +210,24 @@ def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, .
         pivots[lead] = row
     d = math.lcm(*(prow[c] for c, prow in pivots.items()))
     free = tuple(j for j in range(ncols) if j not in pivots)
-    kernel = tuple(
-        tuple(d if j == s else -(d // pivots[j][j]) * pivots[j][s] if j in pivots else 0 for j in range(ncols))
-        for s in free
-    )
-    return free, kernel
+    scales = [(c, -(d // prow[c]), prow) for c, prow in pivots.items()]
+    kernel = []
+    for s in free:
+        vec = [0] * ncols
+        vec[s] = d
+        for c, m, prow in scales:
+            vec[c] = m * prow[s]
+        kernel.append(tuple(vec))
+    return free, tuple(kernel)
+
+
+def scaled_inverse(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The columns of D A^-1, D > 0, for an invertible integer n x n matrix
+    A: the free columns of free_kernel of the rows [A | -I] are n..2n-1, and
+    kernel vector t, D at n + t, starts with column t of D A^-1."""
+    n = len(a)
+    _, kernel = free_kernel([list(row) + [-(i == j) for j in range(n)] for i, row in enumerate(a)], 2 * n)
+    return tuple(k[:n] for k in kernel)
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,8 @@ polyhedra" (LMS J. Comput. Math. 17, 2014).  Such maps are Q-linear, not
 in general lattice automorphisms.  Generators of the group come from a
 backtracking search along a point-stabiliser chain, pruned by Gram
 colours (_ray_automorphisms); face_orbits turns them into orbits of face
-ids.  Everything is computed in integers, the Gram matrix through the
-Gauss-Jordan pass of linalg.free_kernel that the face frames use.
+ids.  Everything is computed in integers, the Gram matrix through
+linalg.scaled_inverse from free_kernel, the package's one eliminator.
 """
 
 from __future__ import annotations
@@ -17,18 +17,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cones import Cone
-from .linalg import dot, free_kernel
+from .linalg import dot, scaled_inverse
 
 
-def _projector_gram(rays: Sequence[Sequence[int]], rank: int) -> list[list[int]]:
+def _projector_gram(rays: Sequence[Sequence[int]]) -> list[list[int]]:
     """G = R (D A^-1) R^T, R the rays as rows and A = R^T R: D > 0 times the
     projector onto the column space of R, so it has the same automorphisms.
-    A is invertible, so free_kernel of [A | -I] has the free columns n..2n-1,
-    and kernel vector t starts with column t of D A^-1, D the lcm of the
-    pivots."""
-    a = [[dot(u, v) for v in zip(*rays)] for u in zip(*rays)]
-    _, kernel = free_kernel([row + [-(i == j) for j in range(rank)] for i, row in enumerate(a)], 2 * rank)
-    inv = [k[:rank] for k in kernel]  # D A^-1 is symmetric
+    The rays span, so A is invertible, and linalg.scaled_inverse gives the
+    columns of D A^-1, which is symmetric: they are its rows too."""
+    inv = scaled_inverse([[dot(u, v) for v in zip(*rays)] for u in zip(*rays)])
     ra = [[dot(r, row) for row in inv] for r in rays]
     return [[dot(x, r) for r in rays] for x in ra]
 
@@ -95,7 +92,7 @@ def face_orbits(cone: Cone) -> list[int]:
     fl = cone.face_lattice()
     gens = [
         [fl.by_mask[sum(map(bits.__getitem__, face.rays))] for face in fl.faces]
-        for bits in ([1 << i for i in g] for g in _ray_automorphisms(_projector_gram(cone.rays, cone.rank)))
+        for bits in ([1 << i for i in g] for g in _ray_automorphisms(_projector_gram(cone.rays)))
     ]
     rep = list(range(len(fl.faces)))
     for f in range(len(rep)):

@@ -75,8 +75,8 @@ class TestDualDescription:
         with pytest.raises(ValueError, match="full-dimensional"):
             dual_description([(1, 0, 0), (0, 1, 0)], 3)
 
-    def test_too_few_generators_fail_before_the_lineality_basis(self):
-        # the rank x rank lineality basis alone would take about 60 MB
+    def test_too_few_generators_fail_before_the_start_simplex(self):
+        # a rank x rank matrix alone would take about 60 MB
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="full-dimensional"):
@@ -109,6 +109,12 @@ class TestDualDescription:
         for cone in named_corpus:
             assert set(cone.facet_normals) == brute_force_facet_normals(cone.rays, cone.rank)
 
+    def test_start_simplex_need_not_be_a_prefix(self):
+        # The first three generators span a plane only, so the simplex that
+        # starts the double description takes the first, second and fourth.
+        gens = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (-1, 2, 1), (1, 1, 2)]
+        assert dual_description(gens, 3) == tuple(sorted(brute_force_facet_normals(gens, 3)))
+
     def test_redundant_generators(self):
         # interior generator must not disturb the description
         a = dual_description([(1, 0), (0, 1)], 2)
@@ -124,8 +130,8 @@ class TestDualDescription:
 def generator_lists(draw):
     """(rank, generators): 3-8 generators in Z^3 or Z^4 with entries in
     [-4, 4], among them repeated, opposite, non-primitive and redundant ones,
-    shuffled so that the lineality phase of the double description ends at
-    different points."""
+    shuffled so that the first rank independent generators, which start the
+    double description, need not be the first rank generators."""
     rank = draw(st.sampled_from((3, 4)))
     vec = st.tuples(*[st.integers(-4, 4)] * rank)
     gens = draw(st.lists(vec, min_size=rank, max_size=6))

@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ambient_reference import (
     AmbientBasis,
     ColumnSolver,
+    _det,
     ambient_contraction,
     ambient_interior_product_matrix,
     bareiss_rank,
@@ -296,6 +297,20 @@ def test_free_kernel_matches_gauss_jordan(rows):
     """linalg.free_kernel on any integer rows, dependent or zero ones too."""
     free, kernel = linalg.free_kernel(rows, 5)
     assert tuple(tuple(Fraction(x, k[s]) for x in k) for s, k in zip(free, kernel)) == tuple(kernel_basis(rows, 5))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_scaled_inverse_is_a_positive_multiple_of_the_inverse(a):
+    """A times the columns of scaled_inverse(A) is D times the identity,
+    with one D > 0, for every invertible integer A."""
+    assume(_det(a) != 0)
+    cols = linalg.scaled_inverse(a)
+    n = len(a)
+    assert len(cols) == n and all(len(c) == n and all(type(x) is int for x in c) for c in cols)
+    d = dot(a[0], cols[0])
+    assert d > 0
+    assert [[dot(row, c) for c in cols] for row in a] == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 @given(st.lists(st.tuples(st_small, st_small, st_small, st_small), min_size=1, max_size=3), st.lists(st_small, min_size=3, max_size=3))

@@ -130,7 +130,7 @@ def _det(m):
 
 
 def ray_group(cone):
-    gens = _ray_automorphisms(_projector_gram(cone.rays, cone.rank))
+    gens = _ray_automorphisms(_projector_gram(cone.rays))
     return gens, closure(gens, len(cone.rays))
 
 
@@ -144,7 +144,7 @@ def test_projector_gram_is_the_inverse_denominator_lcm_times_the_rational_projec
         inv = [_solve(a, [int(i == j) for j in range(n)]) for i in range(n)]
         d = math.lcm(*(x.denominator for row in inv for x in row))
         expected = [[d * sum(u[i] * inv[i][j] * v[j] for i in range(n) for j in range(n)) for v in rays] for u in rays]
-        assert _projector_gram(rays, n) == expected, cone
+        assert _projector_gram(rays) == expected, cone
 
 
 def _small_cones(named_corpus):
@@ -190,7 +190,7 @@ def test_group_orders_of_bench_shaped_cones():
         cone = cone_over_polytope(BENCH_SHAPED[name][0])
         gens, group = ray_group(cone)
         assert len(group) == order, name
-        gram = _projector_gram(cone.rays, cone.rank)
+        gram = _projector_gram(cone.rays)
         for g in gens:
             assert all(gram[g[i]][g[j]] == gram[i][j] for i in range(len(g)) for j in range(len(g)))
 
