@@ -1,8 +1,9 @@
 """Rational polyhedral cones and their face lattices.
 
 A Cone is full-dimensional and strongly convex in a lattice of the stated
-rank, presented by its primitive extreme ray generators.  Its face lattice
-is read off the incidence of rays and facets alone, walked from whichever
+rank, presented by its primitive extreme ray generators and its ray-facet
+incidence, kept from the double description: no dot product runs after it.
+Its face lattice is read off that incidence alone, walked from whichever
 side is smaller, with no linear algebra, and refused past MAX_FACES faces.
 Each face computes, on first use, the free-coordinate frame of its
 annihilator (Face.perp_frame), from one integer Gauss-Jordan pass over its
@@ -12,15 +13,15 @@ Spans grow along the face lattice, so the pivots do too: for mu < tau,
 pivots(mu) is contained in pivots(tau), and free(tau) is free(mu) without
 one column.  The contractions of the complexes are built on these frames
 (ishida.contractions).  Every vector and computation here is in integers;
-linalg.free_kernel, the one eliminator, gives the frames and the simplex
-that starts the double description.  Linear symmetries are in symmetry.py.
+linalg._gauss_jordan, the one eliminator, gives the frames and the start
+of the double description.  Linear symmetries are in symmetry.py.
 
 The closed-form classes, cones over simplicial and over simple polytopes,
 are defined once, per face (face_class); is_cone_over_* read the top face.
 
 A set of rays or of faces is an int bitmask over their indices.  Neither a
-face nor a face lattice refers back to its cone: a face carries its ray
-vectors and the lattice rank, which is all its frame needs.
+face nor a face lattice refers back to its cone: a face shares its cone's
+ray tuple and carries the lattice rank, all that its frame needs.
 
 Cones and face lattices are immutable after construction, apart from the
 memo dict each cone carries and what each face or lattice computes on first
@@ -33,10 +34,10 @@ cone's lattice, its down-set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import dot, free_kernel, primitive_vector, scaled_inverse
+from .linalg import _gauss_jordan, dot, free_kernel, primitive_vector, scaled_inverse
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -53,12 +54,14 @@ def ids_of(mask: int) -> list[int]:
     return ids
 
 
-def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[int, ...], ...]:
-    """Extreme rays of {h : <h, g> >= 0 for every generator g}.
+def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Extreme rays of {h : <h, g> >= 0 for every generator g}, sorted, each
+    with the bitmask of the generators it vanishes on, counted without zero
+    and repeated ones (equal after primitive_vector), first occurrence first.
 
     Incremental double description in integers, started from the simplicial
-    cone dual to the first rank independent generators (free_kernel's pivot
-    columns), whose rays are the columns of linalg.scaled_inverse.  The
+    cone dual to the first rank independent generators (the pivot columns of
+    linalg._gauss_jordan), whose rays are the columns of scaled_inverse.  The
     other generators are inserted one at a time, in input order, while the
     extreme rays of the intersection so far are maintained.  Every new
     vector is a positive integer combination of two old ones, reduced by its
@@ -85,10 +88,10 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
             gens.append(p)
     if len(gens) < rank:
         raise ValueError("cone not full-dimensional; quotient out lineality/span first")
-    rest, _ = free_kernel(list(zip(*gens)), len(gens))
-    base = [j for j in range(len(gens)) if j not in rest]
-    if len(base) < rank:
+    pivots = _gauss_jordan(list(zip(*gens)))
+    if len(pivots) < rank:
         raise ValueError("cone not full-dimensional; quotient out lineality/span first")
+    base, rest = sorted(pivots), [j for j in range(len(gens)) if j not in pivots]
     # (ray, mask of the generators it vanishes on): seed ray i is positive on
     # base[i] and vanishes on the other base generators.
     base_mask = mask_of(base)
@@ -138,7 +141,7 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
         raise ValueError("cone contains a line")
     # With the combinatorial adjacency test every ray kept is extreme and no
     # ray is kept twice.
-    return tuple(sorted(r for r, _ in rays))
+    return tuple(sorted(rays))
 
 
 class Cone:
@@ -147,16 +150,18 @@ class Cone:
     Use Cone.from_rays / Cone.from_dual_rays; the constructor itself trusts
     its arguments.  `rays` are the primitive extreme generators, sorted, and
     `facet_normals` the primitive inequality normals of the minimal
-    description, also sorted.  `memo` is the cone's own dict of memoised
-    results (see `memoized`).
+    description, also sorted; `incidence[j]` is the bitmask of the rays on
+    facet j, kept from the double description.  `memo` is the cone's own
+    dict of memoised results (see `memoized`).
     """
 
-    __slots__ = ("rank", "rays", "facet_normals", "memo", "_lattice", "_hash")
+    __slots__ = ("rank", "rays", "facet_normals", "incidence", "memo", "_lattice", "_hash")
 
-    def __init__(self, rank: int, rays: tuple, facet_normals: tuple):
+    def __init__(self, rank: int, rays: tuple, facet_normals: tuple, incidence: tuple):
         self.rank = rank
         self.rays = rays
         self.facet_normals = facet_normals
+        self.incidence = incidence
         self.memo = {}
         self._lattice = None
         self._hash = hash((rank, rays))
@@ -172,12 +177,18 @@ class Cone:
         if any(len(v) != rank for v in vectors):
             raise ValueError(f"every vector must have length {rank}, the lattice rank")
         prim = sorted({primitive_vector(v) for v in vectors if any(v)})
-        normals = dual_description(prim, rank)
-        # A generator is extreme iff no other one vanishes on a strict
-        # superset of its facet normals.
-        zero_sets = [mask_of(j for j, h in enumerate(normals) if dot(h, r) == 0) for r in prim]
-        extreme = tuple(r for r, z in zip(prim, zero_sets) if not any(z != o and z & ~o == 0 for o in zero_sets))
-        return cls(rank, extreme, normals)
+        facets = dual_description(prim, rank)
+        normals, masks = zip(*facets) if facets else ((), ())
+        # A generator is extreme iff the facets through it meet, among the
+        # generators, in it alone.
+        meet = [(1 << len(prim)) - 1] * len(prim)
+        for z in masks:
+            for i in ids_of(z):
+                meet[i] &= z
+        keep = [i for i, m in enumerate(meet) if m == 1 << i]
+        if len(keep) < len(prim):  # renumber the masks over the extreme rays
+            masks = tuple(mask_of(k for k, i in enumerate(keep) if z >> i & 1) for z in masks)
+        return cls(rank, tuple(prim[i] for i in keep), normals, masks)
 
     @classmethod
     def from_dual_rays(cls, generators: Iterable[Sequence[int]], rank: int | None = None) -> "Cone":
@@ -187,8 +198,7 @@ class Cone:
             if not generators:
                 raise ValueError("cannot infer the lattice rank from an empty generator list")
             rank = len(generators[0])
-        rays = dual_description(generators, rank)
-        return cls.from_rays(rays, rank)
+        return cls.from_rays([h for h, _ in dual_description(generators, rank)], rank)
 
     def face_lattice(self) -> "FaceLattice":
         if self._lattice is None:
@@ -209,27 +219,38 @@ class Cone:
         return f"Cone(rank={self.rank}, rays={list(self.rays)})"
 
 
-@dataclass(frozen=True)
 class Face:
     """A face of a cone, identified by the set of extreme rays lying on it.
 
     Equality and hashing cover index, dim and rays; mask is the ray set as a
-    bitmask, vectors the ray generators and rank the lattice rank.
-    perp_frame is computed on first use and kept: linalg.free_kernel of the
-    rays, (free columns, kernel vectors), which identifies perp(F) with
-    Q^free(F) by restriction to the free columns.
+    bitmask, cone_rays the cone's ray tuple, shared by all its faces, and
+    rank the lattice rank.  perp_frame, computed on first use and kept, is
+    free_kernel of the face's ray vectors: (free columns, kernel vectors),
+    identifying perp(F) with Q^free(F) by restriction to the free columns.
     """
 
-    index: int
-    dim: int
-    rays: tuple[int, ...]
-    mask: int = field(compare=False, repr=False)
-    vectors: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    rank: int = field(compare=False, repr=False)
+    __slots__ = ("index", "dim", "rays", "mask", "cone_rays", "rank", "_perp_frame")
 
-    @functools.cached_property
+    def __init__(self, index: int, dim: int, rays: tuple[int, ...], mask: int, cone_rays: tuple, rank: int):
+        self.index, self.dim, self.rays, self.mask, self.cone_rays, self.rank = index, dim, rays, mask, cone_rays, rank
+
+    def __eq__(self, other):
+        return isinstance(other, Face) and (self.index, self.dim, self.rays) == (other.index, other.dim, other.rays)
+
+    def __hash__(self):
+        return hash((self.index, self.dim, self.rays))
+
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.cone_rays[i] for i in self.rays)
+
+    @property
     def perp_frame(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        return free_kernel(self.vectors, self.rank)
+        try:
+            return self._perp_frame
+        except AttributeError:
+            self._perp_frame = free_kernel(self.vectors, self.rank)
+            return self._perp_frame
 
 
 class FaceLattice:
@@ -308,22 +329,21 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
     all its facets, as the sets that contain it.  Faces are indexed by
     (dim, sorted rays).
     """
-    facet_masks = [mask_of(i for i, r in enumerate(cone.rays) if dot(h, r) == 0) for h in cone.facet_normals]
-    if len(facet_masks) <= len(cone.rays):
-        found = _maximal_intersections((1 << len(cone.rays)) - 1, facet_masks)
+    if len(cone.incidence) <= len(cone.rays):
+        found = _maximal_intersections((1 << len(cone.rays)) - 1, cone.incidence)
         dims = {m: cone.rank - level for m, (level, _, _) in found.items()}
         covers = [(m, t) for m, (_, kept, _) in found.items() for t in kept]
     else:
-        ray_masks = [mask_of(j for j, f in enumerate(facet_masks) if f >> i & 1) for i in range(len(cone.rays))]
-        found = _maximal_intersections((1 << len(facet_masks)) - 1, ray_masks)
+        ray_masks = [mask_of(j for j, f in enumerate(cone.incidence) if f >> i & 1) for i in range(len(cone.rays))]
+        found = _maximal_intersections((1 << len(cone.incidence)) - 1, ray_masks)
         dims = {held: level for level, _, held in found.values()}
         covers = [(found[t][2], held) for _, kept, held in found.values() for t in kept]
 
     order = sorted((d, tuple(ids_of(m)), m) for m, d in dims.items())
-    faces = tuple(
-        Face(i, d, rays, m, tuple(cone.rays[j] for j in rays), cone.rank) for i, (d, rays, m) in enumerate(order)
-    )
+    faces = tuple(Face(i, d, rays, m, cone.rays, cone.rank) for i, (d, rays, m) in enumerate(order))
     index = {f.mask: f.index for f in faces}
+    # faces come by dimension, and every dimension from 0 to the rank has one
+    by_dim = tuple(tuple(f.index for f in same) for _, same in itertools.groupby(faces, key=lambda f: f.dim))
     children, parents = [[] for _ in faces], [[] for _ in faces]
     for hi, lo in covers:
         children[index[hi]].append(index[lo])
@@ -331,7 +351,6 @@ def _build_face_lattice(cone: Cone) -> FaceLattice:
         ids.sort()
         for lo in ids:
             parents[lo].append(hi)
-    by_dim = tuple(tuple(f.index for f in faces if f.dim == d) for d in range(cone.rank + 1))
     return FaceLattice(cone.rank, faces, by_dim, children, parents, index)
 
 

@@ -118,7 +118,7 @@ def contractions(cone: Cone, tid: int) -> tuple[Contraction, ...]:
     out = []
     for mid in fl.children[tid]:
         mu = fl.faces[mid]
-        ray = next(v for i, v in zip(tau.rays, tau.vectors) if not mu.mask >> i & 1)
+        ray = tau.cone_rays[next(i for i in tau.rays if not mu.mask >> i & 1)]
         out.append(Contraction([dot(k, ray) for k in mu.perp_frame[1]]))
     return tuple(out)
 

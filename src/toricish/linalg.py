@@ -22,9 +22,9 @@ their denominators.  Matrices are stored as sparse rows throughout
 bound of the matrix's own rows proves large enough to give the rank over Q
 (RatMatrix.rank).  Input is integer only: primitive_vector rejects any
 other entry, as cli.load_cone_file does for a cone file, so no rational
-ever enters.  free_kernel is the one eliminator: it gives the frames, and
-through scaled_inverse the rays' Gram matrix and the double description's
-start.
+ever enters.  _gauss_jordan is the one eliminator: through free_kernel it
+gives the frames, and through scaled_inverse the rays' Gram matrix and the
+seed rays of the double description, whose pivot columns it gives directly.
 All functions are pure and all returned objects immutable.
 """
 
@@ -174,16 +174,10 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(free, kernel) of integer rows, from one integer Gauss-Jordan pass.
-
-    free lists, ascending, the columns that are not pivots of the rows'
-    reduced echelon form: a column is a pivot when some vector of their span
-    has its first nonzero entry there.  kernel[j] is the integer vector that
-    is D > 0 at free[j] and 0 at the other free columns, and annihilates
-    every row; D is the same for every j.  So restriction to the free
-    columns maps the annihilator of the rows onto Q^free, kernel[j] to D
-    times the j-th unit vector.
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> dict[int, list[int]]:
+    """Pivot column -> row of the integer reduced echelon form of the rows,
+    primitive, > 0 at its pivot and 0 at the others.  A column is a pivot
+    when some vector of the rows' span has its first nonzero entry there.
 
     Each row is reduced by the pivot rows so far, each step a positive
     multiple of it minus a multiple of a pivot row, so no fraction arises.
@@ -191,7 +185,7 @@ def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, .
     is no pivot yet; made primitive and positive there, it is eliminated
     from the other pivot rows the same way.
     """
-    pivots: dict[int, list[int]] = {}  # pivot column -> row, > 0 there, 0 at the other pivots
+    pivots: dict[int, list[int]] = {}
     for row in rows:
         row = list(row)
         for c, prow in pivots.items():
@@ -208,6 +202,16 @@ def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, .
                 g = math.gcd(*prow)
                 pivots[c] = [y // g for y in prow]
         pivots[lead] = row
+    return pivots
+
+
+def free_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(free, kernel) of integer rows: free lists, ascending, the columns
+    that are not pivots of _gauss_jordan.  kernel[j] is the integer vector
+    that is D > 0 at free[j] and 0 at the other free columns, and annihilates
+    every row; D is the same for every j.  So restriction to the free columns
+    maps the annihilator of the rows onto Q^free, kernel[j] to D e_j."""
+    pivots = _gauss_jordan(rows)
     d = math.lcm(*(prow[c] for c, prow in pivots.items()))
     free = tuple(j for j in range(ncols) if j not in pivots)
     scales = [(c, -(d // prow[c]), prow) for c, prow in pivots.items()]

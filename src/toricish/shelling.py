@@ -24,8 +24,9 @@ prefix) -> bool, shared by all its sub-searches and dropped when it
 returns: shelling() and is_shelling() each certify afresh.  It also marks
 the partial orders found dead.  Sets of faces and of rays are bitmasks
 over their indices, as in the face lattice.  The facets of a candidate
-already covered by a partial order are found by the diamond property,
-from each facet's parents, not by testing them against every earlier
+already covered by a partial order are those it shares with an earlier
+face, found with one AND: its children mask against the union of the
+earlier faces' children masks, not by testing them against every earlier
 face.  One certification makes at most MAX_SEARCH_STEPS extensions of a
 partial order and raises RuntimeError beyond that, so a search cannot
 run without bound.
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cones import Cone, Face, FaceLattice, mask_of
+from .cones import Cone, Face, FaceLattice, ids_of, mask_of
 from .linalg import dot
 
 # Extensions of a partial order allowed in one certification.  The largest
@@ -107,7 +108,7 @@ def shelling(cone: Cone) -> Shelling:
     heights = [dot(w, r) for r in cone.rays]
     l = math.lcm(*heights)
     p = [sum(l // s * r[i] for s, r in zip(heights, cone.rays)) for i in range(n)]
-    normal_of = {fl.by_mask[mask_of(i for i, r in enumerate(cone.rays) if not dot(h, r))]: h for h in cone.facet_normals}
+    normal_of = {fl.by_mask[m]: h for h, m in zip(cone.facet_normals, cone.incidence)}
     normals = [normal_of[fid] for fid in facet_ids]
     hp = [dot(h, p) for h in normals]
 
@@ -154,40 +155,37 @@ def _certify(fl: FaceLattice, ordered: list[Face]) -> list[StepCertificate] | No
 
     The outcome memo of the sub-searches, (face index, prefix bitmask) ->
     bool, and the count of extension steps against MAX_SEARCH_STEPS both
-    live for this one call, as does `up`, each face's parents as a bitmask.
+    live for this one call, as does `below`, each face's children as a
+    bitmask.  A facet's covered facets are those it shares with an earlier
+    facet: its children mask and `under`, the union of theirs.
     """
     memo: dict[tuple[int, ...], bool] = {}
     steps = itertools.count(1)
-    up = [mask_of(ids) for ids in fl.parents]
-    used_mask, earlier = 0, ()
+    below = [mask_of(ids) for ids in fl.children]
+    under, earlier = 0, ()
     certs = []
     for face in ordered:
-        prefix = _covered_facets(fl, up, face.index, used_mask)
+        prefix = below[face.index] & under
         if earlier and not (prefix and _intersections_covered(fl, face.mask, earlier, prefix)):
             return None
-        ext = _find_shelling(fl, up, face, mask_of(prefix), memo, steps)
+        ext = _find_shelling(fl, below, face, prefix, memo, steps)
         if ext is None:
             return None
         ext_faces = [fl.faces[i] for i in ext]
-        prefix_sorted = tuple(f.rays for f in ext_faces[: len(prefix)])
+        prefix_sorted = tuple(f.rays for f in ext_faces[: prefix.bit_count()])
         certs.append(StepCertificate(face.rays, prefix_sorted, tuple(f.rays for f in ext_faces)))
-        used_mask, earlier = used_mask | 1 << face.index, earlier + (face.mask,)
+        under, earlier = under | below[face.index], earlier + (face.mask,)
     return certs
 
 
-def _covered_facets(fl: FaceLattice, up: list[int], face_id: int, used_mask: int) -> list[int]:
-    """The facets of the face lying in a face of used_mask, all siblings of
-    the face: by the diamond property, those with such a parent."""
-    return [k for k in fl.children[face_id] if up[k] & used_mask]
-
-
-def _intersections_covered(fl: FaceLattice, face: int, earlier: tuple[int, ...], covered: list[int]) -> bool:
+def _intersections_covered(fl: FaceLattice, face: int, earlier: tuple[int, ...], covered: int) -> bool:
     """face intersect (union of earlier) must equal the union of the covered
-    facets of face (ray masks, but covered holds face ids).  Containment of
-    each pairwise intersection in a single covered facet suffices: a face
-    cannot be covered by finitely many proper subfaces.  An earlier face
-    through a covered facet meets face in just that facet, found first."""
-    rays = [fl.faces[k].mask for k in covered]
+    facets of face (ray masks, but covered is a mask of face ids).
+    Containment of each pairwise intersection in a single covered facet
+    suffices: a face cannot be covered by finitely many proper subfaces.  An
+    earlier face through a covered facet meets face in just that facet,
+    found first."""
+    rays = [fl.faces[k].mask for k in ids_of(covered)]
     for e in earlier:
         common = face & e
         if common not in rays and not any(common & ~c == 0 for c in rays):
@@ -196,17 +194,18 @@ def _intersections_covered(fl: FaceLattice, face: int, earlier: tuple[int, ...],
 
 
 def _find_shelling(
-    fl: FaceLattice, up: list[int], face: Face, prefix: int, memo: dict[tuple[int, ...], bool],
-    steps: Iterator[int], used_mask: int = 0, earlier: tuple[int, ...] = (),
+    fl: FaceLattice, below: list[int], face: Face, prefix: int, memo: dict[tuple[int, ...], bool],
+    steps: Iterator[int], used_mask: int = 0, under: int = 0, earlier: tuple[int, ...] = (),
 ) -> tuple[int, ...] | None:
     """A shelling order of face's facet poset whose initial segment is
     exactly the prefix set, or None.  Returns facet indices.
 
-    prefix is a bitmask over face ids, and up holds each face's parents as
-    one.  Depth first: `used_mask` is the partial order so far as a set,
-    which the result extends, and `earlier` its ray masks in order.  Whether
-    an inner sub-search succeeds is looked up in, or stored to, memo, the
-    outcome memo of the certification.  So is each partial order found dead,
+    prefix is a bitmask over face ids, and below holds each face's children
+    as one.  Depth first: `used_mask` is the partial order so far as a set,
+    which the result extends, `under` the union of its children masks, and
+    `earlier` its ray masks in order.  A candidate's covered facets are its
+    children in `under`.  Whether an inner sub-search succeeds is looked up
+    in, or stored to, memo, the outcome memo of the certification.  So is each partial order found dead,
     as (face index, prefix, used_mask) -> False, so that no order of a dead
     set is walked again.  Each extension draws one step from steps and
     raises RuntimeError once MAX_SEARCH_STEPS is exceeded.
@@ -228,16 +227,16 @@ def _find_shelling(
         if used_mask & bit or not allowed & bit:
             continue
         g = fl.faces[cand]
-        covered = _covered_facets(fl, up, cand, used_mask)
+        covered = below[cand] & under
         if earlier and not (covered and _intersections_covered(fl, g.mask, earlier, covered)):
             continue
         if g.dim > 1:  # lower faces always shell
-            key = (cand, mask_of(covered))
+            key = (cand, covered)
             if key not in memo:
-                memo[key] = _find_shelling(fl, up, g, key[1], memo, steps) is not None
+                memo[key] = _find_shelling(fl, below, g, covered, memo, steps) is not None
             if not memo[key]:
                 continue
-        rest = _find_shelling(fl, up, face, prefix, memo, steps, used_mask | bit, earlier + (g.mask,))
+        rest = _find_shelling(fl, below, face, prefix, memo, steps, used_mask | bit, under | below[cand], earlier + (g.mask,))
         if rest is not None:
             return (cand,) + rest
     memo[face.index, prefix, used_mask] = False

@@ -9,7 +9,7 @@ in general lattice automorphisms.  Generators of the group come from a
 backtracking search along a point-stabiliser chain, pruned by Gram
 colours (_ray_automorphisms); face_orbits turns them into orbits of face
 ids.  Everything is computed in integers, the Gram matrix through
-linalg.scaled_inverse from free_kernel, the package's one eliminator.
+linalg.scaled_inverse from free_kernel, on the package's one eliminator.
 """
 
 from __future__ import annotations

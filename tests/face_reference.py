@@ -77,7 +77,7 @@ def face_cone(cone: Cone, face: Face) -> Cone:
     if face.dim == cone.rank:
         return cone
     if face.dim == 0:
-        return Cone(0, (), ())
+        return Cone(0, (), (), ())
     coords = lattice_coordinates(span_lattice(face), [cone.rays[i] for i in face.rays], cone.rank)
     return Cone.from_rays(coords, rank=face.dim)
 

@@ -41,7 +41,7 @@ def quotient_cone(cone: Cone, face: Face) -> Cone:
     if face.dim == 0:
         return cone
     if face.dim == cone.rank:
-        return Cone(0, (), ())
+        return Cone(0, (), (), ())
     images = []
     for r in cone.rays:
         w = tuple(dot(u, r) for u in perp_lattice(face))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import tracemalloc
 
@@ -11,6 +12,7 @@ from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
 from toricish import cones
 from toricish.cones import (
     Cone,
+    Face,
     cone_over_polytope,
     dual_description,
     is_cone_over_simple,
@@ -42,6 +44,43 @@ def brute_force_facet_normals(rays, rank):
     return out
 
 
+def dot_incidence(normals, vectors):
+    """Per normal, the indices of the vectors it vanishes on, by dot
+    products."""
+    return [frozenset(i for i, v in enumerate(vectors) if dot(h, v) == 0) for h in normals]
+
+
+def as_mask(ids):
+    return sum(2**i for i in ids)
+
+
+def assert_incidence(facets, gens):
+    """dual_description's masks are the dot-product incidence over the
+    generators with zero and repeated ones dropped, first occurrence first."""
+    distinct = list(dict.fromkeys(primitive_vector(g) for g in gens if any(g)))
+    normals = [h for h, _ in facets]
+    assert [z for _, z in facets] == [as_mask(ids) for ids in dot_incidence(normals, distinct)]
+
+
+def pairwise_extreme_rays(generators, normals):
+    """Oracle for the extreme rays that Cone.from_rays keeps: of the
+    distinct primitive generators, sorted, those whose zero set over the
+    facet normals no other generator's zero set strictly contains.  Every
+    pair of generators is compared."""
+    prim = sorted({primitive_vector(v) for v in generators if any(v)})
+    zero_sets = [frozenset(j for j, h in enumerate(normals) if dot(h, r) == 0) for r in prim]
+    return tuple(r for r, z in zip(prim, zero_sets) if not any(z < o for o in zero_sets))
+
+
+def assert_from_rays(gens, rank):
+    """from_rays keeps what the pairwise oracle keeps, and its stored
+    incidence is the dot-product incidence over the rays it keeps."""
+    cone = Cone.from_rays(gens, rank)
+    assert cone.rays == pairwise_extreme_rays(gens, cone.facet_normals)
+    assert cone.incidence == tuple(as_mask(ids) for ids in dot_incidence(cone.facet_normals, cone.rays))
+    return cone
+
+
 def brute_force_faces(cone):
     """Independent face enumeration: every subset of facet normals cuts a
     face; deduplicate by the ray set."""
@@ -60,8 +99,9 @@ def brute_force_faces(cone):
 
 class TestDualDescription:
     def test_orthant_self_dual(self):
-        normals = dual_description([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-        assert set(normals) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        # each normal vanishes on the other two generators
+        got = dual_description([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        assert got == (((0, 0, 1), 0b011), ((0, 1, 0), 0b101), ((1, 0, 0), 0b110))
 
     def test_quadric_four_normals(self, quadric_cone):
         assert len(quadric_cone.facet_normals) == 4
@@ -113,13 +153,13 @@ class TestDualDescription:
         # The first three generators span a plane only, so the simplex that
         # starts the double description takes the first, second and fourth.
         gens = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (-1, 2, 1), (1, 1, 2)]
-        assert dual_description(gens, 3) == tuple(sorted(brute_force_facet_normals(gens, 3)))
+        assert tuple(h for h, _ in dual_description(gens, 3)) == tuple(sorted(brute_force_facet_normals(gens, 3)))
 
     def test_redundant_generators(self):
         # interior generator must not disturb the description
         a = dual_description([(1, 0), (0, 1)], 2)
         b = dual_description([(1, 0), (1, 1), (0, 1)], 2)
-        assert a == b
+        assert [h for h, _ in a] == [h for h, _ in b]
 
     def test_involution(self, named_corpus):
         for cone in named_corpus:
@@ -159,8 +199,10 @@ def test_dual_description_matches_brute_force(case):
         message = "cone contains a line"
     else:
         # The exact tuple: a repeated ray would go unseen in a set.
-        assert dual_description(gens, rank) == tuple(sorted(expected))
-        cone = Cone.from_rays(nonzero, rank)
+        got = dual_description(gens, rank)
+        assert tuple(h for h, _ in got) == tuple(sorted(expected))
+        assert_incidence(got, gens)
+        cone = assert_from_rays(gens, rank)
         assert Cone.from_dual_rays(cone.facet_normals, rank) == cone
         return
     with pytest.raises(ValueError) as exc:
@@ -185,6 +227,48 @@ def test_redundant_generators_are_dropped(dim, seed, data):
     gens = data.draw(st.permutations(list(cone.rays) + extra))
     got, expected = Cone.from_rays(gens, dim), Cone.from_rays(cone.rays, dim)
     assert (got.rays, got.facet_normals) == (expected.rays, expected.facet_normals)
+    assert_incidence(dual_description(gens, dim), gens)
+    assert_from_rays(gens, dim)
+
+
+def test_incidence_with_interior_and_redundant_generators(full_corpus):
+    """On every corpus cone, with the sum of every two rays (on a 2-face or
+    inside) and the sum of all rays (inside) added and the generators
+    reversed: dual_description's masks are the dot-product incidence, and
+    from_rays keeps exactly the pairwise oracle's rays."""
+    for cone in full_corpus:  # named_corpus comes first
+        n = len(cone.rays)
+        extra = [tuple(map(sum, zip(cone.rays[i], cone.rays[j]))) for i in range(n) for j in range(i + 1, n)]
+        for gens in (list(cone.rays), list(reversed(cone.rays + tuple(extra))) + [tuple(map(sum, zip(*cone.rays)))]):
+            assert_incidence(dual_description(gens, cone.rank), gens)
+            assert assert_from_rays(gens, cone.rank) == cone
+
+
+def test_no_dot_product_after_the_double_description(full_corpus, monkeypatch):
+    """Once from_rays returns, the face lattice and the shelling read the
+    stored incidence: cones calls dot no more, and shelling pairs no facet
+    normal with a ray (it still crosses the facets' hyperplanes with a line,
+    by dot products with other vectors)."""
+    # the package exports the function shelling under the module's name
+    shelling_module = importlib.import_module("toricish.shelling")
+
+    def no_dot(*args):
+        raise AssertionError("dot called after the double description")
+
+    for corpus_cone in full_corpus:
+        cone = Cone.from_rays(corpus_cone.rays, corpus_cone.rank)
+        normals, rays = set(cone.facet_normals), set(cone.rays)
+
+        def no_incidence_dot(u, v, cone_dot=dot):
+            if tuple(u) in normals and tuple(v) in rays or tuple(u) in rays and tuple(v) in normals:
+                raise AssertionError("a facet normal paired with a ray after the double description")
+            return cone_dot(u, v)
+
+        want = corpus_cone.f_vector, shelling_module.shelling(corpus_cone).order
+        with monkeypatch.context() as m:
+            m.setattr(cones, "dot", no_dot)
+            m.setattr(shelling_module, "dot", no_incidence_dot)
+            assert (cone.face_lattice().f_vector, shelling_module.shelling(cone).order) == want
 
 
 def assert_face_lattice_oracle(cone):
@@ -282,7 +366,15 @@ class TestFaceLattice:
         twin = Cone.from_rays(cube_cone.rays).face_lattice()
         # equal and hashed alike from index, dim and rays alone
         assert set(fl.faces) == set(twin.faces) and len(set(fl.faces)) == len(fl.faces)
-        assert not any("perp_frame" in vars(f) for f in fl.faces)
+        # slotted, with no instance dict, and the frame slot unset until the
+        # frame is first read
+        assert set(Face.__slots__) == {"index", "dim", "rays", "mask", "cone_rays", "rank", "_perp_frame"}
+        assert not any(hasattr(f, "__dict__") or hasattr(f, "_perp_frame") for f in fl.faces)
+        frame = fl.top.perp_frame
+        assert fl.top._perp_frame is frame and fl.top.perp_frame is frame
+        assert not any(hasattr(f, "_perp_frame") for f in fl.faces if f is not fl.top)
+        # the faces share their cone's ray tuple
+        assert all(f.cone_rays is fl.top.cone_rays for f in fl.faces)
 
     def test_dual_reverses_f_vector(self, named_corpus):
         for cone in named_corpus:

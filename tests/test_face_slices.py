@@ -24,7 +24,7 @@ from toricish.ishida import class_complex, cohomology_dims, core_table, graded_c
 from toricish.sampling import sample_cones
 
 SMALL = [
-    Cone(0, (), ()),
+    Cone(0, (), (), ()),
     Cone.from_rays([(1,)]),
     Cone.from_rays([(1, 0), (1, 3)]),
 ]

@@ -100,8 +100,8 @@ def test_memo_holds_one_contraction_per_cover_pair(named_corpus):
                 d = fl.faces[mid].dim
                 offset = fl.by_dim[d].index(mid) * math.comb(cone.rank - d, l - d)
                 assert rows == interior_product_matrix(c, l - d, offset, scale // c.denominator).rows
-        kept = {f.name for f in dataclasses.fields(Face)} | {"perp_frame"}
-        assert all(set(vars(face)) <= kept for face in fl.faces)
+        assert set(Face.__slots__) == {"index", "dim", "rays", "mask", "cone_rays", "rank", "_perp_frame"}
+        assert not any(hasattr(face, "__dict__") for face in fl.faces)
 
 
 class TestDSquared:

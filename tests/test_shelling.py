@@ -165,7 +165,7 @@ def test_simplex_rule_matches_reference(full_corpus):
     checked = 0
     for cone in full_corpus:
         fl = cone.face_lattice()
-        up = [mask_of(ids) for ids in fl.parents]
+        below = [mask_of(ids) for ids in fl.children]
         for face in fl.faces:
             if not (3 <= face.dim <= 6 and len(face.rays) == face.dim):
                 continue
@@ -173,7 +173,7 @@ def test_simplex_rule_matches_reference(full_corpus):
             for size in range(len(facets) + 1):
                 for prefix in itertools.combinations(facets, size):
                     steps = itertools.count()
-                    got = module._find_shelling(fl, up, face, mask_of(prefix), {}, steps)
+                    got = module._find_shelling(fl, below, face, mask_of(prefix), {}, steps)
                     assert got == reference_find_shelling(fl, face, frozenset(prefix), {}), (cone, face, prefix)
                     assert next(steps) == 0
                     checked += 1
