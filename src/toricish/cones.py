@@ -39,6 +39,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import _gauss_jordan, dot, free_kernel, primitive_vector, scaled_inverse
 
+NOT_FULL_DIMENSIONAL = "cone not full-dimensional; quotient out lineality/span first"
+CONTAINS_A_LINE = "cone contains a line"
+_SWAPPED = {NOT_FULL_DIMENSIONAL: CONTAINS_A_LINE, CONTAINS_A_LINE: NOT_FULL_DIMENSIONAL}
+
 
 def mask_of(ids: Iterable[int]) -> int:
     """The bitmask with the given distinct nonnegative bit positions."""
@@ -68,10 +72,9 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     gcd (primitive_vector), so no division is made and the entries stay small.
 
     Raises ValueError when a generator's length is not the rank,
-    ValueError("cone not full-dimensional; quotient out lineality/span
-    first") when the generators do not span, and ValueError("cone contains a
-    line") when the dual is degenerate, i.e. the generated cone is not
-    strongly convex.
+    ValueError(NOT_FULL_DIMENSIONAL) when the generators do not span, and
+    ValueError(CONTAINS_A_LINE) when the dual is degenerate, i.e. the
+    generated cone is not strongly convex.
     """
     if any(len(g) != rank for g in generators):
         raise ValueError(f"every vector must have length {rank}, the lattice rank")
@@ -87,10 +90,10 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
             seen.add(p)
             gens.append(p)
     if len(gens) < rank:
-        raise ValueError("cone not full-dimensional; quotient out lineality/span first")
+        raise ValueError(NOT_FULL_DIMENSIONAL)
     pivots = _gauss_jordan(list(zip(*gens)))
     if len(pivots) < rank:
-        raise ValueError("cone not full-dimensional; quotient out lineality/span first")
+        raise ValueError(NOT_FULL_DIMENSIONAL)
     base, rest = sorted(pivots), [j for j in range(len(gens)) if j not in pivots]
     # (ray, mask of the generators it vanishes on): seed ray i is positive on
     # base[i] and vanishes on the other base generators.
@@ -138,7 +141,7 @@ def dual_description(generators: Sequence[Sequence[int]], rank: int) -> tuple[tu
     # That space is a face, so it is generated by the generators it contains,
     # and those are the generators on which every ray of the dual vanishes.
     if not rays or functools.reduce(int.__and__, (z for _, z in rays)):
-        raise ValueError("cone contains a line")
+        raise ValueError(CONTAINS_A_LINE)
     # With the combinatorial adjacency test every ray kept is extreme and no
     # ray is kept twice.
     return tuple(sorted(rays))
@@ -151,8 +154,8 @@ class Cone:
     its arguments.  `rays` are the primitive extreme generators, sorted, and
     `facet_normals` the primitive inequality normals of the minimal
     description, also sorted; `incidence[j]` is the bitmask of the rays on
-    facet j, kept from the double description.  `memo` is the cone's own
-    dict of memoised results (see `memoized`).
+    facet j, kept from the one double description, which from_dual_rays
+    transposes.  `memo` holds the cone's memoised results (see `memoized`).
     """
 
     __slots__ = ("rank", "rays", "facet_normals", "incidence", "memo", "_lattice", "_hash")
@@ -192,13 +195,15 @@ class Cone:
 
     @classmethod
     def from_dual_rays(cls, generators: Iterable[Sequence[int]], rank: int | None = None) -> "Cone":
-        """Cone whose dual is generated by the given vectors."""
-        generators = list(generators)
-        if rank is None:
-            if not generators:
-                raise ValueError("cannot infer the lattice rank from an empty generator list")
-            rank = len(generators[0])
-        return cls.from_rays([h for h, _ in dual_description(generators, rank)], rank)
+        """Cone whose dual the vectors generate: from_rays of them transposed, its defects swapped."""
+        try:
+            dual = cls.from_rays(generators, rank)
+        except ValueError as exc:
+            if str(exc) in _SWAPPED:
+                raise ValueError(_SWAPPED[str(exc)]) from None
+            raise
+        incidence = tuple(mask_of(j for j, z in enumerate(dual.incidence) if z >> i & 1) for i in range(len(dual.rays)))
+        return cls(dual.rank, dual.facet_normals, dual.rays, incidence)
 
     def face_lattice(self) -> "FaceLattice":
         if self._lattice is None:

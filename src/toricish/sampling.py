@@ -22,14 +22,8 @@ MAX_SAMPLE_DIM = 8
 
 
 def random_cone(rng: random.Random, dim: int, n_rays: int) -> Cone | None:
-    vectors = []
-    for _ in range(n_rays):
-        v = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(dim))
-        if any(v):
-            vectors.append(v)
-    if len(vectors) < dim:
-        return None
-    try:
+    vectors = [tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(dim)) for _ in range(n_rays)]
+    try:  # from_rays drops zero vectors and rejects too few or a line
         return Cone.from_rays(vectors, rank=dim)
     except ValueError:
         return None

@@ -465,6 +465,21 @@ class TestInputValidation:
         assert res.exit_code == 3
         assert message in res.output
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # full-dimensional, and holds the x3-axis
+            ({"lattice_rank": 3, "dual_rays": [[1, 0, 0], [0, 1, 0]]}, "error: cone contains a line"),
+            # the single ray spanned by (0, 1)
+            ({"lattice_rank": 2, "dual_rays": [[1, 0], [-1, 0], [0, 1]]}, "error: cone not full-dimensional"),
+        ],
+        ids=["line", "ray"],
+    )
+    def test_dual_rays_name_the_defect_of_the_cone(self, runner, tmp_path, payload, message):
+        res = self._run(runner, tmp_path, json.dumps(payload))
+        assert res.exit_code == 3
+        assert message in res.output
+
     def test_coordinates_above_every_certified_prime(self, runner, tmp_path):
         # 1,500-digit coordinates: no Mersenne prime tried bounds the minors
         rng = random.Random(5)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import tracemalloc
@@ -11,6 +12,8 @@ from lattice_reference import normal_step_vector, perp_lattice, span_lattice
 from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
 from toricish import cones
 from toricish.cones import (
+    CONTAINS_A_LINE,
+    NOT_FULL_DIMENSIONAL,
     Cone,
     Face,
     cone_over_polytope,
@@ -79,6 +82,16 @@ def assert_from_rays(gens, rank):
     assert cone.rays == pairwise_extreme_rays(gens, cone.facet_normals)
     assert cone.incidence == tuple(as_mask(ids) for ids in dot_incidence(cone.facet_normals, cone.rays))
     return cone
+
+
+def two_pass_dual(generators, rank):
+    """Oracle for Cone.from_dual_rays: the extreme rays of the dual, from one
+    double description, then a second double description on them."""
+    return Cone.from_rays([h for h, _ in dual_description(generators, rank)], rank)
+
+
+def description(cone):
+    return cone.rays, cone.facet_normals, cone.incidence
 
 
 def brute_force_faces(cone):
@@ -193,21 +206,25 @@ def test_dual_description_matches_brute_force(case):
     nonzero = [g for g in gens if any(g)]
     expected = brute_force_facet_normals(nonzero, rank) if nonzero else set()
     if not nonzero or dense_matrix(nonzero, ncols=rank).rank() < rank:
-        message = "cone not full-dimensional; quotient out lineality/span first"
+        message, dual_message = NOT_FULL_DIMENSIONAL, CONTAINS_A_LINE
     elif not expected or dense_matrix(sorted(expected), ncols=rank).rank() < rank:
         # A full-dimensional cone is pointed exactly when its facet normals span.
-        message = "cone contains a line"
+        message, dual_message = CONTAINS_A_LINE, NOT_FULL_DIMENSIONAL
     else:
         # The exact tuple: a repeated ray would go unseen in a set.
         got = dual_description(gens, rank)
         assert tuple(h for h, _ in got) == tuple(sorted(expected))
         assert_incidence(got, gens)
         cone = assert_from_rays(gens, rank)
-        assert Cone.from_dual_rays(cone.facet_normals, rank) == cone
+        assert description(Cone.from_dual_rays(cone.facet_normals, rank)) == description(cone)
         return
     with pytest.raises(ValueError) as exc:
         dual_description(gens, rank)
     assert str(exc.value) == message
+    # gens spans the dual of the cone asked for, whose defect is the other one
+    with pytest.raises(ValueError) as exc:
+        Cone.from_dual_rays(gens, rank)
+    assert str(exc.value) == dual_message
 
 
 @given(st.integers(3, 5), st.integers(0, 10_000), st.data())
@@ -242,6 +259,36 @@ def test_incidence_with_interior_and_redundant_generators(full_corpus):
         for gens in (list(cone.rays), list(reversed(cone.rays + tuple(extra))) + [tuple(map(sum, zip(*cone.rays)))]):
             assert_incidence(dual_description(gens, cone.rank), gens)
             assert assert_from_rays(gens, cone.rank) == cone
+
+
+def test_from_dual_rays_matches_the_two_pass_oracle(full_corpus):
+    """The transposed description of one double description is exactly the
+    cone that a second double description on the dual's extreme rays builds:
+    on the duals of the corpus cones and of the cones over the cubes and
+    cross-polytopes, also with a zero, a repeated and a redundant (interior)
+    dual generator added."""
+    polytopes = [cube_vertices(d) for d in range(2, 6)] + [cross_vertices(d) for d in range(2, 6)]
+    for cone in full_corpus + [cone_over_polytope(v) for v in polytopes]:
+        for gens in (cone.facet_normals, cone.rays):
+            extra = [(0,) * cone.rank, gens[0], tuple(map(sum, zip(*gens)))]
+            for dual_gens in (list(gens), extra + list(reversed(gens))):
+                assert description(Cone.from_dual_rays(dual_gens, cone.rank)) == description(
+                    two_pass_dual(dual_gens, cone.rank)
+                )
+
+
+def test_from_dual_rays_runs_one_double_description(full_corpus, monkeypatch):
+    calls = []
+
+    def counted(generators, rank):
+        calls.append(rank)
+        return dual_description(generators, rank)
+
+    monkeypatch.setattr(cones, "dual_description", counted)
+    for cone in full_corpus:
+        calls.clear()
+        Cone.from_dual_rays(cone.facet_normals, cone.rank)
+        assert calls == [cone.rank]
 
 
 def test_no_dot_product_after_the_double_description(full_corpus, monkeypatch):
@@ -592,6 +639,17 @@ def test_random_cones_well_formed(seed):
         assert f[0] == f[-1] == 1
         # Euler relation for the boundary of the cross-section polygon
         assert f[1] == f[2]
+
+
+def test_sample_cones_are_pinned():
+    """The cones that verify --random and the test corpora draw: 12 per seed
+    1-7 and dimension 2-7, rays, facet normals and incidence, in order."""
+    digest = hashlib.sha256()
+    for seed in range(1, 8):
+        for dim in range(2, 8):
+            for cone in sample_cones(seed, dim, 12):
+                digest.update(repr(description(cone)).encode())
+    assert digest.hexdigest() == "e89e174d8654969d682be7fb3c8682e2fb7c2ea4f704d6ef42d6ce933548cb4b"
 
 
 def test_sample_cones_rejects_a_negative_count():
