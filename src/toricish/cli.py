@@ -11,18 +11,13 @@ failure, 3 computation error.
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 
 import click
 
 from . import __version__
-from .combinatorics import (
-    betti_numbers,
-    g_polynomial,
-    hodge_deligne_coefficients,
-    hodge_du_bois_table,
-)
 from .cones import (
     Cone,
     cone_over_polytope,
@@ -31,24 +26,7 @@ from .cones import (
     is_simple_in_dim,
     is_simplicial,
 )
-from .decomposition import decomposition_report, ic_multiplicities
-from .ishida import (
-    check_report,
-    cohomology_dims,
-    ext_table,
-    facet_inequalities_report,
-    graded_class_cohomology,
-    ishida_complex,
-    lcdef,
-    verify_codim_vanishing,
-    verify_d_squared,
-    verify_dualizing_exactness,
-    verify_link_exactness,
-    verify_surjectivity,
-)
 from .linalg import NoCertifiedPrime
-from .sampling import sample_cones
-from .shelling import shelling
 
 SCHEMA_VERSION = 1
 
@@ -151,8 +129,9 @@ def cone_command(*params, table=None, file_required=True):
     then None), the head names no file, and the body gets `label`: the
     file's name, or else its path.
 
-    Module attributes are looked up when the command runs, so rebinding one
-    (a test's monkeypatch, a tracer) reaches it.
+    A body imports the names it calls from their defining modules when it
+    runs, so rebinding an attribute of the defining module (a test's
+    monkeypatch, a tracer) reaches the command.
     """
 
     def register(body):
@@ -215,6 +194,8 @@ def faces(cone):
 )
 def ishida(cone, degree, face_sel):
     """Term dimensions and cohomology of the wedge complex at one degree."""
+    from .ishida import cohomology_dims, graded_class_cohomology, ishida_complex
+
     cx = ishida_complex(cone, degree)
     body = {
         "degree": degree,
@@ -235,6 +216,8 @@ def ishida(cone, degree, face_sel):
 @cone_command()
 def ext(cone):
     """Graded Ext table of reflexive differentials, with depth per index."""
+    from .ishida import ext_table
+
     fl = cone.face_lattice()
     table = ext_table(cone)
     core = {}
@@ -265,18 +248,24 @@ def ext(cone):
 @cone_command()
 def lcdef_cmd(cone):
     """Local cohomological defect of the associated affine toric variety."""
+    from .ishida import lcdef
+
     return {"lcdef": lcdef(cone)}
 
 
 @cone_command()
 def decompose(cone):
     """Weight-graded summand report of the constant Hodge module."""
+    from .decomposition import decomposition_report
+
     return decomposition_report(cone)
 
 
 @cone_command()
 def gpoly(cone):
     """Intersection-complex stalk polynomial (g-vector of the cross-section)."""
+    from .combinatorics import g_polynomial
+
     poly = g_polynomial(cone.face_lattice())
     return {
         "coefficients": list(poly.coefficients),
@@ -307,6 +296,8 @@ def hodge(cone):
     The reported polytope f-vector of an n-polytope is the cone's without
     its first and last entries, f_0 ... f_(n-1), so a point (a rank-1 cone)
     gets [] as a polygon gets [f_0, f_1]."""
+    from .combinatorics import betti_numbers, hodge_deligne_coefficients, hodge_du_bois_table
+
     if cone.rank < 1:
         raise ValueError("hodge needs a cone of dimension at least 1, i.e. a polytope of dimension at least 0")
     if not is_cone_over_simple(cone):
@@ -324,6 +315,8 @@ def hodge(cone):
 @cone_command()
 def shelling_cmd(cone):
     """A certified facet shelling order."""
+    from .shelling import shelling
+
     result = shelling(cone)
     return {
         "order": [list(f) for f in result.order],
@@ -342,11 +335,17 @@ def shelling_cmd(cone):
 
 
 def _shelling_report(cone: Cone) -> dict:
+    from .ishida import check_report
+    from .shelling import shelling
+
     shelling(cone)  # raises unless its certification accepts the order
     return check_report("shelling")
 
 
 def _closed_forms_report(cone: Cone) -> dict:
+    from .decomposition import ic_multiplicities
+    from .ishida import check_report
+
     applicable = is_cone_over_simplicial(cone) or is_cone_over_simple(cone)
     if not applicable and cone.rank > 6:
         return check_report("closed_forms", skipped="no closed form applies")
@@ -361,7 +360,8 @@ def _closed_forms_report(cone: Cone) -> dict:
 # the name of its check (cone -> report dict), and whether the check needs a
 # cone of dimension at least 1.  A rank-0 complex has no differential and a
 # rank-0 cone no facet to shell, so there such a check reports itself
-# skipped under its suite key.  Checks are looked up by name when they run.
+# skipped under its suite key.  Checks are looked up by name when they run:
+# in this module, or else in ishida.
 CHECKS = (
     ("d2", "verify_d_squared", False),
     ("ish_n", "verify_dualizing_exactness", False),
@@ -376,9 +376,11 @@ SUITES = (*(key for key, _, _ in CHECKS), "all")
 
 
 def _run_suite(cone: Cone, suite: str) -> list[dict]:
+    from . import ishida as ishida_module
+
     return [
-        globals()[check](cone) if cone.rank or not needs_rank
-        else check_report(key, skipped="needs dimension at least 1")
+        (globals().get(check) or getattr(ishida_module, check))(cone) if cone.rank or not needs_rank
+        else ishida_module.check_report(key, skipped="needs dimension at least 1")
         for key, check, needs_rank in CHECKS
         if suite in (key, "all")
     ]
@@ -392,6 +394,8 @@ def _run_suite(cone: Cone, suite: str) -> list[dict]:
 )
 def verify(cone, suite, random_request, seed, label):
     """Run verification suites on a cone file or on seeded random cones."""
+    from .sampling import sample_cones
+
     cones = [] if cone is None else [(label, cone)]
     if random_request:
         dim, count = random_request
@@ -409,7 +413,30 @@ def verify(cone, suite, random_request, seed, label):
     return {"suite": suite, "ok": all(r["ok"] for r in results), "results": results}
 
 
+# The package modules each command imports names from, beyond cones and
+# linalg.  main() imports them before click dispatches: compiling them is
+# start-up, not the command's work, and a wrapper of click's Command.main
+# finds them loaded.  The bodies import their own names, so the commands run
+# without this table (as under click's test runner).
+COMMAND_MODULES = {
+    "faces": (),
+    "ishida": ("ishida",),
+    "ext": ("ishida",),
+    "lcdef": ("ishida",),
+    "decompose": ("decomposition",),
+    "gpoly": ("combinatorics",),
+    "hodge": ("combinatorics",),
+    "shelling": ("shelling",),
+    "verify": ("decomposition", "ishida", "sampling", "shelling"),
+}
+
+
 def main():
+    # The group has no option that takes a value, so the first argument is
+    # the command's name whenever a command runs.
+    command = sys.argv[1] if len(sys.argv) > 1 else None
+    for module in COMMAND_MODULES.get(command, ()):
+        importlib.import_module(f".{module}", __package__)
     cli(prog_name="toricish")
 
 

@@ -317,10 +317,10 @@ class TestVerifyCmd:
         assert len(live) == 20 and max(live) <= 1, live
 
     def test_failure_exits_2(self, runner, monkeypatch):
-        from toricish import cli as cli_module
+        from toricish import ishida
 
         monkeypatch.setattr(
-            cli_module, "verify_d_squared",
+            ishida, "verify_d_squared",
             lambda cone: {"name": "d_squared", "ok": False, "failures": [{"forced": True}]},
         )
         res = runner.invoke(cli, ["verify", str(DATA / "quadric.json"), "--suite", "d2"])
@@ -500,12 +500,12 @@ class TestInputValidation:
     def test_other_arithmetic_errors_are_not_bad_input(self, runner, tmp_path, monkeypatch):
         # only a missing certified prime is reported as bad input; a bug
         # raising another ArithmeticError keeps its traceback
-        from toricish import cli as cli_module
+        from toricish import ishida
 
         def broken(cone):
             return 1 // 0
 
-        monkeypatch.setattr(cli_module, "lcdef", broken)
+        monkeypatch.setattr(ishida, "lcdef", broken)
         path = tmp_path / "cone.json"
         path.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [0, 1]]}))
         res = runner.invoke(cli, ["lcdef", str(path)])

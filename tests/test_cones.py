@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import itertools
 import tracemalloc
 
@@ -10,6 +9,7 @@ from ambient_reference import _det, _integer_rows, dense_matrix, kernel_basis
 from face_reference import face_cone, lattice_coordinates
 from lattice_reference import normal_step_vector, perp_lattice, span_lattice
 from paper_reference import cross_vertices, cube_vertices, dual, quotient_cone
+import toricish.shelling as shelling_module
 from toricish import cones
 from toricish.cones import (
     CONTAINS_A_LINE,
@@ -296,8 +296,6 @@ def test_no_dot_product_after_the_double_description(full_corpus, monkeypatch):
     stored incidence: cones calls dot no more, and shelling pairs no facet
     normal with a ray (it still crosses the facets' hyperplanes with a line,
     by dot products with other vectors)."""
-    # the package exports the function shelling under the module's name
-    shelling_module = importlib.import_module("toricish.shelling")
 
     def no_dot(*args):
         raise AssertionError("dot called after the double description")

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import json
 import random
@@ -6,6 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
+import toricish.shelling as shelling_module
 from paper_reference import cross_vertices, cube_vertices, dual, simplex_product_vertices
 from shelling_reference import _find_shelling as reference_find_shelling, reference_certify, reference_shelling
 from toricish.cli import cli
@@ -99,11 +99,6 @@ def test_deterministic(binomial_cone):
     assert a.order == b.order and a.direction_index == b.direction_index
 
 
-def shelling_module():
-    # the package re-exports the function shelling under the module's name
-    return importlib.import_module("toricish.shelling")
-
-
 def oracle_corpus(full_corpus):
     return full_corpus + [c for dim in (3, 4, 5) for c in sample_cones(ORACLE_SEED, dim, 4)]
 
@@ -137,7 +132,7 @@ def test_is_shelling_matches_reference_on_permuted_orders(named_corpus):
             rng.shuffle(facets)
             want = reference_certify(fl, facets)
             assert is_shelling(cone, [f.rays for f in facets]) == (want is not None), cone
-            assert shelling_module()._certify(fl, facets) == want, cone
+            assert shelling_module._certify(fl, facets) == want, cone
             verdicts.add(want is not None)
     assert verdicts == {True, False}
 
@@ -145,7 +140,7 @@ def test_is_shelling_matches_reference_on_permuted_orders(named_corpus):
 def test_search_step_budget(cube_cone, monkeypatch, tmp_path):
     """The facets of the cone over the 3-cube are squares, which take
     search steps; a triangle, a simplex, would take none."""
-    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", 1)
+    monkeypatch.setattr(shelling_module, "MAX_SEARCH_STEPS", 1)
     with pytest.raises(RuntimeError, match="shelling search exceeded 1 steps"):
         shelling(cube_cone)
     path = tmp_path / "cube.json"
@@ -161,7 +156,6 @@ def test_simplex_rule_matches_reference(full_corpus):
     For every simplicial face of dimension 3 to 6 in the corpus and every
     set of its facets as the prefix, that is what the reference search
     returns."""
-    module = shelling_module()
     checked = 0
     for cone in full_corpus:
         fl = cone.face_lattice()
@@ -173,7 +167,7 @@ def test_simplex_rule_matches_reference(full_corpus):
             for size in range(len(facets) + 1):
                 for prefix in itertools.combinations(facets, size):
                     steps = itertools.count()
-                    got = module._find_shelling(fl, below, face, mask_of(prefix), {}, steps)
+                    got = shelling_module._find_shelling(fl, below, face, mask_of(prefix), {}, steps)
                     assert got == reference_find_shelling(fl, face, frozenset(prefix), {}), (cone, face, prefix)
                     assert next(steps) == 0
                     checked += 1
@@ -200,7 +194,7 @@ def test_disconnected_prefix_fails_within_the_step_budget(monkeypatch):
     bottom, top = (facet({p + (z,) for p in polygon}) for z in (0, 1))
     sides = [facet({polygon[i] + (z,) for i in (k, (k + 1) % m) for z in (0, 1)}) for k in range(m)]
     order = [bottom, *sides[:23], sides[24], top, sides[23], sides[25]]
-    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", 1_000)
+    monkeypatch.setattr(shelling_module, "MAX_SEARCH_STEPS", 1_000)
     assert is_shelling(cone, order) is False
     # the prefix before the top facet is fine: the failure is the top's
     assert is_shelling(cone, order[:25] + order[26:] + order[25:26]) is True
@@ -219,9 +213,9 @@ def test_search_step_counts_are_pinned(vertices, steps, monkeypatch):
     takes no step, so it passes with no budget at all.  A search that
     reorders its candidates or does more work fails here."""
     cone = cone_over_polytope(vertices)
-    monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps)
+    monkeypatch.setattr(shelling_module, "MAX_SEARCH_STEPS", steps)
     assert is_shelling(cone, shelling(cone).order)
     if steps:
-        monkeypatch.setattr(shelling_module(), "MAX_SEARCH_STEPS", steps - 1)
+        monkeypatch.setattr(shelling_module, "MAX_SEARCH_STEPS", steps - 1)
         with pytest.raises(RuntimeError, match=f"exceeded {steps - 1} steps"):
             shelling(cone)
